@@ -269,8 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument("--version", action="version", version=__version__)
     top.add_argument("--outdir", default=None,
                      help="output directory (default: $RMTLAB_OUTDIR or '.')")
-    top.add_argument("--threads", type=int, default=None,
-                     help="advisory thread cap, recorded in the manifest")
     sub = top.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     sp = sub.add_parser("validate", help="check a potential config")

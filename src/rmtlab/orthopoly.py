@@ -14,10 +14,7 @@ with b_j = h_j / h_{j-1}.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +22,7 @@ from numpy.polynomial import polynomial as npp
 from scipy.linalg import eigh_tridiagonal
 
 from .errors import NumericalError, ValidationError
-from .potential import Potential, eval_potential, log_weight, to_document, validate
+from .potential import Potential, eval_potential, log_weight, validate
 from .quad import segment_rule
 
 # All degree-n work runs through sqrt(w) = e^{-n V / 2}, which stays
@@ -37,23 +34,24 @@ _MIN_ORDER = 12
 _MAX_ORDER = 48
 _MASS_TOL = 1e-9
 _CLIP_TOL = 1e-8        # max polynomial mass tolerated beside an artificial cut
+_EPS = np.finfo(float).eps
+_OMEGA_TOL = math.sqrt(_EPS)  # semi-orthogonality level of the Lanczos vectors
 
 
 @dataclass(frozen=True, eq=False)
 class QuadratureRule:
-    """Discrete measure: sum_i weights[i] f(nodes[i]) ~ int f(x) w(x) dx.
+    """Discrete measure: sum_i base[i] e^{log_w[i]} f(nodes[i]) ~ int f(x) w(x) dx.
 
-    weights include the weight function w; base holds the bare panel
-    weights, so sum_i base[i] f(nodes[i]) ~ int f(x) dx over the same
-    truncated domain.  log_w holds log w at the nodes, the form every
-    degree-n computation should start from (weights itself underflows
-    once n V passes ~708).  cut_lo / cut_hi record where an unbounded
+    base holds the bare panel weights, so sum_i base[i] f(nodes[i])
+    ~ int f(x) dx over the same truncated domain.  log_w holds log w at
+    the nodes, the only form of the weight kept: every degree-n
+    computation starts from it (w itself underflows once n V passes
+    ~708).  cut_lo / cut_hi record where an unbounded
     domain end was truncated, None at native ends.  nodes are sorted
     and strictly inside the domain.
     """
 
     nodes: np.ndarray
-    weights: np.ndarray
     base: np.ndarray
     log_w: np.ndarray
     provenance: str
@@ -61,7 +59,7 @@ class QuadratureRule:
     cut_hi: float | None = None
 
     def mass(self) -> float:
-        return float(np.sum(self.weights))
+        return float(np.sum(self.base * np.exp(self.log_w)))
 
     def weight_values(self) -> np.ndarray:
         """w at the nodes."""
@@ -297,8 +295,7 @@ def build_quadrature(p: Potential, resolution: int, *, order: int | None = None,
     keep = lw >= _LOG_FLOOR
     dropped = int(np.size(keep) - np.count_nonzero(keep))
 
-    wvals = np.exp(lw)
-    mass = float(np.sum(base[keep] * wvals[keep]))
+    mass = float(np.sum(base[keep] * np.exp(lw[keep])))
     x2, b2 = assemble(2 * m)
     lw2 = log_weight(p, x2)
     k2 = lw2 >= _LOG_FLOOR
@@ -311,15 +308,13 @@ def build_quadrature(p: Potential, resolution: int, *, order: int | None = None,
         )
 
     nodes = nodes[keep]
-    base_k = base[keep]
-    weights = base_k * wvals[keep]
     if not np.all(np.diff(nodes) > 0.0):
         raise NumericalError("panel assembly produced unsorted nodes")
     prov = (
         f"panels={len(panels)} order={m} depth={depth} nodes={nodes.size} "
         f"dropped={dropped} mass_check={rel:.2e}"
     )
-    return QuadratureRule(nodes=nodes, weights=weights, base=base_k,
+    return QuadratureRule(nodes=nodes, base=base[keep],
                           log_w=lw[keep], provenance=prov,
                           cut_lo=cut_lo, cut_hi=cut_hi)
 
@@ -358,9 +353,18 @@ def stieltjes_recurrence(q: QuadratureRule, m_max: int) -> Recurrence:
     The Lanczos vectors are the weighted orthonormal functions
     sqrt(w) p_j / sqrt(h_j) sampled at the nodes; every stored entry is
     of order one, so degrees with p_j^2 w spanning ~600 decades of
-    pointwise dynamic range still come out at full precision.  Vectors
-    are re-orthogonalized at every step, so the coefficients are
-    limited by the quadrature discretization, not by drift.
+    pointwise dynamic range still come out at full precision.
+
+    Only the current and previous vectors are kept: the plain
+    three-term recurrence is enough because Lanczos vectors lose
+    orthogonality only once a Ritz value converges to a node (Paige,
+    Linear Algebra Appl. 34, 1980), and the m_max < N/4 guard keeps the
+    degrees well inside a resolved rule.  Simon's omega-recurrence
+    (Math. Comp. 42, 1984) tracks estimates of <phi_j, phi_k> from the
+    coefficients alone; once one exceeds sqrt(eps), the semi-orthogonality
+    level at which the coefficients are still exact to working
+    precision, NumericalError is raised instead of returning drifted
+    coefficients.
     """
     npts = q.nodes.size
     if not m_max >= 1:
@@ -376,33 +380,50 @@ def stieltjes_recurrence(q: QuadratureRule, m_max: int) -> Recurrence:
     if not (h0 > 0.0 and math.isfinite(h0)):
         raise NumericalError("quadrature rule has no mass")
 
-    phi = np.zeros((m_max + 1, npts))
-    phi[0] = sw / math.sqrt(h0)
-    a_list: list[float] = []
+    a = np.zeros(m_max)
+    beta = np.zeros(m_max + 1)          # beta[j] = sqrt(b_j), beta[0] = 0
     b_list: list[float] = []
     h_list = [h0]
-    beta_prev = 0.0
+    # omega[k] estimates <phi_j, phi_k>, omega_prev[k] <phi_{j-1}, phi_k>
+    omega = np.zeros(m_max + 1)
+    omega[0] = 1.0
+    omega_prev = np.zeros(m_max + 1)
+    rounding = _EPS * math.sqrt(npts) * float(np.max(np.abs(x)))
+    cur = sw / math.sqrt(h0)
+    prev = np.zeros(npts)
     for j in range(m_max):
-        cur = phi[j]
-        prev = phi[j - 1] if j >= 1 else 0.0
         aj = float(np.sum(wt * x * cur * cur))
-        r = (x - aj) * cur - beta_prev * prev
-        for _ in range(2):  # twice-is-enough re-orthogonalization
-            proj = phi[: j + 1] @ (wt * r)
-            r -= phi[: j + 1].T @ proj
+        r = (x - aj) * cur - beta[j] * prev
         b2 = float(np.sum(wt * r * r))
         if not (b2 > 0.0 and math.isfinite(b2)):
             raise NumericalError(
                 f"degree exceeds discretization resolution (b_{j + 1} lost positivity)"
             )
-        beta = math.sqrt(b2)
-        phi[j + 1] = r / beta
-        a_list.append(aj)
+        a[j] = aj
+        beta[j + 1] = math.sqrt(b2)
         b_list.append(b2)
         h_list.append(h_list[-1] * b2)
-        beta_prev = beta
-    _clip_guard(q, phi[m_max], m_max)
-    return Recurrence(a=tuple(a_list), b=tuple(b_list), h=tuple(h_list), m_max=m_max)
+        prev, cur = cur, r / beta[j + 1]
+
+        # beta_{j+1} w_{j+1,k} = beta_{k+1} w_{j,k+1} + (a_k - a_j) w_{j,k}
+        #     + beta_k w_{j,k-1} - beta_j w_{j-1,k}, plus a rounding term
+        nxt = np.zeros(m_max + 1)
+        if j >= 1:
+            t = (beta[1:j + 1] * omega[1:j + 1] + (a[:j] - aj) * omega[:j]
+                 - beta[j] * omega_prev[:j])
+            t[1:] += beta[1:j] * omega[:j - 1]
+            nxt[:j] = (t + np.copysign(rounding, t)) / beta[j + 1]
+        nxt[j] = rounding / beta[j + 1]
+        nxt[j + 1] = 1.0
+        worst = float(np.max(np.abs(nxt[:j + 1])))
+        if not worst <= _OMEGA_TOL:
+            raise NumericalError(
+                f"Lanczos vectors lost orthogonality at degree {j + 1} "
+                f"(estimated |<phi_i, phi_j>| = {worst:.2e} > {_OMEGA_TOL:.1e})"
+            )
+        omega_prev, omega = omega, nxt
+    _clip_guard(q, cur, m_max)
+    return Recurrence(a=tuple(a.tolist()), b=tuple(b_list), h=tuple(h_list), m_max=m_max)
 
 
 def eval_poly(r: Recurrence, j: int, x):
@@ -449,7 +470,8 @@ def gram_check(r: Recurrence, q: QuadratureRule, m: int) -> float:
     passing silently.
     """
     psi = orthonormal_table(r, q, m)
-    gram = (psi * q.base) @ psi.T
+    psi *= np.sqrt(q.base)
+    gram = psi @ psi.T
     defect = np.abs(gram - np.eye(m + 1))
     return float(defect.max())
 
@@ -465,7 +487,7 @@ def poly_zeros(r: Recurrence, m: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# serialization and caching
+# serialization and fitting
 
 
 def recurrence_table(r: Recurrence):
@@ -478,43 +500,13 @@ def recurrence_table(r: Recurrence):
     return rows
 
 
-def recurrence_cache_key(p: Potential, resolution: int) -> str:
-    doc = json.dumps(to_document(p), sort_keys=True, separators=(",", ":"))
-    digest = hashlib.sha256(f"{doc}|res={resolution}".encode()).hexdigest()
-    return digest[:16]
+def cached_recurrence(p: Potential, resolution: int,
+                      m_max: int) -> tuple[Recurrence, QuadratureRule]:
+    """Build the quadrature rule for p and its recurrence up to m_max.
 
-
-def save_recurrence(path, r: Recurrence) -> None:
-    np.savez(path, a=np.asarray(r.a), b=np.asarray(r.b), h=np.asarray(r.h),
-             m_max=np.asarray([r.m_max]))
-
-
-def load_recurrence(path) -> Recurrence:
-    with np.load(path) as data:
-        return Recurrence(
-            a=tuple(float(v) for v in data["a"]),
-            b=tuple(float(v) for v in data["b"]),
-            h=tuple(float(v) for v in data["h"]),
-            m_max=int(data["m_max"][0]),
-        )
-
-
-def cached_recurrence(p: Potential, resolution: int, m_max: int,
-                      cache_dir=None) -> tuple[Recurrence, QuadratureRule]:
-    """Build (or reload) the recurrence for p at the given resolution.
-
-    The quadrature rule is always rebuilt (it is cheap and needed for
-    kernel integrals); only the Stieltjes output is cached, keyed by the
-    potential document, n, resolution and m_max.
+    Nothing is cached: the rule is built with the degree hint the
+    recurrence needs (2 (m_max + 1)) and both are returned, the rule
+    because kernel integrals run on the same nodes.
     """
     q = build_quadrature(p, resolution, degree_hint=2 * (m_max + 1))
-    if cache_dir is None:
-        return stieltjes_recurrence(q, m_max), q
-    key = recurrence_cache_key(p, resolution)
-    path = os.path.join(cache_dir, f"recurrence_{key}_m{m_max}.npz")
-    if os.path.exists(path):
-        return load_recurrence(path), q
-    r = stieltjes_recurrence(q, m_max)
-    os.makedirs(cache_dir, exist_ok=True)
-    save_recurrence(path, r)
-    return r, q
+    return stieltjes_recurrence(q, m_max), q

@@ -38,19 +38,18 @@ _LINE = IntervalSet(((-math.inf, math.inf),))
 _NEG = IntervalSet(((-math.inf, 0.0),))
 
 
-def default_fit(p: Potential, cache_dir=None):
+def default_fit(p: Potential):
     """Shared fitting rule: resolution max(900, 6n), degree n+1."""
-    return cached_recurrence(p, max(900, 6 * p.n), p.n + 1, cache_dir=cache_dir)
+    return cached_recurrence(p, max(900, 6 * p.n), p.n + 1)
 
 
 class _Scenario:
     """Base: shared recurrence rule and a no-op model-data hook."""
 
     compare_abs = False
-    cache_dir = None
 
     def recurrence(self, p):
-        return default_fit(p, cache_dir=self.cache_dir)
+        return default_fit(p)
 
     def model_data(self, em, cp, p):
         return extract_model_data(em, cp, p.n, p)

@@ -10,14 +10,12 @@ from scipy.integrate import quad as scipy_quad
 from rmtlab.errors import NumericalError, ValidationError
 from rmtlab.potential import IntervalSet, Potential, Singularity, eval_weight
 from rmtlab.orthopoly import (
+    QuadratureRule,
     build_quadrature,
-    cached_recurrence,
     eval_poly,
     gram_check,
-    load_recurrence,
     poly_zeros,
     recurrence_table,
-    save_recurrence,
     stieltjes_recurrence,
 )
 
@@ -202,6 +200,19 @@ def test_doubling_resolution_converges():
         assert r1.b[j] == pytest.approx(r2.b[j], rel=1e-8)
 
 
+def test_lost_orthogonality_is_rejected():
+    # one heavy node far outside [-1, 1]: the extreme Ritz value
+    # converges to it within a few steps, the plain Lanczos vectors lose
+    # orthogonality, and the coefficients past that point are wrong
+    # (their forward recurrence has a Gram defect ~1e24); the monitor
+    # must refuse instead of returning them
+    x, w = np.polynomial.legendre.leggauss(240)
+    q = QuadratureRule(nodes=np.append(x, 3.0), base=np.append(w, 0.05),
+                       log_w=np.zeros(241), provenance="hand-built")
+    with pytest.raises(NumericalError, match="orthogonality"):
+        stieltjes_recurrence(q, 40)
+
+
 def test_zeros_inside_node_hull():
     p = Potential(n=25, reg=(-1.0,), singularities=(Singularity(b=0.0, alpha=0.25),),
                   support=NEG)
@@ -234,21 +245,6 @@ def test_recurrence_table_layout():
     assert len(rows) == 7
     assert rows[0][2] == 0.0 and math.isnan(rows[6][1])
     assert rows[3] == (3, r.a[3], r.b[2], r.h[3])
-
-
-def test_cache_roundtrip(tmp_path):
-    p = gaussian(8)
-    path = tmp_path / "rec.npz"
-    q = build_quadrature(p, 300)
-    r = stieltjes_recurrence(q, 12)
-    save_recurrence(path, r)
-    r2 = load_recurrence(path)
-    assert r2 == r
-    ra, _ = cached_recurrence(p, 300, 12, cache_dir=str(tmp_path))
-    rb, _ = cached_recurrence(p, 300, 12, cache_dir=str(tmp_path))
-    assert ra == rb
-    for j in range(1, 13):
-        assert ra.b[j - 1] == pytest.approx(j / 8, rel=1e-9)
 
 
 @settings(max_examples=12, deadline=None)
