@@ -64,7 +64,6 @@ from .kernel import (
     kernel_diag,
     kernel_grid,
     projection_residual,
-    scaled_kernel,
     scaled_kernel_grid,
     sine_kernel,
     trace_check,

@@ -27,7 +27,7 @@ from .classify import (
     find_critical_points,
     model_data_dict,
 )
-from .equilibrium import check_variational, density_table, solve_support
+from .equilibrium import STRUCTURES, check_variational, density_table, solve_support
 from .errors import FormatError, NumericalError, ValidationError
 from .io import RunManifest, read_json, write_csv, write_json
 from .kernel import (
@@ -35,7 +35,6 @@ from .kernel import (
     kernel_diag,
     kernel_grid,
     scaled_kernel_grid,
-    trace_check,
 )
 from .potential import parse_potential, validate
 from .sampler import compare_density, histogram_density, mcmc_chain
@@ -180,17 +179,16 @@ def cmd_kernel(args, man: RunManifest, outdir: str) -> int:
         g = scaled_kernel_grid(r, p, cp, grid)
     rows = [(u, v, g.values[i, j])
             for i, u in enumerate(g.u_grid) for j, v in enumerate(g.v_grid)]
-    meta = {k: v for k, v in g.meta.items()}
-    meta["trace"] = f"{trace_check(r, p, q):.17g}"
+    diag = kernel_diag(r, p, q.nodes)
+    trace = f"{float(np.sum(q.base * diag)):.17g}"
+    meta = {**g.meta, "trace": trace}
     write_csv(man.record(os.path.join(outdir, "kernel.csv")),
               ["u", "v", "value"], rows, meta)
-
-    diag = kernel_diag(r, p, q.nodes)
     write_csv(man.record(os.path.join(outdir, "kernel_diag.csv")),
               ["x", "weight", "k_diag"], zip(q.nodes, q.base, diag),
-              {"n": p.n, "trace": f"{float(np.sum(q.base * diag)):.17g}"})
+              {"n": p.n, "trace": trace})
     print(f"kernel {g.values.shape[0]}x{g.values.shape[1]} grid, "
-          f"trace {meta['trace']}")
+          f"trace {trace}")
     return 0
 
 
@@ -277,8 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("equilibrium", help="solve the equilibrium measure")
     sp.add_argument("config")
-    sp.add_argument("--structure", default="one_cut",
-                    choices=["one_cut", "symmetric_two_cut", "hard_edge_one_cut"])
+    sp.add_argument("--structure", default="one_cut", choices=STRUCTURES)
     sp.add_argument("--grid", type=int, default=400,
                     help="density table points per support component")
     sp.set_defaults(func=cmd_equilibrium)
@@ -286,8 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("classify", help="critical points and model data")
     sp.add_argument("config")
     sp.add_argument("--n", type=int, default=None, help="override config n")
-    sp.add_argument("--structure", default="one_cut",
-                    choices=["one_cut", "symmetric_two_cut", "hard_edge_one_cut"])
+    sp.add_argument("--structure", default="one_cut", choices=STRUCTURES)
     sp.set_defaults(func=cmd_classify)
 
     sp = sub.add_parser("kernel", help="finite-n kernel on a grid")
@@ -297,8 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="'raw' or an x_star value to scale at")
     sp.add_argument("--grid", default="-2:2:9",
                     help="'lo:hi:count' or comma-separated points")
-    sp.add_argument("--structure", default="one_cut",
-                    choices=["one_cut", "symmetric_two_cut", "hard_edge_one_cut"])
+    sp.add_argument("--structure", default="one_cut", choices=STRUCTURES)
     sp.set_defaults(func=cmd_kernel)
 
     sp = sub.add_parser("converge", help="kernel convergence scan")
@@ -316,8 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--burn-in", type=int, default=0)
     sp.add_argument("--thin", type=int, default=1)
-    sp.add_argument("--structure", default="one_cut",
-                    choices=["one_cut", "symmetric_two_cut", "hard_edge_one_cut"])
+    sp.add_argument("--structure", default="one_cut", choices=STRUCTURES)
     sp.add_argument("--bins", type=int, default=24,
                     help="histogram bin count for the density comparison")
     sp.add_argument("--bins-grid", default=None,

@@ -658,15 +658,3 @@ def density_table(em: EquilibriumMeasure, points_per_component: int = 400):
         xs.append(x)
         rs.append(density(em, x))
     return np.concatenate(xs), np.concatenate(rs)
-
-
-def curve_summary(em: EquilibriumMeasure) -> dict:
-    return {
-        "h": list(em.curve.h),
-        "zeros": list(em.curve.zeros),
-        "poles": list(em.curve.poles),
-        "support": [list(iv) for iv in em.support.intervals],
-        "ell": em.ell,
-        "masses": list(em.masses),
-        "exterior_points": list(em.exterior_points),
-    }

@@ -41,14 +41,16 @@ class KernelGrid:
 # finite-n kernel
 
 
-def _psi_rows(r: Recurrence, p: Potential, n: int, x: np.ndarray):
+def _psi_rows(r: Recurrence, p: Potential, x: np.ndarray):
     """psi_n, psi_{n-1} and the bracket-derivative rows chi_n, chi_{n-1}.
 
     chi_j = sqrt(w) p_j' / sqrt(h_j) carries only the polynomial
     derivative (no weight derivative); that is the piece the confluent
     kernel diagonal needs, because the sqrt(w(x) w(y)) prefactor is
-    symmetric and drops out of the x -> y limit.
+    symmetric and drops out of the x -> y limit.  log w is -inf off the
+    domain, so every row vanishes there.
     """
+    n = p.n
     if r.m_max < n:
         raise ValidationError(
             f"recurrence reaches degree {r.m_max}, kernel degree n={n} needs more")
@@ -73,7 +75,7 @@ def _psi_rows(r: Recurrence, p: Potential, n: int, x: np.ndarray):
 def kernel_diag(r: Recurrence, p: Potential, x) -> np.ndarray:
     """K_n(x, x) by the confluent (derivative) form, vectorized."""
     xa = np.atleast_1d(np.asarray(x, dtype=float))
-    psi_n, psi_m, chi_n, chi_m = _psi_rows(r, p, p.n, xa)
+    psi_n, psi_m, chi_n, chi_m = _psi_rows(r, p, xa)
     beta_n = math.sqrt(r.b[p.n - 1])
     out = beta_n * (chi_n * psi_m - chi_m * psi_n)
     if np.isscalar(x):
@@ -82,16 +84,19 @@ def kernel_diag(r: Recurrence, p: Potential, x) -> np.ndarray:
 
 
 def kernel_matrix(r: Recurrence, p: Potential, xs, ys) -> np.ndarray:
-    """K_n on a grid of real points; off-domain points give 0."""
+    """K_n on a grid of real points; off-domain points give 0.
+
+    One recurrence pass over the distinct points of xs and ys.  Pairs
+    within 1e-8 * scale of the diagonal take the confluent value, the
+    mean of the two points' diagonals, so K(xs, xs) is exactly symmetric.
+    """
     xa = np.asarray(xs, dtype=float)
     ya = np.asarray(ys, dtype=float)
-    n = p.n
-    if r.m_max < n:
-        raise ValidationError(
-            f"recurrence reaches degree {r.m_max}, kernel degree n={n} needs more")
-    beta_n = math.sqrt(r.b[n - 1])
-    pnx, pmx, _, _ = _psi_rows(r, p, n, xa)
-    pny, pmy, _, _ = _psi_rows(r, p, n, ya)
+    pts, inv = np.unique(np.concatenate((xa, ya)), return_inverse=True)
+    ix, iy = inv[:xa.size], inv[xa.size:]
+    psi_n, psi_m, chi_n, chi_m = _psi_rows(r, p, pts)
+    beta_n = math.sqrt(r.b[p.n - 1])
+    pnx, pmx, pny, pmy = psi_n[ix], psi_m[ix], psi_n[iy], psi_m[iy]
     dx = xa[:, None] - ya[None, :]
     num = beta_n * (pnx[:, None] * pmy[None, :] - pny[None, :] * pmx[:, None])
     tol = _CONFLUENT_REL * p.scale()
@@ -99,9 +104,13 @@ def kernel_matrix(r: Recurrence, p: Potential, xs, ys) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.where(close, 0.0, num) / np.where(close, 1.0, dx)
     if np.any(close):
+        diag = beta_n * (chi_n * psi_m - chi_m * psi_n)
         ii, jj = np.nonzero(close)
-        mids = 0.5 * (xa[ii] + ya[jj])
-        out[ii, jj] = kernel_diag(r, p, mids)
+        kx, ky = diag[ix[ii]], diag[iy[jj]]
+        # K(x, y) carries sqrt(w(x) w(y)) and diag is 0 exactly where w
+        # is (off the domain, at a charge), so a pair with one such point
+        # gives 0, not half the other diagonal; with two the mean is 0
+        out[ii, jj] = np.where((kx == 0.0) != (ky == 0.0), 0.0, 0.5 * (kx + ky))
     return out
 
 
@@ -111,21 +120,7 @@ def cd_kernel(r: Recurrence, p: Potential, x: float, y: float) -> float:
     Within 1e-8 * scale of the diagonal the confluent form (analytic
     derivative of the recurrence) replaces the difference quotient.
     """
-    if not (p.support.contains(float(x)) and p.support.contains(float(y))):
-        return 0.0
     return float(kernel_matrix(r, p, [float(x)], [float(y)])[0, 0])
-
-
-def scaled_kernel(r: Recurrence, p: Potential, cp: CriticalPoint,
-                  u: float, v: float) -> float:
-    """n^{-delta} K_n at x_* + n^{-delta} (u, v)."""
-    s = float(p.n) ** (-cp.delta)
-    x = cp.x_star + s * u
-    y = cp.x_star + s * v
-    if not (p.support.contains(x) and p.support.contains(y)):
-        raise ValidationError(
-            f"scaled points ({u}, {v}) leave the domain at n={p.n}")
-    return s * cd_kernel(r, p, x, y)
 
 
 def scaled_kernel_grid(r: Recurrence, p: Potential, cp: CriticalPoint,
@@ -190,15 +185,11 @@ def trace_check(r: Recurrence, p: Potential, q: QuadratureRule) -> float:
 def projection_residual(r: Recurrence, p: Potential, q: QuadratureRule,
                         probes) -> float:
     """max over probe pairs (x, z) of |int K(x,y) K(y,z) dy - K(x,z)|."""
-    worst = 0.0
-    nodes = q.nodes
-    for x, z in probes:
-        kxy = kernel_matrix(r, p, [float(x)], nodes)[0]
-        kyz = kernel_matrix(r, p, nodes, [float(z)])[:, 0]
-        integral = float(np.sum(q.base * kxy * kyz))
-        direct = cd_kernel(r, p, float(x), float(z))
-        worst = max(worst, abs(integral - direct))
-    return worst
+    pairs = np.asarray(probes, dtype=float).reshape(-1, 2)
+    rows = kernel_matrix(r, p, pairs.ravel(), q.nodes)
+    integral = np.sum(q.base * rows[0::2] * rows[1::2], axis=1)
+    direct = np.diag(kernel_matrix(r, p, pairs[:, 0], pairs[:, 1]))
+    return float(np.max(np.abs(integral - direct), initial=0.0))
 
 
 # ---------------------------------------------------------------------------

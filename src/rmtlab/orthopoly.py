@@ -36,6 +36,7 @@ _MASS_TOL = 1e-9
 _CLIP_TOL = 1e-8        # max polynomial mass tolerated beside an artificial cut
 _EPS = np.finfo(float).eps
 _OMEGA_TOL = math.sqrt(_EPS)  # semi-orthogonality level of the Lanczos vectors
+_LOG_MAX = math.log(np.finfo(float).max)  # exp overflows above this
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,10 +61,6 @@ class QuadratureRule:
 
     def mass(self) -> float:
         return float(np.sum(self.base * np.exp(self.log_w)))
-
-    def weight_values(self) -> np.ndarray:
-        """w at the nodes."""
-        return np.exp(self.log_w)
 
 
 @dataclass(frozen=True)
@@ -295,9 +292,14 @@ def build_quadrature(p: Potential, resolution: int, *, order: int | None = None,
     keep = lw >= _LOG_FLOOR
     dropped = int(np.size(keep) - np.count_nonzero(keep))
 
-    mass = float(np.sum(base[keep] * np.exp(lw[keep])))
     x2, b2 = assemble(2 * m)
     lw2 = log_weight(p, x2)
+    top = max(float(np.max(lw)), float(np.max(lw2)))
+    if top > _LOG_MAX:
+        raise NumericalError(
+            f"w = exp(log w) overflows double precision: max log w {top:.6g} "
+            f"exceeds {_LOG_MAX:.6g}")
+    mass = float(np.sum(base[keep] * np.exp(lw[keep])))
     k2 = lw2 >= _LOG_FLOOR
     mass2 = float(np.sum(b2[k2] * np.exp(lw2[k2])))
     rel = abs(mass - mass2) / abs(mass2) if mass2 != 0.0 else math.inf

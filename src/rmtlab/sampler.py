@@ -125,21 +125,20 @@ def mcmc_chain(p: Potential, steps: int, burn_in: int, thin: int = 1,
             since_check += 1
             old = xs[i]
             new = old + state.step_scale * noise[i]
-            if p.support.contains(new):
-                lw_new = float(log_weight(p, new))
-                if math.isfinite(lw_new):
-                    d_new = np.abs(new - xs)
-                    d_old = np.abs(old - xs)
-                    d_new[i] = 1.0
-                    d_old[i] = 1.0
-                    delta = (2.0 * float(np.sum(np.log(d_new)) - np.sum(np.log(d_old)))
-                             + lw_new - lw_cache[i])
-                    if gates[i] < delta:
-                        xs[i] = new
-                        lw_cache[i] = lw_new
-                        state.log_density += delta
-                        state.accept_count += 1
-                        window_acc += 1
+            lw_new = float(log_weight(p, new))
+            if math.isfinite(lw_new):
+                d_new = np.abs(new - xs)
+                d_old = np.abs(old - xs)
+                d_new[i] = 1.0
+                d_old[i] = 1.0
+                delta = (2.0 * float(np.sum(np.log(d_new)) - np.sum(np.log(d_old)))
+                         + lw_new - lw_cache[i])
+                if gates[i] < delta:
+                    xs[i] = new
+                    lw_cache[i] = lw_new
+                    state.log_density += delta
+                    state.accept_count += 1
+                    window_acc += 1
             if since_check >= _RECHECK_EVERY:
                 since_check = 0
                 full = chain_log_density(p, xs)

@@ -22,7 +22,6 @@ from rmtlab.kernel import (
     kernel_matrix,
     projection_residual,
     reference_grid,
-    scaled_kernel,
     scaled_kernel_grid,
     sine_kernel,
     trace_check,
@@ -87,6 +86,38 @@ def test_kernel_matrix_symmetric_to_roundoff():
     assert np.array_equal(K, K.T)
 
 
+def test_kernel_matrix_matches_pointwise():
+    # shared points, a duplicate, a pair 5e-9 apart (confluent branch)
+    # and an off-domain point, with len(xs) != len(ys)
+    p = mp_potential(12, 0.5)
+    r, q = fit(p, 700)
+    xs = np.array([-2.0, -1.0, -0.3, 0.5])
+    ys = np.array([-1.0 + 5e-9, -2.0, -0.7, -0.3, -2.0])
+    K = kernel_matrix(r, p, xs, ys)
+    pointwise = np.array([[kernel_matrix(r, p, [x], [y])[0, 0] for y in ys] for x in xs])
+    np.testing.assert_allclose(K, pointwise, rtol=1e-13, atol=0.0)
+    assert np.all(K[3] == 0.0)
+    assert K[1, 0] == pytest.approx(kernel_diag(r, p, -1.0), rel=1e-6)
+
+
+def test_projection_residual_matches_probe_loop():
+    p = quartic_critical(10)
+    r, q = fit(p)
+    probes = [(-1.3, 0.7), (0.0, 0.0), (0.5, -0.5), (1.2, 1.1)]
+    worst = 0.0
+    for x, z in probes:
+        kxy = kernel_matrix(r, p, [x], q.nodes)[0]
+        kyz = kernel_matrix(r, p, q.nodes, [z])[:, 0]
+        worst = max(worst, abs(np.sum(q.base * kxy * kyz) - cd_kernel(r, p, x, z)))
+    assert projection_residual(r, p, q, probes) == worst
+
+
+def test_projection_residual_detects_wrong_kernel():
+    r, q = fit(gaussian(10))
+    probes = [(-1.3, 0.7), (0.0, 0.0), (0.5, -0.5), (1.2, 1.1)]
+    assert projection_residual(r, gaussian(11), q, probes) > 1e-3
+
+
 def test_diagonal_approaches_density():
     n = 40
     p = gaussian(n)
@@ -101,6 +132,7 @@ def test_off_domain_points_give_zero():
     r, q = fit(p, 700)
     assert cd_kernel(r, p, 0.5, -1.0) == 0.0
     assert cd_kernel(r, p, 1.0, 2.0) == 0.0
+    assert cd_kernel(r, p, 1e-12, -1e-12) == 0.0   # confluent pair across the edge
     g = kernel_grid(r, p, np.array([-1.0, 0.5]))
     assert g.meta["outside_points"] == 2
     assert g.values[1, 1] == 0.0
@@ -130,8 +162,6 @@ def test_scaled_points_must_stay_in_domain():
     r, q = fit(p, 800)
     em = solve_support(p, "hard_edge_one_cut")
     cp = [c for c in find_critical_points(em) if abs(c.x_star) < 1e-9][0]
-    with pytest.raises(ValidationError, match="domain"):
-        scaled_kernel(r, p, cp, 1.0, -1.0)
     with pytest.raises(ValidationError, match="domain"):
         scaled_kernel_grid(r, p, cp, np.array([-1.0, 0.5]))
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad as scipy_quad
 
 from rmtlab.errors import NumericalError, ValidationError
-from rmtlab.potential import IntervalSet, Potential, Singularity, eval_weight
+from rmtlab.potential import IntervalSet, Potential, Singularity, eval_weight, log_weight
 from rmtlab.orthopoly import (
     QuadratureRule,
     build_quadrature,
@@ -18,6 +18,7 @@ from rmtlab.orthopoly import (
     recurrence_table,
     stieltjes_recurrence,
 )
+from rmtlab.scenarios import default_fit
 
 LINE = IntervalSet(((-math.inf, math.inf),))
 HALF = IntervalSet(((0.0, math.inf),))
@@ -76,7 +77,19 @@ def test_under_resolved_rule_rejected():
 def test_weight_values_recovered():
     p = gaussian(5)
     q = build_quadrature(p, 300)
-    assert np.allclose(q.weight_values(), eval_weight(p, q.nodes), rtol=1e-13)
+    assert np.array_equal(q.log_w, log_weight(p, q.nodes))
+
+
+def test_weight_overflow_named():
+    # V = x^4/4 - x^2 has min V = -1, so max log w = n passes log(float max)
+    # = 709.78 between n = 700 and n = 720
+    def quartic(n):
+        return Potential(n=n, reg=(0.0, -2.0, 0.0, 1.0), singularities=(), support=LINE)
+
+    with pytest.raises(NumericalError, match=r"overflows .* max log w 720 exceeds 709\.78"):
+        default_fit(quartic(720))
+    r, q = default_fit(quartic(700))
+    assert r.m_max == 701
 
 
 # ---------------------------------------------------------------------------
