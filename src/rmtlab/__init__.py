@@ -50,8 +50,8 @@ from .orthopoly import (
     Recurrence,
     build_quadrature,
     cached_recurrence,
-    eval_poly,
     gram_check,
+    orthonormal_rows,
     poly_zeros,
     stieltjes_recurrence,
 )

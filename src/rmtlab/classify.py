@@ -42,6 +42,10 @@ from .equilibrium import (
 from .quad import clustered_rule
 
 _KINDS = ("edge", "interior", "exterior")
+_SERIES_EXTRA = 6  # series_at_infinity keeps 2 max(k, 0) + 6 coefficients
+_DISC_FRACTION = 0.05  # charge-collection disc radius floor, in model scales
+_M_XI = 400  # nodes of the xihat path rule
+_Z_REF = 8.0  # |zeta| where xihat is matched to its series
 
 
 def _delta_frac(kind: str, k: int) -> Fraction:
@@ -369,14 +373,13 @@ def _leading_power(sc: ScaledCurve) -> Fraction:
     return Fraction(len(sc.hhat) - 1) + Fraction(len(sc.zeros) - len(sc.poles), 2)
 
 
-def series_at_infinity(sc: ScaledCurve, order: int | None = None) -> np.ndarray:
+def series_at_infinity(sc: ScaledCurve) -> np.ndarray:
     """Coefficients qhat_l of yhat = zeta^m sum_l qhat_l zeta^{-l}.
 
     m is 2k (interior), k + 1/2 (edges, including k = -1), 2k - 1
-    (exterior).  Default truncation order is 2k + 6.
+    (exterior).  The truncation order is 2 max(k, 0) + 6.
     """
-    if order is None:
-        order = 2 * max(sc.order_k, 0) + 6
+    order = 2 * max(sc.order_k, 0) + _SERIES_EXTRA
     mh = len(sc.hhat) - 1
     a = np.zeros(order + 1, dtype=complex)
     for l in range(min(mh, order) + 1):
@@ -423,8 +426,8 @@ def check_scaling(em_a, cp_a: CriticalPoint, n_a: int,
 # model data extraction
 
 
-def _xi_hat_numeric(sc: ScaledCurve, z: complex, m: int = 400) -> complex:
-    t, w = clustered_rule(complex(sc.phat), z, m)
+def _xi_hat_numeric(sc: ScaledCurve, z: complex) -> complex:
+    t, w = clustered_rule(complex(sc.phat), z, _M_XI)
     return -0.5 * complex(np.sum(w * scaled_eval(sc, t)))
 
 
@@ -441,11 +444,11 @@ def _termwise_antiderivative(q: np.ndarray, mpow: Fraction, z: complex):
     return tot
 
 
-def _series_constant(sc: ScaledCurve, q: np.ndarray, zref: float = 8.0) -> complex:
+def _series_constant(sc: ScaledCurve, q: np.ndarray) -> complex:
     mpow = _leading_power(sc)
     vals = []
     for th in (math.pi / 3, math.pi / 2, 2 * math.pi / 3):
-        z = zref * complex(math.cos(th), math.sin(th))
+        z = _Z_REF * complex(math.cos(th), math.sin(th))
         vals.append(_xi_hat_numeric(sc, z) - _termwise_antiderivative(q, mpow, z))
     vals = np.array(vals)
     if np.max(np.abs(vals - vals.mean())) > 1e-7 * max(1.0, abs(vals.mean())):
@@ -466,8 +469,6 @@ def extract_model_data(
     cp: CriticalPoint,
     n: int,
     p: Potential | None = None,
-    disc_radius: float | None = None,
-    series_order: int | None = None,
 ) -> ModelData:
     """Assemble the local model data (I, B, tau_inf, c_hat) at cp.
 
@@ -484,13 +485,10 @@ def extract_model_data(
         p = em.potential
     k = cp.order_k
     # charges at distance O(n^-delta) must fall inside the collection disc,
-    # so its default is a fixed fraction of the model scale, not cp.radius
-    if disc_radius is None:
-        rad = max(cp.radius, 0.05 * p.scale())
-    else:
-        rad = float(disc_radius)
+    # so its radius is floored at a fixed fraction of the model scale
+    rad = max(cp.radius, _DISC_FRACTION * p.scale())
     sc = scaled_curve(em, cp, n)
-    q = series_at_infinity(sc, series_order)
+    q = series_at_infinity(sc)
     s = float(n) ** cp.delta
     flip = -1.0 if sc.mirrored else 1.0
 

@@ -31,6 +31,12 @@ from .potential import IntervalSet, Potential, Singularity, eval_potential
 from .quad import clustered_rule
 
 _M_RULE = 400  # nodes per support component for the cached density rule
+_M_PATH = 400  # nodes per segment of a log-integral or xi path rule
+_M_MASS = 200  # nodes of the mass_right_of rule
+_M_FLOOR = 2000  # density samples per component in the negativity check
+_EXCLUSION_RADIUS = 0.05  # off-support samples skipped around equality points
+_BOX_PAD = 2.0  # off-support check reach past the support, in model scales
+_EXTERIOR_TOL = 1e-7  # relative variational tightness of an equality point
 
 STRUCTURES = ("one_cut", "symmetric_two_cut", "hard_edge_one_cut")
 
@@ -194,13 +200,13 @@ def density(em: EquilibriumMeasure, x):
     return float(vals[0]) if scalar else vals
 
 
-def _log_integral(em: EquilibriumMeasure, x: float, m: int = 400) -> float:
+def _log_integral(em: EquilibriumMeasure, x: float) -> float:
     """int log|x - y| rho(y) dy, splitting at x when x sits on the support."""
     total = 0.0
     for (lo, hi), (xs, ws) in zip(em.support.intervals, em.component_rules()):
         if lo < x < hi:
             for a, b in ((lo, x), (x, hi)):
-                t, wt = clustered_rule(a, b, m)
+                t, wt = clustered_rule(a, b, _M_PATH)
                 total += float(np.sum(wt * density(em, t) * np.log(np.abs(x - t))))
         else:
             with np.errstate(divide="ignore"):
@@ -221,7 +227,7 @@ def g_eval(em: EquilibriumMeasure, z):
     return out[0] if scalar else out
 
 
-def xi_eval(em: EquilibriumMeasure, z, side: int = +1, m: int = 400):
+def xi_eval(em: EquilibriumMeasure, z, side: int = +1):
     """xi(z) = -1/2 int_p^z y(s) ds along a path off the cuts.
 
     p is the rightmost point of the support (plus equality points).  For
@@ -231,18 +237,18 @@ def xi_eval(em: EquilibriumMeasure, z, side: int = +1, m: int = 400):
     zc = complex(z)
     p_pt = em.p_sup
     if zc.imag != 0.0:
-        s, w = clustered_rule(p_pt, zc, m)
+        s, w = clustered_rule(p_pt, zc, _M_PATH)
         return -0.5 * complex(np.sum(w * curve_eval(em.curve, s)))
     x = zc.real
     if x >= p_pt:
-        s, w = clustered_rule(p_pt, x, m)
+        s, w = clustered_rule(p_pt, x, _M_PATH)
         y = curve_eval(em.curve, _on_axis(s.real, +1))
         return -0.5 * complex(np.sum(w * y))
     cuts = [b for b in em.curve.branch_points() if x < b < p_pt]
     stops = [x] + sorted(cuts) + [p_pt]
     total = 0.0j
     for a, b in zip(stops, stops[1:]):
-        s, w = clustered_rule(a, b, m)
+        s, w = clustered_rule(a, b, _M_PATH)
         y = curve_eval(em.curve, _on_axis(s.real, side))
         total += np.sum(w * y)
     return 0.5 * complex(total)  # orientation: -1/2 int_p^x = +1/2 int_x^p
@@ -254,12 +260,7 @@ def _variational_value(em: EquilibriumMeasure, x: float) -> float:
     ) - em.ell
 
 
-def check_variational(
-    em: EquilibriumMeasure,
-    grid_points: int = 200,
-    exclusion_radius: float = 0.05,
-    box_pad: float = 2.0,
-):
+def check_variational(em: EquilibriumMeasure, grid_points: int = 200):
     """Residuals of the variational conditions.
 
     Returns a dict with the on-support equality residuals (should vanish)
@@ -281,8 +282,8 @@ def check_variational(
     for glo, ghi in em.support.gaps():
         off_segments.append((glo, ghi))
     dom = em.potential.support
-    left_end = max(dom.lo, em.support.lo - box_pad * scale)
-    right_end = min(dom.hi, em.support.hi + box_pad * scale)
+    left_end = max(dom.lo, em.support.lo - _BOX_PAD * scale)
+    right_end = min(dom.hi, em.support.hi + _BOX_PAD * scale)
     if left_end < em.support.lo:
         off_segments.append((left_end, em.support.lo))
     if right_end > em.support.hi:
@@ -295,7 +296,7 @@ def check_variational(
         for x in np.linspace(lo + pad, hi - pad, max(4, grid_points // 8)):
             if not dom.contains(x):
                 continue
-            if any(abs(x - e) < exclusion_radius for e in em.exterior_points):
+            if any(abs(x - e) < _EXCLUSION_RADIUS for e in em.exterior_points):
                 continue
             off_x.append(x)
             off_q.append(_variational_value(em, x))
@@ -319,14 +320,14 @@ def filling_fractions(em: EquilibriumMeasure):
     return out
 
 
-def mass_right_of(em: EquilibriumMeasure, x: float, m: int = 200) -> float:
+def mass_right_of(em: EquilibriumMeasure, x: float) -> float:
     """mu([x, infty))."""
     total = 0.0
     for (lo, hi), mass in zip(em.support.intervals, em.masses):
         if x <= lo:
             total += mass
         elif x < hi:
-            t, wt = clustered_rule(x, hi, m)
+            t, wt = clustered_rule(x, hi, _M_MASS)
             total += float(np.sum(wt * density(em, t)))
     return total
 
@@ -343,12 +344,12 @@ def _component_intervals(curve: SpectralCurve) -> IntervalSet:
     return IntervalSet(ivals)
 
 
-def _density_floor(curve: SpectralCurve, support: IntervalSet, m: int = 2000):
+def _density_floor(curve: SpectralCurve, support: IntervalSet):
     """Most negative density value over the support and its location."""
     worst = (0.0, None)
     for lo, hi in support.intervals:
         pad = (hi - lo) * 1e-9
-        x = np.linspace(lo + pad, hi - pad, m)
+        x = np.linspace(lo + pad, hi - pad, _M_FLOOR)
         rho = curve_eval(curve, _on_axis(x, +1)).imag / (2 * np.pi)
         i = int(np.argmin(rho))
         if rho[i] < worst[0]:
@@ -401,7 +402,7 @@ def _compute_ell(em: EquilibriumMeasure) -> float:
     )
 
 
-def _find_exterior_points(em: EquilibriumMeasure, tol: float = 1e-7) -> tuple[float, ...]:
+def _find_exterior_points(em: EquilibriumMeasure) -> tuple[float, ...]:
     """Real zeros of h off the support where the variational bound is tight."""
     pts = []
     scale = em.potential.scale()
@@ -416,7 +417,7 @@ def _find_exterior_points(em: EquilibriumMeasure, tol: float = 1e-7) -> tuple[fl
         q = 2.0 * _log_integral(em, x) - float(
             eval_potential(em.potential, x, part="reg")
         ) - em.ell
-        if abs(q) < tol * max(1.0, abs(em.ell)):
+        if abs(q) < _EXTERIOR_TOL * max(1.0, abs(em.ell)):
             pts.append(x)
     return tuple(sorted(pts))
 

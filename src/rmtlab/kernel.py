@@ -6,9 +6,11 @@ The projection kernel onto polynomials of degree < n under the weight,
                 (p_n(x) p_{n-1}(y) - p_n(y) p_{n-1}(x)) / (x - y),
 
 is evaluated through the weighted orthonormal functions
-psi_j = sqrt(w) p_j / sqrt(h_j), which stay of order one where p_j and
-w separately overflow and underflow.  Closed-form sine, Airy and
-Bessel kernels serve as references for the double-scaling checks.
+psi_j = sqrt(w) p_j / sqrt(h_j) (orthopoly.orthonormal_rows), which stay
+of order one where p_j and w separately overflow and underflow; on the
+diagonal it is the sum of squares sum_{j<n} psi_j(x)^2.  Closed-form
+sine, Airy and Bessel kernels serve as references for the double-scaling
+checks.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 
 from .classify import CriticalPoint
 from .errors import NumericalError, ValidationError
-from .orthopoly import QuadratureRule, Recurrence
+from .orthopoly import QuadratureRule, Recurrence, orthonormal_rows
 from .potential import Potential, log_weight
 from .specfun import airy_ai, bessel_j
 
@@ -42,42 +44,24 @@ class KernelGrid:
 
 
 def _psi_rows(r: Recurrence, p: Potential, x: np.ndarray):
-    """psi_n, psi_{n-1} and the bracket-derivative rows chi_n, chi_{n-1}.
+    """psi_n, psi_{n-1} and the diagonal K_n(x, x) at x, from one pass.
 
-    chi_j = sqrt(w) p_j' / sqrt(h_j) carries only the polynomial
-    derivative (no weight derivative); that is the piece the confluent
-    kernel diagonal needs, because the sqrt(w(x) w(y)) prefactor is
-    symmetric and drops out of the x -> y limit.  log w is -inf off the
-    domain, so every row vanishes there.
+    The diagonal is the Christoffel-Darboux sum of squares
+    sum_{j<n} psi_j^2: positive terms, so nothing cancels.  log w is
+    -inf off the domain, so every row and the diagonal vanish there.
     """
-    n = p.n
-    if r.m_max < n:
-        raise ValidationError(
-            f"recurrence reaches degree {r.m_max}, kernel degree n={n} needs more")
-    lw = log_weight(p, x)
-    with np.errstate(over="ignore"):
-        sw = np.exp(0.5 * lw)
-    psi_prev = np.zeros_like(sw)
-    psi_cur = sw / math.sqrt(r.h[0])
-    chi_prev = np.zeros_like(sw)
-    chi_cur = np.zeros_like(sw)
-    beta_prev = 0.0
-    for j in range(n):
-        beta_next = math.sqrt(r.b[j])
-        psi_new = ((x - r.a[j]) * psi_cur - beta_prev * psi_prev) / beta_next
-        chi_new = (psi_cur + (x - r.a[j]) * chi_cur - beta_prev * chi_prev) / beta_next
-        psi_prev, psi_cur = psi_cur, psi_new
-        chi_prev, chi_cur = chi_cur, chi_new
-        beta_prev = beta_next
-    return psi_cur, psi_prev, chi_cur, chi_prev
+    rows = orthonormal_rows(r, x, log_weight(p, x), p.n)
+    diag = np.zeros(x.shape)
+    for _ in range(p.n):
+        psi_m = next(rows)
+        diag += psi_m * psi_m
+    return next(rows), psi_m, diag
 
 
 def kernel_diag(r: Recurrence, p: Potential, x) -> np.ndarray:
-    """K_n(x, x) by the confluent (derivative) form, vectorized."""
+    """K_n(x, x) as the sum of squares of psi_0 .. psi_{n-1}, vectorized."""
     xa = np.atleast_1d(np.asarray(x, dtype=float))
-    psi_n, psi_m, chi_n, chi_m = _psi_rows(r, p, xa)
-    beta_n = math.sqrt(r.b[p.n - 1])
-    out = beta_n * (chi_n * psi_m - chi_m * psi_n)
+    out = _psi_rows(r, p, xa)[2]
     if np.isscalar(x):
         return float(out[0])
     return out
@@ -94,7 +78,7 @@ def kernel_matrix(r: Recurrence, p: Potential, xs, ys) -> np.ndarray:
     ya = np.asarray(ys, dtype=float)
     pts, inv = np.unique(np.concatenate((xa, ya)), return_inverse=True)
     ix, iy = inv[:xa.size], inv[xa.size:]
-    psi_n, psi_m, chi_n, chi_m = _psi_rows(r, p, pts)
+    psi_n, psi_m, diag = _psi_rows(r, p, pts)
     beta_n = math.sqrt(r.b[p.n - 1])
     pnx, pmx, pny, pmy = psi_n[ix], psi_m[ix], psi_n[iy], psi_m[iy]
     dx = xa[:, None] - ya[None, :]
@@ -104,7 +88,6 @@ def kernel_matrix(r: Recurrence, p: Potential, xs, ys) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.where(close, 0.0, num) / np.where(close, 1.0, dx)
     if np.any(close):
-        diag = beta_n * (chi_n * psi_m - chi_m * psi_n)
         ii, jj = np.nonzero(close)
         kx, ky = diag[ix[ii]], diag[iy[jj]]
         # K(x, y) carries sqrt(w(x) w(y)) and diag is 0 exactly where w
@@ -117,8 +100,8 @@ def kernel_matrix(r: Recurrence, p: Potential, xs, ys) -> np.ndarray:
 def cd_kernel(r: Recurrence, p: Potential, x: float, y: float) -> float:
     """K_n(x, y); points off the domain contribute 0.
 
-    Within 1e-8 * scale of the diagonal the confluent form (analytic
-    derivative of the recurrence) replaces the difference quotient.
+    Within 1e-8 * scale of the diagonal the sum-of-squares diagonal
+    replaces the difference quotient.
     """
     return float(kernel_matrix(r, p, [float(x)], [float(y)])[0, 0])
 

@@ -9,7 +9,8 @@ resulting point masses.  The output is the three-term recurrence
     p_{j+1}(x) = (x - a_j) p_j(x) - b_j p_{j-1}(x)
 
 for the monic polynomials together with their squared norms h_j,
-with b_j = h_j / h_{j-1}.
+with b_j = h_j / h_{j-1}.  orthonormal_rows evaluates the weighted
+orthonormal functions sqrt(w) p_j / sqrt(h_j) from it at any points.
 """
 
 from __future__ import annotations
@@ -81,19 +82,11 @@ class Recurrence:
 # panel construction
 
 
-def _vreg_d2(p: Potential, x: float) -> float:
-    c = np.asarray(p.reg, dtype=float)
-    if c.size < 2:
-        return 0.0
-    return float(npp.polyval(x, npp.polyder(c)))
-
-
-def _truncation_point(p: Potential, x0: float, direction: float, margin: float) -> float:
-    """First x beyond x0 (in the given direction) with n V_reg >= 1380 margin."""
-    target = -_LOG_FLOOR * margin
+def _truncation_point(p: Potential, x0: float, direction: float) -> float:
+    """First x beyond x0 (in the given direction) with n V_reg >= 1380."""
 
     def f(x):
-        return p.n * eval_potential(p, x, "reg") - target
+        return p.n * eval_potential(p, x, "reg") + _LOG_FLOOR
 
     step = 1.0
     hi = x0 + direction * step
@@ -123,8 +116,11 @@ def _graded_zone(anchor: float, length: float, depth: int, direction: float):
 
 
 def _plain_width(p: Potential, x: float, anchors, d_hint: int) -> float:
-    dv1 = abs(eval_potential(p, x, "reg", derivative=1))
-    dv2 = abs(_vreg_d2(p, x))
+    # V_reg' = sum_j t_j x^{j-1}: p.reg is its coefficient list, and
+    # V_reg'' has coefficients (j - 1) t_j
+    dv1 = abs(npp.polyval(x, p.reg))
+    d2 = [j * t for j, t in enumerate(p.reg)][1:]
+    dv2 = abs(npp.polyval(x, d2)) if d2 else 0.0
     cap = max(1.0, 0.25 * (abs(x) + 1.0))
     w = min(cap, _EXP_BUDGET / (p.n * dv1 + 1e-12))
     w = min(w, math.sqrt(2.0 * _EXP_BUDGET / (p.n * dv2 + 1e-12)))
@@ -188,8 +184,7 @@ def _is_even_model(p: Potential) -> bool:
     return pool == refl
 
 
-def _component_panels(p: Potential, lo: float, hi: float, depth: int,
-                      margin: float, d_hint: int):
+def _component_panels(p: Potential, lo: float, hi: float, depth: int, d_hint: int):
     """Panels for one domain component plus its truncation points.
 
     Returns (panels, start_cut, stop_cut); a cut is the truncation
@@ -201,9 +196,9 @@ def _component_panels(p: Potential, lo: float, hi: float, depth: int,
              if s.b.imag == 0.0 and lo < s.b.real < hi]
     inner_ref = [x for x in [a_end, b_end] + feats if x is not None]
     start = a_end if a_end is not None else _truncation_point(
-        p, min(inner_ref, default=0.0), -1.0, margin)
+        p, min(inner_ref, default=0.0), -1.0)
     stop = b_end if b_end is not None else _truncation_point(
-        p, max(inner_ref, default=0.0), +1.0, margin)
+        p, max(inner_ref, default=0.0), +1.0)
 
     anchors = sorted(set(feats + [x for x in (a_end, b_end) if x is not None]))
     cuts = [start] + [x for x in anchors if start < x < stop] + [stop]
@@ -223,17 +218,15 @@ def _component_panels(p: Potential, lo: float, hi: float, depth: int,
 
 
 def build_quadrature(p: Potential, resolution: int, *, order: int | None = None,
-                     grade_depth: int | None = None, degree_hint: int | None = None,
-                     tail_margin: float = 1.0) -> QuadratureRule:
+                     degree_hint: int | None = None) -> QuadratureRule:
     """Composite Gauss-Legendre discretization of the measure w(x) dx.
 
-    Unbounded domain ends are truncated where n V_reg exceeds
-    1380*tail_margin (sqrt(w), the working representation, is below the
-    double-precision floor there).
-    Panels shrink dyadically (ratio 1/4, grade_depth levels, default
-    ceil(log2(resolution))) into every real charge and finite domain
-    endpoint; elsewhere panel widths keep the swing of n V_reg below a
-    fixed budget and the oscillation of polynomials up to degree_hint
+    Unbounded domain ends are truncated where n V_reg exceeds 1380
+    (sqrt(w), the working representation, is below the double-precision
+    floor there).  Panels shrink dyadically (ratio 1/4,
+    ceil(log2(resolution)) levels) into every real charge and finite
+    domain endpoint; elsewhere panel widths keep the swing of n V_reg
+    below a fixed budget and the oscillation of polynomials up to degree_hint
     (default resolution / 2, matching the stieltjes_recurrence validity
     margin) under the Gauss-Legendre phase budget.  The per-panel order
     is set so the total node count roughly matches resolution, floored
@@ -243,7 +236,7 @@ def build_quadrature(p: Potential, resolution: int, *, order: int | None = None,
     validate(p)
     if resolution < 8:
         raise ValidationError("resolution must be at least 8")
-    depth = int(grade_depth) if grade_depth is not None else math.ceil(math.log2(resolution))
+    depth = math.ceil(math.log2(resolution))
     d_hint = int(degree_hint) if degree_hint is not None else max(8, resolution // 2)
 
     panels = []
@@ -256,15 +249,14 @@ def build_quadrature(p: Potential, resolution: int, *, order: int | None = None,
             # which also covers a possible charge sitting there
             if hi <= 0.0:
                 continue
-            sub, _, c_hi = _component_panels(p, max(lo, 0.0), hi, depth,
-                                             tail_margin, d_hint)
+            sub, _, c_hi = _component_panels(p, max(lo, 0.0), hi, depth, d_hint)
             panels += sub
             panels += [(-b, -a) for a, b in sub]
             if c_hi is not None:
                 cut_hi = c_hi
                 cut_lo = -c_hi
         else:
-            sub, c_lo, c_hi = _component_panels(p, lo, hi, depth, tail_margin, d_hint)
+            sub, c_lo, c_hi = _component_panels(p, lo, hi, depth, d_hint)
             panels += sub
             if c_lo is not None and lo == p.support.intervals[0][0]:
                 cut_lo = c_lo
@@ -428,39 +420,30 @@ def stieltjes_recurrence(q: QuadratureRule, m_max: int) -> Recurrence:
     return Recurrence(a=tuple(a.tolist()), b=tuple(b_list), h=tuple(h_list), m_max=m_max)
 
 
-def eval_poly(r: Recurrence, j: int, x):
-    """(p_j(x), p_{j-1}(x)) by the forward monic recurrence; p_{-1} = 0."""
-    if not 0 <= j <= r.m_max:
-        raise ValidationError(f"degree {j} outside recurrence range 0..{r.m_max}")
-    scalar = np.isscalar(x)
-    xa = np.asarray(x, dtype=float)
-    cur = np.ones_like(xa)
-    prev = np.zeros_like(xa)
-    for i in range(j):
-        off = r.b[i - 1] if i >= 1 else 0.0
-        cur, prev = (xa - r.a[i]) * cur - off * prev, cur
-    if scalar:
-        return float(cur), float(prev)
-    return cur, prev
+def orthonormal_rows(r: Recurrence, x, log_w, m: int):
+    """Yield psi_j = sqrt(w) p_j / sqrt(h_j) at x for j = 0..m.
 
-
-def orthonormal_table(r: Recurrence, q: QuadratureRule, m: int) -> np.ndarray:
-    """Rows j = 0..m of psi_j = sqrt(w) p_j / sqrt(h_j) at the nodes.
-
-    The scaled recurrence keeps every entry of order one even where p_j
-    is astronomically large and w astronomically small.
+    log_w is log w at x (-inf where w vanishes).  The scaled recurrence
+    keeps every entry of order one even where p_j is astronomically
+    large and w astronomically small; this is the only evaluation of the
+    recurrence at points.  The degree range is checked before the first
+    row is computed.
     """
     if not 0 <= m <= r.m_max:
-        raise ValidationError(f"m={m} outside recurrence range 0..{r.m_max}")
-    x = q.nodes
-    out = np.zeros((m + 1, x.size))
-    out[0] = np.exp(0.5 * q.log_w) / math.sqrt(r.h[0])
-    if m >= 1:
-        out[1] = (x - r.a[0]) * out[0] / math.sqrt(r.b[0])
-    for j in range(1, m):
-        out[j + 1] = ((x - r.a[j]) * out[j]
-                      - math.sqrt(r.b[j - 1]) * out[j - 1]) / math.sqrt(r.b[j])
-    return out
+        raise ValidationError(f"degree {m} outside recurrence range 0..{r.m_max}")
+    return _scaled_rows(r, x, log_w, m)
+
+
+def _scaled_rows(r: Recurrence, x, log_w, m: int):
+    with np.errstate(over="ignore"):
+        sw = np.exp(0.5 * log_w)
+    prev, cur, beta = 0.0, sw / math.sqrt(r.h[0]), 0.0
+    yield cur
+    for j in range(m):
+        beta_next = math.sqrt(r.b[j])
+        prev, cur = cur, ((x - r.a[j]) * cur - beta * prev) / beta_next
+        beta = beta_next
+        yield cur
 
 
 def gram_check(r: Recurrence, q: QuadratureRule, m: int) -> float:
@@ -471,7 +454,10 @@ def gram_check(r: Recurrence, q: QuadratureRule, m: int) -> float:
     so an under-resolved rule reports a large residual instead of
     passing silently.
     """
-    psi = orthonormal_table(r, q, m)
+    rows = orthonormal_rows(r, q.nodes, q.log_w, m)
+    psi = np.empty((m + 1, q.nodes.size))
+    for j, row in enumerate(rows):
+        psi[j] = row
     psi *= np.sqrt(q.base)
     gram = psi @ psi.T
     defect = np.abs(gram - np.eye(m + 1))

@@ -44,9 +44,12 @@ def default_fit(p: Potential):
 
 
 class _Scenario:
-    """Base: shared recurrence rule and a no-op model-data hook."""
+    """Base: shared equilibrium solve, recurrence rule and model-data hook."""
 
     compare_abs = False
+
+    def equilibrium(self, p):
+        return solve_support(p, self.structure)
 
     def recurrence(self, p):
         return default_fit(p)
@@ -66,9 +69,6 @@ class GueBulk(_Scenario):
 
     def make_potential(self, n):
         return Potential(n=n, reg=(0.0, 1.0), singularities=(), support=_LINE)
-
-    def equilibrium(self, p):
-        return solve_support(p, self.structure)
 
     def critical_point(self, em, p):
         return bulk_point(em, 0.0)
@@ -90,9 +90,6 @@ class GueEdge(_Scenario):
 
     def make_potential(self, n):
         return Potential(n=n, reg=(0.0, 1.0), singularities=(), support=_LINE)
-
-    def equilibrium(self, p):
-        return solve_support(p, self.structure)
 
     def critical_point(self, em, p):
         edges = [c for c in find_critical_points(em, p)
@@ -162,9 +159,6 @@ class MpHardEdge(_Scenario):
             Singularity(b=0.0, alpha=self.alpha),)
         return Potential(n=n, reg=(-1.0,), singularities=sings, support=_NEG)
 
-    def equilibrium(self, p):
-        return solve_support(p, self.structure)
-
     def critical_point(self, em, p):
         return [c for c in find_critical_points(em, p)
                 if abs(c.x_star) < 1e-9][0]
@@ -203,9 +197,6 @@ class MpTwoCharge(_Scenario):
         sings = (Singularity(b=0.0, alpha=self.alpha1),
                  Singularity(b=self.tau / float(n) ** 2, alpha=self.alpha2))
         return Potential(n=n, reg=(-1.0,), singularities=sings, support=_NEG)
-
-    def equilibrium(self, p):
-        return solve_support(p, self.structure)
 
     def critical_point(self, em, p):
         return [c for c in find_critical_points(em, p)

@@ -15,7 +15,6 @@ from rmtlab import (
     bulk_point,
     check_scaling,
     curve_eval,
-    density,
     example_curve,
     extract_model_data,
     find_critical_points,

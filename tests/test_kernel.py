@@ -7,7 +7,7 @@ import pytest
 import scipy.special as sps
 
 from rmtlab.errors import ValidationError
-from rmtlab.potential import IntervalSet, Potential, Singularity
+from rmtlab.potential import IntervalSet, Potential, Singularity, log_weight
 from rmtlab.equilibrium import solve_support, density
 from rmtlab.classify import CriticalPoint, bulk_point, extract_model_data, find_critical_points
 from rmtlab.orthopoly import build_quadrature, stieltjes_recurrence
@@ -116,6 +116,32 @@ def test_projection_residual_detects_wrong_kernel():
     r, q = fit(gaussian(10))
     probes = [(-1.3, 0.7), (0.0, 0.0), (0.5, -0.5), (1.2, 1.1)]
     assert projection_residual(r, gaussian(11), q, probes) > 1e-3
+
+
+def confluent_diag(r, p, x):
+    """beta_n (chi_n psi_{n-1} - chi_{n-1} psi_n), chi_j = sqrt(w) p_j' / sqrt(h_j)."""
+    psi_prev, psi = np.zeros_like(x), np.exp(0.5 * log_weight(p, x)) / math.sqrt(r.h[0])
+    chi_prev, chi = np.zeros_like(x), np.zeros_like(x)
+    beta = 0.0
+    for j in range(p.n):
+        beta_next = math.sqrt(r.b[j])
+        psi_prev, psi, chi_prev, chi = (
+            psi, ((x - r.a[j]) * psi - beta * psi_prev) / beta_next,
+            chi, (psi + (x - r.a[j]) * chi - beta * chi_prev) / beta_next)
+        beta = beta_next
+    return beta * (chi * psi_prev - chi_prev * psi)
+
+
+@pytest.mark.parametrize("make", [gaussian, quartic_critical,
+                                  lambda n: mp_potential(n, 0.5)],
+                         ids=["gaussian", "quartic", "mp-charge"])
+def test_sum_of_squares_matches_confluent_form(make):
+    # the Christoffel-Darboux identity sum_{j<n} psi_j^2 = beta_n
+    # (chi_n psi_{n-1} - chi_{n-1} psi_n) at every node of the fit
+    p = make(60)
+    r, q = fit(p)
+    np.testing.assert_allclose(kernel_diag(r, p, q.nodes), confluent_diag(r, p, q.nodes),
+                               rtol=1e-11, atol=1e-300)
 
 
 def test_diagonal_approaches_density():

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special as sps
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad as scipy_quad
 
@@ -12,8 +13,8 @@ from rmtlab.potential import IntervalSet, Potential, Singularity, eval_weight, l
 from rmtlab.orthopoly import (
     QuadratureRule,
     build_quadrature,
-    eval_poly,
     gram_check,
+    orthonormal_rows,
     poly_zeros,
     recurrence_table,
     stieltjes_recurrence,
@@ -144,24 +145,17 @@ def test_clipped_tail_is_rejected():
         stieltjes_recurrence(q, n + 1)
 
 
-def test_monic_hermite_values():
-    q = build_quadrature(gaussian(1), 400)
-    r = stieltjes_recurrence(q, 10)
-    p2, p1 = eval_poly(r, 2, 0.0)
-    assert p2 == pytest.approx(-1.0, abs=1e-12)  # x^2 - 1 at 0
-    assert eval_poly(r, 0, 0.3) == (1.0, 0.0)
-    v1, v0 = eval_poly(r, 1, 0.7)
-    assert v1 == pytest.approx(0.7 - r.a[0], abs=1e-14)
-    assert v0 == 1.0
-
-
-def test_eval_poly_vectorized():
-    q = build_quadrature(gaussian(4), 300)
-    r = stieltjes_recurrence(q, 8)
-    xs = np.linspace(-2, 2, 7)
-    vec, _ = eval_poly(r, 5, xs)
-    for x, v in zip(xs, vec):
-        assert eval_poly(r, 5, float(x))[0] == pytest.approx(v, rel=1e-14)
+def test_orthonormal_rows_match_hermite_functions():
+    # n = 1: w = e^{-x^2/2}, p_j = He_j, h_j = sqrt(2 pi) j!
+    p = gaussian(1)
+    r = stieltjes_recurrence(build_quadrature(p, 400), 10)
+    xs = np.linspace(-3.0, 3.0, 61)
+    rows = list(orthonormal_rows(r, xs, log_weight(p, xs), 10))
+    assert len(rows) == 11
+    for j, row in enumerate(rows):
+        ref = (np.exp(-xs ** 2 / 4.0) * sps.eval_hermitenorm(j, xs)
+               / math.sqrt(math.sqrt(2.0 * math.pi) * math.factorial(j)))
+        assert np.max(np.abs(row - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_h_positive_and_finite():
@@ -245,8 +239,8 @@ def test_precondition_errors():
     with pytest.raises(ValidationError, match="node count"):
         stieltjes_recurrence(q, q.nodes.size)
     r = stieltjes_recurrence(q, 10)
-    with pytest.raises(ValidationError):
-        eval_poly(r, 11, 0.0)
+    with pytest.raises(ValidationError, match="degree"):
+        orthonormal_rows(r, q.nodes, q.log_w, 11)
     with pytest.raises(ValidationError):
         poly_zeros(r, 11)
 
