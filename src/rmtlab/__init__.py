@@ -14,10 +14,9 @@ from .potential import (
     IntervalSet,
     Potential,
     Singularity,
-    eval_potential,
-    eval_weight,
     log_weight,
     parse_potential,
+    v_reg,
     validate,
 )
 from .equilibrium import (

@@ -27,7 +27,7 @@ import numpy as np
 from scipy import optimize
 
 from .errors import NumericalError, ValidationError
-from .potential import IntervalSet, Potential, Singularity, eval_potential
+from .potential import IntervalSet, Potential, Singularity, v_reg
 from .quad import clustered_rule
 
 _M_RULE = 400  # nodes per support component for the cached density rule
@@ -153,11 +153,6 @@ def _laurent_split(vc: np.ndarray, zeros, poles, jmax: int):
     return h, c
 
 
-def _vprime_coeffs(p: Potential) -> np.ndarray:
-    # V_reg = sum (1/j) t_j z^j, so V'_reg has plain coefficients t_j z^(j-1)
-    return np.asarray(p.reg, dtype=float)
-
-
 # ---------------------------------------------------------------------------
 # equilibrium measure container
 
@@ -240,7 +235,9 @@ def xi_eval(em: EquilibriumMeasure, z, side: int = +1):
         s, w = clustered_rule(p_pt, zc, _M_PATH)
         return -0.5 * complex(np.sum(w * curve_eval(em.curve, s)))
     x = zc.real
-    if x >= p_pt:
+    if x == p_pt:
+        return 0j  # empty path; its rule would sit on a pole of R at a hard edge
+    if x > p_pt:
         s, w = clustered_rule(p_pt, x, _M_PATH)
         y = curve_eval(em.curve, _on_axis(s.real, +1))
         return -0.5 * complex(np.sum(w * y))
@@ -255,9 +252,8 @@ def xi_eval(em: EquilibriumMeasure, z, side: int = +1):
 
 
 def _variational_value(em: EquilibriumMeasure, x: float) -> float:
-    return 2.0 * _log_integral(em, x) - float(
-        eval_potential(em.potential, x, part="reg")
-    ) - em.ell
+    """2 int log|x-y| dmu(y) - V_reg(x) - ell."""
+    return 2.0 * _log_integral(em, x) - v_reg(em.potential, x) - em.ell
 
 
 def check_variational(em: EquilibriumMeasure, grid_points: int = 200):
@@ -387,19 +383,12 @@ def _finish(
         raise NumericalError(
             f"equilibrium mass {sum(masses):.12g} != 1; endpoint solve is inconsistent"
         )
-    em.ell = _compute_ell(em)
+    # ell makes the variational value vanish at the middle of the widest
+    # component; it is read while em.ell is still 0
+    lo, hi = max(support.intervals, key=lambda iv: iv[1] - iv[0])
+    em.ell = _variational_value(em, 0.5 * (lo + hi))
     em.exterior_points = _find_exterior_points(em)
     return em
-
-
-def _compute_ell(em: EquilibriumMeasure) -> float:
-    widths = [hi - lo for lo, hi in em.support.intervals]
-    i = int(np.argmax(widths))
-    lo, hi = em.support.intervals[i]
-    xbar = 0.5 * (lo + hi)
-    return 2.0 * _log_integral(em, xbar) - float(
-        eval_potential(em.potential, xbar, part="reg")
-    )
 
 
 def _find_exterior_points(em: EquilibriumMeasure) -> tuple[float, ...]:
@@ -414,9 +403,7 @@ def _find_exterior_points(em: EquilibriumMeasure) -> tuple[float, ...]:
             continue
         if not em.potential.support.contains(x):
             continue
-        q = 2.0 * _log_integral(em, x) - float(
-            eval_potential(em.potential, x, part="reg")
-        ) - em.ell
+        q = _variational_value(em, x)
         if abs(q) < _EXTERIOR_TOL * max(1.0, abs(em.ell)):
             pts.append(x)
     return tuple(sorted(pts))
@@ -426,12 +413,11 @@ def _center_guess(p: Potential) -> float:
     lo = p.support.lo if math.isfinite(p.support.lo) else -10.0 * p.scale()
     hi = p.support.hi if math.isfinite(p.support.hi) else 10.0 * p.scale()
     x = np.linspace(lo, hi, 801)
-    v = eval_potential(p, x, part="reg")
-    return float(x[int(np.argmin(v))])
+    return float(x[int(np.argmin(v_reg(p, x)))])
 
 
 def _solve_one_cut(p: Potential) -> SpectralCurve:
-    vc = _vprime_coeffs(p)
+    vc = np.asarray(p.reg, dtype=float)  # V'_reg = sum t_j z^(j-1)
     if not len(vc) or not np.any(vc):
         raise NumericalError("one_cut needs a nonconstant V_reg")
     x0 = _center_guess(p)
@@ -461,7 +447,7 @@ def _solve_one_cut(p: Potential) -> SpectralCurve:
 
 
 def _solve_symmetric_two_cut(p: Potential) -> SpectralCurve:
-    vc = _vprime_coeffs(p)
+    vc = np.asarray(p.reg, dtype=float)  # V'_reg = sum t_j z^(j-1)
     if len(vc) < 2:
         raise NumericalError("symmetric_two_cut needs degree >= 4 in V_reg")
     even = vc[0::2]
@@ -500,7 +486,7 @@ def _solve_symmetric_two_cut(p: Potential) -> SpectralCurve:
 
 
 def _solve_hard_edge(p: Potential) -> SpectralCurve:
-    vc = _vprime_coeffs(p)
+    vc = np.asarray(p.reg, dtype=float)  # V'_reg = sum t_j z^(j-1)
     if not len(vc) or not np.any(vc):
         raise NumericalError("hard_edge_one_cut needs a nonconstant V_reg")
     sc = p.scale()

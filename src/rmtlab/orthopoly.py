@@ -23,7 +23,7 @@ from numpy.polynomial import polynomial as npp
 from scipy.linalg import eigh_tridiagonal
 
 from .errors import NumericalError, ValidationError
-from .potential import Potential, eval_potential, log_weight, validate
+from .potential import Potential, log_weight, v_reg, validate
 from .quad import segment_rule
 
 # All degree-n work runs through sqrt(w) = e^{-n V / 2}, which stays
@@ -86,7 +86,7 @@ def _truncation_point(p: Potential, x0: float, direction: float) -> float:
     """First x beyond x0 (in the given direction) with n V_reg >= 1380."""
 
     def f(x):
-        return p.n * eval_potential(p, x, "reg") + _LOG_FLOOR
+        return p.n * v_reg(p, x) + _LOG_FLOOR
 
     step = 1.0
     hi = x0 + direction * step

@@ -26,8 +26,6 @@ import numpy as np
 
 from .errors import FormatError, ValidationError
 
-_PARTS = ("full", "reg", "sing", "br")
-
 
 @dataclass(frozen=True)
 class IntervalSet:
@@ -367,100 +365,41 @@ def validate(p: Potential) -> None:
 # evaluation
 
 
-def _as_array(x):
-    arr = np.asarray(x)
-    if arr.dtype.kind not in "fc":
-        arr = arr.astype(float)
-    return arr, np.isscalar(x) or arr.ndim == 0
-
-
-def _v_reg(p: Potential, z, derivative: int):
-    arr = np.zeros_like(z)
-    if derivative == 0:
-        for j in range(len(p.reg), 0, -1):
-            arr = arr * z + p.reg[j - 1] / j
-        return arr * z
+def v_reg(p: Potential, x):
+    """V_reg(x) = sum_j (1/j) t_j x^j by real Horner: a float gives a
+    float, an array an array."""
+    x = float(x) if np.ndim(x) == 0 else np.asarray(x, dtype=float)
+    v = 0.0
     for j in range(len(p.reg), 0, -1):
-        arr = arr * z + p.reg[j - 1]
-    return arr
-
-
-def _v_sing(p: Potential, z, derivative: int):
-    out = np.zeros(np.shape(z), dtype=complex)
-    zc = np.asarray(z, dtype=complex)
-    for s in p.singularities:
-        if not s.t:
-            continue
-        inv = 1.0 / (zc - s.b)
-        pw = inv
-        for j, c in enumerate(s.t, start=1):
-            if derivative == 0:
-                out -= (c / j) * pw
-            else:
-                out += c * pw * inv
-            pw = pw * inv
-    return out
-
-
-def _v_br(p: Potential, x, derivative: int):
-    out = np.zeros(np.shape(x), dtype=float)
-    xc = np.asarray(x, dtype=complex)
-    for s in p.singularities:
-        if derivative == 0:
-            out -= (2.0 * s.alpha / p.n) * np.log(np.abs(xc - s.b))
-        else:
-            out -= (2.0 * s.alpha / p.n) * (1.0 / (xc - s.b)).real
-    return out
-
-
-def eval_potential(p: Potential, x, part: str = "full", derivative: int = 0):
-    """Evaluate V (or one part, or its first derivative) pointwise.
-
-    part is one of "full", "reg", "sing", "br".  Real input gives real
-    output; complex input is accepted for the analytic parts.
-    """
-    if part not in _PARTS:
-        raise ValueError(f"part must be one of {_PARTS}, got {part!r}")
-    if derivative not in (0, 1):
-        raise ValueError("derivative must be 0 or 1")
-    arr, scalar = _as_array(x)
-    is_real = arr.dtype.kind != "c"
-
-    total = np.zeros(arr.shape, dtype=complex)
-    if part in ("full", "reg"):
-        total = total + _v_reg(p, arr.astype(complex), derivative)
-    if part in ("full", "sing"):
-        total = total + _v_sing(p, arr, derivative)
-    if part in ("full", "br"):
-        total = total + _v_br(p, arr, derivative)
-    if is_real:
-        total = total.real
-    if scalar:
-        return total.item() if total.ndim == 0 else total[()]
-    return total
+        v = v * x + p.reg[j - 1] / j
+    return v * x
 
 
 def log_weight(p: Potential, x):
-    """log w(x) on the domain, -inf off it.  Charges enter exactly as
-    2 alpha_b log|x-b|; the exponential part stays factored so nothing
-    overflows before the final exp."""
-    arr, scalar = _as_array(x)
-    arr = arr.astype(float)
-    lw = -p.n * (_v_reg(p, arr.astype(complex), 0).real + _v_sing(p, arr, 0).real)
-    for s in p.singularities:
-        d = np.abs(arr.astype(complex) - s.b)
-        with np.errstate(divide="ignore"):
-            lw = lw + 2.0 * s.alpha * np.log(d)
-    inside = p.support.contains(arr)
-    lw = np.where(inside, lw, -np.inf)
-    if scalar:
-        return float(lw[()])
-    return lw
+    """log w(x) on the domain, -inf off it and at real pole points.
 
-
-def eval_weight(p: Potential, x):
-    """w(x) = prod |x-b|^{2 alpha} e^{-n(V_reg+V_sing)} on the domain, else 0."""
-    lw = log_weight(p, x)
-    with np.errstate(over="ignore"):
-        w = np.exp(lw)
-    return w
+    V_reg runs in real arithmetic and charges enter exactly as
+    2 alpha_b log|x-b|.  Pole terms use complex arithmetic because their
+    points may come in conjugate pairs; at a real pole point w is 0,
+    since validate makes it decay into b along the domain.  The
+    exponential part stays factored so nothing overflows before the
+    final exp."""
+    xa = np.asarray(x, dtype=float)
+    keep = p.support.contains(xa)
+    v_sing = 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for s in p.singularities:
+            if not s.t:
+                continue
+            keep = keep & (xa != s.b)
+            inv = 1.0 / (xa - complex(s.b))
+            for j, c in enumerate(s.t, start=1):
+                pw = inv if j == 1 else pw * inv
+                v_sing = v_sing - ((c / j) * pw).real
+    lw = -p.n * (v_reg(p, xa) + v_sing)
+    with np.errstate(divide="ignore"):
+        for s in p.singularities:
+            b = s.b if s.b.imag else s.b.real
+            lw = lw + 2.0 * s.alpha * np.log(np.abs(xa - b))
+    lw = np.where(keep, lw, -np.inf)
+    return float(lw) if lw.ndim == 0 else lw

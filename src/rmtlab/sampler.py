@@ -19,7 +19,7 @@ import numpy as np
 
 from .equilibrium import EquilibriumMeasure, mass_right_of
 from .errors import NumericalError, ValidationError
-from .potential import IntervalSet, Potential, eval_potential, log_weight, validate
+from .potential import IntervalSet, Potential, log_weight, v_reg, validate
 
 _RECHECK_EVERY = 10_000   # proposals between cache-vs-recompute audits
 _TUNE_WINDOW = 50         # sweeps per burn-in tuning decision
@@ -57,12 +57,12 @@ def _initial_positions(p: Potential, n: int) -> np.ndarray:
         ref = 0.0 if a < 0.0 < b else (a if math.isfinite(a) else b)
         if not math.isfinite(a):
             a = ref - 1.0
-            while p.n * (eval_potential(p, a, "reg") - eval_potential(p, ref, "reg")) < 20.0 \
+            while p.n * (v_reg(p, a) - v_reg(p, ref)) < 20.0 \
                     and ref - a < 1e6:
                 a = ref - 2.0 * (ref - a)
         if not math.isfinite(b):
             b = ref + 1.0
-            while p.n * (eval_potential(p, b, "reg") - eval_potential(p, ref, "reg")) < 20.0 \
+            while p.n * (v_reg(p, b) - v_reg(p, ref)) < 20.0 \
                     and b - ref < 1e6:
                 b = ref + 2.0 * (b - ref)
         spots.append((a, b))

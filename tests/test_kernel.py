@@ -11,6 +11,7 @@ from rmtlab.potential import IntervalSet, Potential, Singularity, log_weight
 from rmtlab.equilibrium import solve_support, density
 from rmtlab.classify import CriticalPoint, bulk_point, extract_model_data, find_critical_points
 from rmtlab.orthopoly import build_quadrature, stieltjes_recurrence
+from rmtlab.scenarios import default_fit
 from rmtlab.kernel import (
     KernelGrid,
     airy_kernel,
@@ -162,6 +163,26 @@ def test_off_domain_points_give_zero():
     g = kernel_grid(r, p, np.array([-1.0, 0.5]))
     assert g.meta["outside_points"] == 2
     assert g.values[1, 1] == 0.0
+
+
+def test_real_pole_point_gives_zero():
+    # validate makes w decay into the pole at b = 0 along [0, inf): w(0) = 0
+    p = Potential(n=20, reg=(0.0, 1.0),
+                  singularities=(Singularity(b=0.0, alpha=1.0, t=(-1.0,)),),
+                  support=IntervalSet(((0.0, math.inf),)))
+    r, _ = default_fit(p)
+    x = np.array([0.0, 0.5])
+    assert log_weight(p, 0.0) == -math.inf
+    assert log_weight(p, 1e-200) < -1e200   # no power of 1/x past t_1 is formed
+    lw = log_weight(p, x)
+    assert lw[0] == -math.inf and math.isfinite(lw[1])
+    assert kernel_diag(r, p, 0.0) == 0.0
+    diag = kernel_diag(r, p, x)
+    assert diag[0] == 0.0 and diag[1] > 0.0
+    assert cd_kernel(r, p, 0.0, 0.5) == 0.0
+    k = kernel_matrix(r, p, x, x)
+    assert np.all(k[0] == 0.0) and np.all(k[:, 0] == 0.0) and k[1, 1] > 0.0
+    assert kernel_matrix(r, p, [0.0], [0.5])[0, 0] == 0.0
 
 
 def test_confluent_branch_continuous():

@@ -14,10 +14,9 @@ from rmtlab import (
     Potential,
     Singularity,
     ValidationError,
-    eval_potential,
-    eval_weight,
     log_weight,
     parse_potential,
+    v_reg,
     validate,
 )
 from rmtlab.potential import to_document
@@ -192,32 +191,12 @@ def test_validate_duplicate_singularity():
 # evaluation
 
 
-def test_eval_reg_and_derivative():
+def test_v_reg_values():
     p = Potential(n=3, reg=(1.0, 2.0, 3.0), singularities=(),
                   support=IntervalSet(((-math.inf, math.inf),)))
-    # V = x + x^2 + x^3, V' = 1 + 2x + 3x^2
+    # V = x + x^2 + x^3
     x = np.array([-1.5, 0.0, 0.3, 2.0])
-    np.testing.assert_allclose(eval_potential(p, x, part="reg"),
-                               x + x**2 + x**3, rtol=1e-14)
-    np.testing.assert_allclose(eval_potential(p, x, part="reg", derivative=1),
-                               1 + 2 * x + 3 * x**2, rtol=1e-14)
-
-
-def test_eval_sing_and_br():
-    p = Potential(n=4, reg=(0.0, 1.0),
-                  singularities=(Singularity(b=0.0, alpha=1.0, t=(-1.0,)),),
-                  support=IntervalSet(((0.0, math.inf),)))
-    x = np.array([0.5, 1.0, 3.0])
-    # V_sing = -(1/1)(-1) x^{-1} = 1/x, derivative -1/x^2
-    np.testing.assert_allclose(eval_potential(p, x, part="sing"), 1.0 / x, rtol=1e-14)
-    np.testing.assert_allclose(eval_potential(p, x, part="sing", derivative=1),
-                               -1.0 / x**2, rtol=1e-14)
-    # V_br = -(2*1/4) log|x|
-    np.testing.assert_allclose(eval_potential(p, x, part="br"),
-                               -0.5 * np.log(x), rtol=1e-14)
-    full = eval_potential(p, x, part="full")
-    np.testing.assert_allclose(
-        full, x**2 / 2 + 1.0 / x - 0.5 * np.log(x), rtol=1e-14)
+    np.testing.assert_allclose(v_reg(p, x), x + x**2 + x**3, rtol=1e-14)
 
 
 def test_log_weight_factorization():
@@ -229,7 +208,6 @@ def test_log_weight_factorization():
     expect = 2.0 * np.log(x) - 4 * (x**2 / 2 + 1.0 / x)
     np.testing.assert_allclose(lw, expect, rtol=1e-13)
     assert log_weight(p, -1.0) == -math.inf
-    assert eval_weight(p, -1.0) == 0.0
 
 
 def test_weight_is_n_v_full():
@@ -238,13 +216,32 @@ def test_weight_is_n_v_full():
                   support=IntervalSet(((-math.inf, math.inf),)))
     x = np.linspace(-1.5, 3.0, 7)
     lw = log_weight(p, x)
-    nv = -p.n * eval_potential(p, x, part="full")
+    # -n (V_reg + V_br) with V_br = -(2 * 0.75 / 6) log|x + 2|
+    nv = -p.n * (x**2 / 2 - 0.25 * np.log(np.abs(x + 2.0)))
     np.testing.assert_allclose(lw, nv, rtol=1e-12, atol=1e-12)
+
+
+def test_log_weight_conjugate_pole_pair():
+    # b = 1 +- i with t = (+-i,): V_sing = 2 / ((x-1)^2 + 1), and the two
+    # charges give 2 * 0.5 * log|x-b| * 2 = log((x-1)^2 + 1)
+    p = Potential(n=7, reg=(0.0, 1.0),
+                  singularities=(Singularity(b=1 + 1j, alpha=0.5, t=(1j,)),
+                                 Singularity(b=1 - 1j, alpha=0.5, t=(-1j,))),
+                  support=IntervalSet(((-math.inf, math.inf),)))
+    validate(p)
+    x = np.linspace(-3.0, 4.0, 29)
+    q = (x - 1.0) ** 2 + 1.0
+    expect = -p.n * (x**2 / 2 + 2.0 / q) + 2.0 * 0.5 * np.log(np.sqrt(q)) * 2
+    np.testing.assert_allclose(log_weight(p, x), expect, rtol=1e-13)
+    for xi, ei in zip(x, expect):
+        got = log_weight(p, float(xi))
+        assert isinstance(got, float)
+        assert got == pytest.approx(ei, rel=1e-13)
 
 
 def test_gaussian_weight_integral():
     p = gaussian(n=20)
-    val, _ = quad(lambda x: eval_weight(p, x), -np.inf, np.inf)
+    val, _ = quad(lambda x: math.exp(log_weight(p, x)), -np.inf, np.inf)
     assert val == pytest.approx(math.sqrt(2 * math.pi / 20), rel=1e-9)
 
 
@@ -252,7 +249,7 @@ def test_weight_vanishes_off_domain():
     p = Potential(n=5, reg=(-1.0,), singularities=(),
                   support=IntervalSet(((-math.inf, 0.0),)))
     x = np.array([-2.0, -0.5, 0.5, 3.0])
-    w = eval_weight(p, x)
+    w = np.exp(log_weight(p, x))
     assert np.all(w[:2] > 0)
     assert np.all(w[2:] == 0.0)
 
@@ -266,5 +263,6 @@ def test_reg_eval_matches_direct_sum(coeffs, x):
     p = Potential(n=2, reg=tuple(coeffs), singularities=(),
                   support=IntervalSet(((-math.inf, math.inf),)))
     direct = sum(c / (j + 1) * x ** (j + 1) for j, c in enumerate(coeffs))
-    got = float(eval_potential(p, x, part="reg"))
+    got = v_reg(p, x)
+    assert isinstance(got, float)
     assert got == pytest.approx(direct, rel=1e-10, abs=1e-10)

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from rmtlab.equilibrium import xi_eval
 from rmtlab.errors import ValidationError
 from rmtlab.scenarios import get_scenario, scenario_names
 
@@ -11,6 +12,14 @@ from rmtlab.scenarios import get_scenario, scenario_names
 def test_registry_ships_five_presets():
     assert scenario_names() == (
         "gue-bulk", "gue-edge", "quartic-merge", "mp-hard-edge", "mp-two-charge")
+
+
+@pytest.mark.parametrize("name", scenario_names())
+def test_xi_vanishes_at_path_start(name):
+    # xi integrates from p_sup, so the path to p_sup itself is empty
+    sc = get_scenario(name)
+    em = sc.equilibrium(sc.make_potential(100))
+    assert xi_eval(em, em.p_sup) == 0
 
 
 def test_unknown_scenario_rejected():
