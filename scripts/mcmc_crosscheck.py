@@ -52,7 +52,8 @@ def main(argv=None) -> int:
     write_json(os.path.join(args.outdir, "chain_meta.json"), {
         "seed": args.seed, "rng_stream": f"pcg64:{state.rng_seed}",
         "acceptance_rate": state.acceptance_rate(),
-        "step_scale": state.step_scale, "wall_time_s": elapsed,
+        "step_scale": state.step_scale, "max_drift": state.max_drift,
+        "wall_time_s": elapsed,
     })
 
     em = solve_support(p, "one_cut")

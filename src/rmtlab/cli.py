@@ -220,6 +220,7 @@ def cmd_sample(args, man: RunManifest, outdir: str) -> int:
         "accept_count": state.accept_count,
         "propose_count": state.propose_count,
         "step_scale": state.step_scale,
+        "max_drift": state.max_drift,
         "n": p.n,
         "kept_sweeps": len(kept),
     })

@@ -381,21 +381,25 @@ def log_weight(p: Potential, x):
     V_reg runs in real arithmetic and charges enter exactly as
     2 alpha_b log|x-b|.  Pole terms use complex arithmetic because their
     points may come in conjugate pairs; at a real pole point w is 0,
-    since validate makes it decay into b along the domain.  The
-    exponential part stays factored so nothing overflows before the
-    final exp."""
+    since validate makes it decay into b along the domain.  Points where
+    a power of 1/(x-b) overflows (within 1e-154 of a real pole with two
+    coefficients, 1e-77 with four) are -inf as well: w underflows to 0
+    there.  The exponential part stays factored so nothing overflows
+    before the final exp."""
     xa = np.asarray(x, dtype=float)
     keep = p.support.contains(xa)
     v_sing = 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for s in p.singularities:
             if not s.t:
                 continue
-            keep = keep & (xa != s.b)
             inv = 1.0 / (xa - complex(s.b))
             for j, c in enumerate(s.t, start=1):
                 pw = inv if j == 1 else pw * inv
                 v_sing = v_sing - ((c / j) * pw).real
+            # pw is non-finite at b itself and once a power has overflowed
+            # (later powers stay inf or nan)
+            keep = keep & np.isfinite(pw)
     lw = -p.n * (v_reg(p, xa) + v_sing)
     with np.errstate(divide="ignore"):
         for s in p.singularities:

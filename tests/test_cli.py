@@ -167,7 +167,8 @@ def test_converge_scenario_params(outdir):
 
 def test_sample_outputs_and_determinism(outdir, tmp_path):
     cfg = write_cfg(outdir, GUE)
-    assert run(outdir, "sample", cfg, "--steps", "120", "--burn-in", "40",
+    # 16 sites x 700 sweeps crosses the 10^4-proposal drift audit once
+    assert run(outdir, "sample", cfg, "--steps", "700", "--burn-in", "40",
                "--seed", "11", "--thin", "2") == 0
     cols, arr, _ = read_csv(outdir / "samples.csv")
     assert cols[0] == "sweep" and len(cols) == 17
@@ -175,12 +176,14 @@ def test_sample_outputs_and_determinism(outdir, tmp_path):
     meta = read_json(outdir / "chain_meta.json")
     assert meta["rng_stream"] == "pcg64:11"
     assert 0.0 < meta["acceptance_rate"] <= 1.0
+    assert meta["propose_count"] >= 10_000
+    assert 0.0 <= meta["max_drift"] < 1e-9
     cmp_rep = read_json(outdir / "density_comparison.json")
     assert cmp_rep["l1_dev"] > 0.0
 
     other = tmp_path / "again"
     other.mkdir()
-    assert run(other, "sample", cfg, "--steps", "120", "--burn-in", "40",
+    assert run(other, "sample", cfg, "--steps", "700", "--burn-in", "40",
                "--seed", "11", "--thin", "2") == 0
     _, arr2, _ = read_csv(other / "samples.csv")
     assert np.array_equal(arr, arr2)

@@ -1,6 +1,7 @@
 """Potential parsing, validation, and weight evaluation."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -237,6 +238,34 @@ def test_log_weight_conjugate_pole_pair():
         got = log_weight(p, float(xi))
         assert isinstance(got, float)
         assert got == pytest.approx(ei, rel=1e-13)
+
+
+@pytest.mark.parametrize("t", [(0.0, -1.0, 0.0, -1.0), (0.0, 1.0, 0.0, -1.0), (0.1, -1.0)])
+def test_log_weight_next_to_real_pole(t):
+    # within ~1e-154 of the pole a power of 1/x overflows; w underflows to 0
+    # there, so log w is -inf with no NaN and no RuntimeWarning
+    p = Potential(n=4, reg=(0.0, 1.0), singularities=(Singularity(b=0.0, alpha=0.5, t=t),),
+                  support=IntervalSet(((-math.inf, math.inf),)))
+    validate(p)
+
+    def closed_form(x):
+        try:
+            v_sing = -sum(c / j * x ** -j for j, c in enumerate(t, start=1))
+        except OverflowError:
+            return -math.inf
+        return -p.n * (x * x / 2 + v_sing) + math.log(abs(x))
+
+    x = np.array([1e-300, 1e-100, -1e-100])
+    expect = [closed_form(float(xi)) for xi in x]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = log_weight(p, x)
+        scalars = [log_weight(p, float(xi)) for xi in x]
+    assert expect[0] == -math.inf
+    assert not np.any(np.isnan(got))
+    for g, sc, e in zip(got, scalars, expect):
+        assert sc == g
+        assert g == (e if e == -math.inf else pytest.approx(e, rel=1e-14))
 
 
 def test_gaussian_weight_integral():

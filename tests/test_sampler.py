@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from rmtlab.errors import ValidationError
-from rmtlab.potential import IntervalSet, Potential, Singularity
+from rmtlab import sampler
+from rmtlab.errors import NumericalError, ValidationError
+from rmtlab.potential import IntervalSet, Potential, Singularity, log_weight
 from rmtlab.equilibrium import mass_right_of, solve_support
 from rmtlab.sampler import (
+    ChainState,
     EmpiricalDensity,
     chain_log_density,
     compare_density,
@@ -19,10 +21,76 @@ from rmtlab.sampler import (
 
 LINE = IntervalSet(((-math.inf, math.inf),))
 NEG = IntervalSet(((-math.inf, 0.0),))
+HALF = IntervalSet(((0.0, math.inf),))
 
 
 def gaussian(n):
     return Potential(n=n, reg=(0.0, 1.0), singularities=(), support=LINE)
+
+
+def mp_charge(n):
+    return Potential(n=n, reg=(-1.0,), singularities=(Singularity(b=0.0, alpha=0.5),),
+                     support=NEG)
+
+
+def pole_half_line(n):
+    return Potential(n=n, reg=(1.0,), singularities=(Singularity(b=0.0, alpha=1.0, t=(-1.0,)),),
+                     support=HALF)
+
+
+def site_by_site_chain(p, steps, burn_in, thin=1, seed=0):
+    """Reference chain: one scalar log_weight call and two fresh
+    log-distance arrays per proposal, no batching and no cached table."""
+    n = p.n
+    xs = sampler._initial_positions(p, n)
+    span = float(xs.max() - xs.min()) if n > 1 else 1.0
+    state = ChainState(positions=xs, log_density=chain_log_density(p, xs),
+                       rng_seed=int(seed), step_scale=max(span / max(n, 4), 1e-3))
+    rng = np.random.Generator(np.random.PCG64(seed))
+    kept = []
+    lw_cache = np.asarray(log_weight(p, xs), dtype=float)
+    window_acc = window_prop = 0
+    since_check = 0
+    for sweep in range(steps):
+        noise = rng.standard_normal(n)
+        gates = np.log(rng.random(n))
+        for i in range(n):
+            state.propose_count += 1
+            window_prop += 1
+            since_check += 1
+            old = xs[i]
+            new = old + state.step_scale * noise[i]
+            lw_new = float(log_weight(p, new))
+            if math.isfinite(lw_new):
+                d_new = np.abs(new - xs)
+                d_old = np.abs(old - xs)
+                d_new[i] = 1.0
+                d_old[i] = 1.0
+                delta = (2.0 * float(np.sum(np.log(d_new)) - np.sum(np.log(d_old)))
+                         + lw_new - lw_cache[i])
+                if gates[i] < delta:
+                    xs[i] = new
+                    lw_cache[i] = lw_new
+                    state.log_density += delta
+                    state.accept_count += 1
+                    window_acc += 1
+            if since_check >= sampler._RECHECK_EVERY:
+                since_check = 0
+                full = chain_log_density(p, xs)
+                drift = abs(full - state.log_density) / max(1.0, abs(full))
+                state.max_drift = max(state.max_drift, drift)
+                state.log_density = full
+        if sweep < burn_in and (sweep + 1) % sampler._TUNE_WINDOW == 0 and window_prop > 0:
+            rate = window_acc / window_prop
+            if rate < 0.2:
+                state.step_scale *= 0.8
+            elif rate > 0.6:
+                state.step_scale *= 1.25
+            window_acc = window_prop = 0
+        if sweep >= burn_in and (sweep - burn_in) % thin == 0:
+            kept.append(xs.copy())
+    state.positions = xs
+    return kept, state
 
 
 def test_same_seed_reproduces_exactly():
@@ -60,6 +128,45 @@ def test_incremental_log_density_consistent():
     _, st = mcmc_chain(p, steps=250, burn_in=50, seed=11)
     full = chain_log_density(p, st.positions)
     assert abs(full - st.log_density) < 1e-9 * max(1.0, abs(full))
+
+
+@pytest.mark.parametrize("model", [gaussian, mp_charge, pole_half_line])
+def test_batched_sweep_matches_site_by_site_exactly(model, monkeypatch):
+    # 9 sites x 130 sweeps: two tuning windows and three audits
+    monkeypatch.setattr(sampler, "_RECHECK_EVERY", 300)
+    p = model(9)
+    kept, st = mcmc_chain(p, steps=130, burn_in=110, thin=3, seed=21)
+    ref_kept, ref = site_by_site_chain(p, steps=130, burn_in=110, thin=3, seed=21)
+    assert len(kept) == len(ref_kept) == 7
+    assert all(np.array_equal(x, y) for x, y in zip(kept, ref_kept))
+    assert np.array_equal(st.positions, ref.positions)
+    assert (st.accept_count, st.propose_count) == (ref.accept_count, ref.propose_count)
+    assert st.step_scale == ref.step_scale
+    assert st.log_density == ref.log_density
+    assert st.max_drift == ref.max_drift
+
+
+@pytest.mark.parametrize("model, accepted", [(gaussian, 22_519), (mp_charge, 23_789)])
+def test_fixed_seed_acceptance_counts(model, accepted):
+    _, st = mcmc_chain(model(40), steps=1000, burn_in=200, seed=3)
+    assert (st.accept_count, st.propose_count) == (accepted, 40_000)
+    assert 0.0 <= st.max_drift < 1e-9
+
+
+def test_drift_audit_fires(monkeypatch):
+    # every call is offset by 1e-6 times its call number, so cached and
+    # fresh log-weights of the same point disagree and the audit must fire
+    real = sampler.log_weight
+    calls = []
+
+    def drifting(p, x):
+        calls.append(None)
+        return real(p, x) + 1e-6 * len(calls)
+
+    monkeypatch.setattr(sampler, "log_weight", drifting)
+    monkeypatch.setattr(sampler, "_RECHECK_EVERY", 200)
+    with pytest.raises(NumericalError, match="drifted"):
+        mcmc_chain(gaussian(10), steps=60, burn_in=20, seed=4)
 
 
 def test_acceptance_rate_lands_in_band():
