@@ -119,6 +119,8 @@ def cmd_validate(args, man: RunManifest, outdir: str) -> int:
 
 
 def cmd_equilibrium(args, man: RunManifest, outdir: str) -> int:
+    if args.grid < 1:
+        raise ValidationError(f"--grid must be at least 1, got {args.grid}")
     p = _load_potential(args.config)
     em = solve_support(p, args.structure)
     xs, rho = density_table(em, args.grid)
@@ -205,7 +207,16 @@ def cmd_converge(args, man: RunManifest, outdir: str) -> int:
 
 
 def cmd_sample(args, man: RunManifest, outdir: str) -> int:
+    if args.bins < 1:
+        raise ValidationError(f"--bins must be at least 1, got {args.bins}")
     p = _load_potential(args.config)
+    em = solve_support(p, args.structure)
+    if args.bins_grid:
+        edges = _parse_grid(args.bins_grid)
+    else:
+        lo, hi = em.support.lo, em.support.hi
+        pad = 0.1 * (hi - lo)
+        edges = np.linspace(lo - pad, hi + pad, args.bins + 1)
     kept, state = mcmc_chain(p, steps=args.steps, burn_in=args.burn_in,
                              thin=args.thin, seed=args.seed)
     cols = ["sweep"] + [f"x{i}" for i in range(p.n)]
@@ -224,14 +235,6 @@ def cmd_sample(args, man: RunManifest, outdir: str) -> int:
         "n": p.n,
         "kept_sweeps": len(kept),
     })
-
-    em = solve_support(p, args.structure)
-    if args.bins_grid:
-        edges = _parse_grid(args.bins_grid)
-    else:
-        lo, hi = em.support.lo, em.support.hi
-        pad = 0.1 * (hi - lo)
-        edges = np.linspace(lo - pad, hi + pad, args.bins + 1)
     emp = histogram_density(kept, edges)
     dev = compare_density(emp, em)
     write_json(man.record(os.path.join(outdir, "density_comparison.json")), {

@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize
 
 from .errors import NumericalError, ValidationError
 from .potential import IntervalSet, Potential, Singularity, v_reg
@@ -417,6 +416,8 @@ def _center_guess(p: Potential) -> float:
 
 
 def _solve_one_cut(p: Potential) -> SpectralCurve:
+    from scipy import optimize
+
     vc = np.asarray(p.reg, dtype=float)  # V'_reg = sum t_j z^(j-1)
     if not len(vc) or not np.any(vc):
         raise NumericalError("one_cut needs a nonconstant V_reg")
@@ -447,6 +448,8 @@ def _solve_one_cut(p: Potential) -> SpectralCurve:
 
 
 def _solve_symmetric_two_cut(p: Potential) -> SpectralCurve:
+    from scipy import optimize
+
     vc = np.asarray(p.reg, dtype=float)  # V'_reg = sum t_j z^(j-1)
     if len(vc) < 2:
         raise NumericalError("symmetric_two_cut needs degree >= 4 in V_reg")
@@ -486,6 +489,8 @@ def _solve_symmetric_two_cut(p: Potential) -> SpectralCurve:
 
 
 def _solve_hard_edge(p: Potential) -> SpectralCurve:
+    from scipy import optimize
+
     vc = np.asarray(p.reg, dtype=float)  # V'_reg = sum t_j z^(j-1)
     if not len(vc) or not np.any(vc):
         raise NumericalError("hard_edge_one_cut needs a nonconstant V_reg")

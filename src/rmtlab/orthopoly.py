@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as npp
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import NumericalError, ValidationError
 from .potential import Potential, log_weight, v_reg, validate
@@ -69,13 +68,16 @@ class Recurrence:
     """Monic three-term recurrence data up to degree m_max.
 
     a = (a_0, ..., a_{m_max-1}), b = (b_1, ..., b_{m_max}),
-    h = (h_0, ..., h_{m_max}).
+    h = (h_0, ..., h_{m_max}).  omega_max is the largest estimate of
+    |<phi_i, phi_j>|, i != j, that the omega-recurrence of
+    stieltjes_recurrence reached over all degrees (at most sqrt(eps)).
     """
 
     a: tuple[float, ...]
     b: tuple[float, ...]
     h: tuple[float, ...]
     m_max: int
+    omega_max: float
 
 
 # ---------------------------------------------------------------------------
@@ -382,6 +384,7 @@ def stieltjes_recurrence(q: QuadratureRule, m_max: int) -> Recurrence:
     omega = np.zeros(m_max + 1)
     omega[0] = 1.0
     omega_prev = np.zeros(m_max + 1)
+    omega_max = 0.0
     rounding = _EPS * math.sqrt(npts) * float(np.max(np.abs(x)))
     cur = sw / math.sqrt(h0)
     prev = np.zeros(npts)
@@ -415,9 +418,11 @@ def stieltjes_recurrence(q: QuadratureRule, m_max: int) -> Recurrence:
                 f"Lanczos vectors lost orthogonality at degree {j + 1} "
                 f"(estimated |<phi_i, phi_j>| = {worst:.2e} > {_OMEGA_TOL:.1e})"
             )
+        omega_max = max(omega_max, worst)
         omega_prev, omega = omega, nxt
     _clip_guard(q, cur, m_max)
-    return Recurrence(a=tuple(a.tolist()), b=tuple(b_list), h=tuple(h_list), m_max=m_max)
+    return Recurrence(a=tuple(a.tolist()), b=tuple(b_list), h=tuple(h_list), m_max=m_max,
+                      omega_max=omega_max)
 
 
 def orthonormal_rows(r: Recurrence, x, log_w, m: int):
@@ -466,6 +471,8 @@ def gram_check(r: Recurrence, q: QuadratureRule, m: int) -> float:
 
 def poly_zeros(r: Recurrence, m: int) -> np.ndarray:
     """Zeros of p_m from the Jacobi matrix of the recurrence."""
+    from scipy.linalg import eigh_tridiagonal
+
     if not 1 <= m <= r.m_max:
         raise ValidationError(f"degree {m} outside recurrence range 1..{r.m_max}")
     diag = np.asarray(r.a[:m])

@@ -93,6 +93,14 @@ def test_equilibrium_infeasible_structure_exits_three(outdir):
                "symmetric_two_cut") == 3
 
 
+@pytest.mark.parametrize("grid", ["0", "-3"])
+def test_equilibrium_grid_below_one_exits_two(outdir, capsys, grid):
+    cfg = write_cfg(outdir, GUE)
+    assert run(outdir, "equilibrium", cfg, "--grid", grid) == 2
+    assert "--grid must be at least 1" in capsys.readouterr().err
+    assert not (outdir / "density.csv").exists()
+
+
 def test_classify_gue_reports_two_soft_edges(outdir):
     cfg = write_cfg(outdir, GUE)
     assert run(outdir, "classify", cfg) == 0
@@ -187,6 +195,22 @@ def test_sample_outputs_and_determinism(outdir, tmp_path):
                "--seed", "11", "--thin", "2") == 0
     _, arr2, _ = read_csv(other / "samples.csv")
     assert np.array_equal(arr, arr2)
+
+
+def test_sample_infeasible_structure_exits_before_chain(outdir):
+    cfg = write_cfg(outdir, MP)
+    assert run(outdir, "sample", cfg, "--steps", "2000") == 3
+    assert not (outdir / "samples.csv").exists()
+    assert not (outdir / "chain_meta.json").exists()
+    assert read_json(outdir / "manifest_sample.json")["outputs"] == []
+
+
+@pytest.mark.parametrize("bins", ["0", "-2"])
+def test_sample_bins_below_one_exits_two(outdir, capsys, bins):
+    cfg = write_cfg(outdir, GUE)
+    assert run(outdir, "sample", cfg, "--steps", "20", "--bins", bins) == 2
+    assert "--bins must be at least 1" in capsys.readouterr().err
+    assert not (outdir / "samples.csv").exists()
 
 
 def test_sample_zero_steps_errors(outdir):

@@ -11,6 +11,7 @@ from scipy.integrate import quad as scipy_quad
 from rmtlab.errors import NumericalError, ValidationError
 from rmtlab.potential import IntervalSet, Potential, Singularity, log_weight
 from rmtlab.orthopoly import (
+    _OMEGA_TOL,
     QuadratureRule,
     build_quadrature,
     gram_check,
@@ -218,6 +219,11 @@ def test_lost_orthogonality_is_rejected():
                        log_w=np.zeros(241), provenance="hand-built")
     with pytest.raises(NumericalError, match="orthogonality"):
         stieltjes_recurrence(q, 40)
+
+
+def test_omega_max_recorded():
+    r, _ = default_fit(gaussian(60))
+    assert 0.0 < r.omega_max <= _OMEGA_TOL
 
 
 def test_zeros_inside_node_hull():
