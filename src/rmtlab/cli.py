@@ -37,7 +37,7 @@ from .kernel import (
     scaled_kernel_grid,
 )
 from .potential import parse_potential, validate
-from .sampler import compare_density, histogram_density, mcmc_chain
+from .sampler import check_chain_args, compare_density, histogram_density, mcmc_chain
 from .scenarios import default_fit, get_scenario, scenario_names
 
 _EQ_TOL = 1e-6   # equality-residual verdict threshold in reports
@@ -210,6 +210,7 @@ def cmd_sample(args, man: RunManifest, outdir: str) -> int:
     if args.bins < 1:
         raise ValidationError(f"--bins must be at least 1, got {args.bins}")
     p = _load_potential(args.config)
+    check_chain_args(args.steps, args.burn_in, args.thin)
     em = solve_support(p, args.structure)
     if args.bins_grid:
         edges = _parse_grid(args.bins_grid)

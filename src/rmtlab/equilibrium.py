@@ -16,6 +16,13 @@ equivalent to c_1 = ... = c_D = 0 and c_{D+1} = 2, which is what the
 structure solvers below enforce.  The expansion coefficients come from
 exact binomial-series convolution, so h is obtained without any
 polynomial division.
+
+Solvers.  one_cut and symmetric_two_cut solve their two endpoint
+equations with _newton_2x2, a damped Newton iteration with a
+forward-difference Jacobian, from a fixed list of starts.
+hard_edge_one_cut has one equation in the soft endpoint: it scans a grid
+for the first sign change and bisects it to adjacent doubles (_bisect).
+Both run on numpy and the standard library alone.
 """
 
 from __future__ import annotations
@@ -36,6 +43,9 @@ _M_FLOOR = 2000  # density samples per component in the negativity check
 _EXCLUSION_RADIUS = 0.05  # off-support samples skipped around equality points
 _BOX_PAD = 2.0  # off-support check reach past the support, in model scales
 _EXTERIOR_TOL = 1e-7  # relative variational tightness of an equality point
+_NEWTON_ITER = 30  # Newton steps per start of an endpoint solve
+_NEWTON_HALVINGS = 4  # step halvings before a start is abandoned
+_FD_STEP = math.sqrt(np.finfo(float).eps)  # relative forward-difference step
 
 STRUCTURES = ("one_cut", "symmetric_two_cut", "hard_edge_one_cut")
 
@@ -408,6 +418,71 @@ def _find_exterior_points(em: EquilibriumMeasure) -> tuple[float, ...]:
     return tuple(sorted(pts))
 
 
+def _newton_2x2(resid, u0):
+    """Damped Newton on a 2x2 system F(u) = 0; returns (u, max|F(u)|).
+
+    The Jacobian is a forward difference with step sqrt(eps)*max(|u_j|, 1),
+    rebuilt at every step.  Each Newton step is halved until |F| (2-norm)
+    drops, at most _NEWTON_HALVINGS times.  The iteration stops at F = 0,
+    after a step below 1e-14 relative, or when the Jacobian is singular,
+    the step finds no descent or _NEWTON_ITER steps have been taken; the
+    caller judges the returned residual.  Arithmetic is on Python floats,
+    which overflow to inf without a warning.
+    """
+    u = [float(v) for v in u0]
+    f = [float(v) for v in resid(u)]
+    norm = math.hypot(*f)
+    for _ in range(_NEWTON_ITER):
+        if not norm > 0.0:  # solved, or a non-finite residual
+            break
+        jac = []
+        for j in range(2):
+            hj = _FD_STEP * max(abs(u[j]), 1.0)
+            up = list(u)
+            up[j] += hj
+            fj = [float(v) for v in resid(up)]
+            jac.append(((fj[0] - f[0]) / hj, (fj[1] - f[1]) / hj))
+        (j00, j10), (j01, j11) = jac
+        det = j00 * j11 - j01 * j10
+        if not (math.isfinite(det) and det != 0.0):
+            break
+        step = ((j01 * f[1] - j11 * f[0]) / det, (j10 * f[0] - j00 * f[1]) / det)
+        lam = 1.0
+        for _ in range(_NEWTON_HALVINGS + 1):
+            trial = [u[0] + lam * step[0], u[1] + lam * step[1]]
+            ft = [float(v) for v in resid(trial)]
+            if math.hypot(*ft) < norm:
+                break
+            lam *= 0.5
+        else:
+            break
+        u, f, norm = trial, ft, math.hypot(*ft)
+        if lam * max(abs(step[0]), abs(step[1])) <= 1e-14 * max(abs(u[0]), abs(u[1])):
+            break
+    return tuple(u), max(abs(f[0]), abs(f[1]))
+
+
+def _bisect(func, lo: float, hi: float) -> float:
+    """Root of func in [lo, hi], where func changes sign, to adjacent doubles.
+
+    Returns the midpoint where func vanishes exactly, otherwise the end of
+    the final bracket with the smaller |func|.
+    """
+    flo, fhi = func(lo), func(hi)
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        fmid = func(mid)
+        if fmid == 0.0:
+            return mid
+        if (fmid < 0.0) == (flo < 0.0):
+            lo, flo = mid, fmid
+        else:
+            hi, fhi = mid, fmid
+    return lo if abs(flo) <= abs(fhi) else hi
+
+
 def _center_guess(p: Potential) -> float:
     lo = p.support.lo if math.isfinite(p.support.lo) else -10.0 * p.scale()
     hi = p.support.hi if math.isfinite(p.support.hi) else 10.0 * p.scale()
@@ -416,8 +491,6 @@ def _center_guess(p: Potential) -> float:
 
 
 def _solve_one_cut(p: Potential) -> SpectralCurve:
-    from scipy import optimize
-
     vc = np.asarray(p.reg, dtype=float)  # V'_reg = sum t_j z^(j-1)
     if not len(vc) or not np.any(vc):
         raise NumericalError("one_cut needs a nonconstant V_reg")
@@ -433,10 +506,8 @@ def _solve_one_cut(p: Potential) -> SpectralCurve:
 
     best = None
     for s0 in (0.0, 0.7, -0.7, 1.4):
-        sol, info, _ier, _ = optimize.fsolve(
-            resid, [x0, s0], full_output=True, xtol=1e-14
-        )
-        if np.max(np.abs(info["fvec"])) < 1e-10:
+        sol, fmax = _newton_2x2(resid, (x0, s0))
+        if fmax < 1e-10:
             best = sol
             break
     if best is None:
@@ -448,8 +519,6 @@ def _solve_one_cut(p: Potential) -> SpectralCurve:
 
 
 def _solve_symmetric_two_cut(p: Potential) -> SpectralCurve:
-    from scipy import optimize
-
     vc = np.asarray(p.reg, dtype=float)  # V'_reg = sum t_j z^(j-1)
     if len(vc) < 2:
         raise NumericalError("symmetric_two_cut needs degree >= 4 in V_reg")
@@ -471,10 +540,8 @@ def _solve_symmetric_two_cut(p: Potential) -> SpectralCurve:
     for ga0, gs0 in ((math.log(0.5 * sc), math.log(sc)),
                      (math.log(0.1 * sc), math.log(2 * sc)),
                      (0.0, 0.5)):
-        sol, info, _ier, _ = optimize.fsolve(
-            resid, [ga0, gs0], full_output=True, xtol=1e-14
-        )
-        if np.max(np.abs(info["fvec"])) < 1e-10:
+        sol, fmax = _newton_2x2(resid, (ga0, gs0))
+        if fmax < 1e-10:
             best = sol
             break
     if best is None:
@@ -489,8 +556,6 @@ def _solve_symmetric_two_cut(p: Potential) -> SpectralCurve:
 
 
 def _solve_hard_edge(p: Potential) -> SpectralCurve:
-    from scipy import optimize
-
     vc = np.asarray(p.reg, dtype=float)  # V'_reg = sum t_j z^(j-1)
     if not len(vc) or not np.any(vc):
         raise NumericalError("hard_edge_one_cut needs a nonconstant V_reg")
@@ -514,14 +579,17 @@ def _solve_hard_edge(p: Potential) -> SpectralCurve:
             _, c = _laurent_split(vc, [s], [edge], 1)
             return c[0] - 2.0
 
+        # first sign change along the grid, evaluating cond only up to it
         grid = np.linspace(a0, a1, 400)
-        vals = np.array([cond(s) for s in grid])
         hit = None
+        prev = cond(grid[0])
         for i in range(len(grid) - 1):
-            if np.isfinite(vals[i]) and np.isfinite(vals[i + 1]) and vals[i] * vals[i + 1] < 0:
+            val = cond(grid[i + 1])
+            if np.isfinite(prev) and np.isfinite(val) and prev * val < 0:
                 blo, bhi = sorted((grid[i], grid[i + 1]))
-                hit = optimize.brentq(cond, blo, bhi, xtol=1e-14, rtol=8.9e-16)
+                hit = _bisect(cond, float(blo), float(bhi))
                 break
+            prev = val
         if hit is None:
             last_err = NumericalError(
                 "hard_edge_one_cut: no soft endpoint balances the mass condition"

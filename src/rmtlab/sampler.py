@@ -97,6 +97,14 @@ def _initial_positions(p: Potential, n: int) -> np.ndarray:
     return xs
 
 
+def check_chain_args(steps: int, burn_in: int, thin: int) -> None:
+    """Reject a sweep count, burn-in or thinning no chain can run with."""
+    if steps <= burn_in:
+        raise ValidationError("steps must exceed burn_in")
+    if thin < 1:
+        raise ValidationError("thin must be at least 1")
+
+
 def mcmc_chain(p: Potential, steps: int, burn_in: int, thin: int = 1,
                seed: int = 0) -> tuple[list[np.ndarray], ChainState]:
     """Run the chain for `steps` sweeps and keep every thin-th after burn-in.
@@ -112,10 +120,7 @@ def mcmc_chain(p: Potential, steps: int, burn_in: int, thin: int = 1,
     largest drift seen is kept in ChainState.max_drift.
     """
     validate(p)
-    if steps <= burn_in:
-        raise ValidationError("steps must exceed burn_in")
-    if thin < 1:
-        raise ValidationError("thin must be at least 1")
+    check_chain_args(steps, burn_in, thin)
     n = p.n
     xs = _initial_positions(p, n)
     span = float(xs.max() - xs.min()) if n > 1 else 1.0

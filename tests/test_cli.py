@@ -218,6 +218,15 @@ def test_sample_zero_steps_errors(outdir):
     assert run(outdir, "sample", cfg, "--steps", "0") == 2
 
 
+def test_sample_chain_arguments_checked_before_solve(outdir, capsys):
+    # MP has no one_cut solution, so a solve first would exit 3
+    cfg = write_cfg(outdir, MP)
+    assert run(outdir, "sample", cfg, "--steps", "0") == 2
+    assert "steps must exceed burn_in" in capsys.readouterr().err
+    assert run(outdir, "sample", cfg, "--steps", "5", "--thin", "0") == 2
+    assert "thin must be at least 1" in capsys.readouterr().err
+
+
 def test_console_script_entry_point(outdir):
     cfg = write_cfg(outdir, GUE)
     proc = subprocess.run(

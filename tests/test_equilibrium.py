@@ -1,6 +1,7 @@
 """Equilibrium solver against closed-form curves and exact identities."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from rmtlab import (
     IntervalSet,
     NumericalError,
     Potential,
+    Singularity,
     check_variational,
     curve_eval,
     density,
@@ -20,9 +22,10 @@ from rmtlab import (
     solve_support,
     xi_eval,
 )
-from rmtlab.equilibrium import mass_right_of
+from rmtlab.equilibrium import _bisect, _newton_2x2, mass_right_of
 
 LINE = IntervalSet(((-math.inf, math.inf),))
+NEG = IntervalSet(((-math.inf, 0.0),))
 
 
 def gaussian(n=40):
@@ -150,6 +153,71 @@ def test_hard_edge_solver_finds_mp():
     assert em.curve.poles == pytest.approx((0.0,), abs=1e-12)
     assert em.curve.zeros == pytest.approx((-4.0,), abs=1e-9)
     np.testing.assert_allclose(em.curve.h, [-1.0], atol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# endpoint solvers
+
+
+def mp_charge(n=200):
+    return Potential(n=n, reg=(-1.0,), singularities=(Singularity(b=0j, alpha=0.5),),
+                     support=NEG)
+
+
+@pytest.mark.parametrize("reg, structure, support", [
+    ((0.0, 1.0), "one_cut", ((-2.0, 2.0),)),
+    ((0.0, -2.0, 0.0, 1.0), "one_cut", ((-2.0, 2.0),)),
+    ((0.0, -3.0, 0.0, 1.0), "symmetric_two_cut",
+     ((-math.sqrt(5.0), -1.0), (1.0, math.sqrt(5.0)))),
+], ids=["gue", "critical-quartic", "two-cut"])
+def test_solver_closed_form_supports(reg, structure, support):
+    p = Potential(n=200, reg=reg, singularities=(), support=LINE)
+    em = solve_support(p, structure)
+    np.testing.assert_allclose(em.support.intervals, support, rtol=1e-14, atol=1e-14)
+
+
+def test_hard_edge_endpoints_are_python_floats():
+    em = solve_support(mp_charge(), "hard_edge_one_cut")
+    np.testing.assert_allclose(em.support.intervals, ((-4.0, 0.0),), rtol=1e-14, atol=1e-14)
+    ends = em.curve.zeros + em.curve.poles + em.support.intervals[0]
+    assert all(type(x) is float for x in ends)
+
+
+def test_solver_refusals_keep_their_messages():
+    with pytest.raises(NumericalError, match="^one_cut endpoint equations did not converge$"):
+        solve_support(mp_charge(), "one_cut")
+    with pytest.raises(NumericalError, match=r"^symmetric_two_cut endpoint equations "
+                       r"did not converge \(near a merge point, one_cut may be the right "
+                       r"structure\)$"):
+        solve_support(gaussian(200), "symmetric_two_cut")
+
+
+def test_newton_converges_and_reports_failure_quietly():
+    u, fmax = _newton_2x2(lambda u: (u[0] * u[0] - 2.0, u[1] - u[0]), (1.0, 0.0))
+    assert fmax < 1e-15
+    assert u == pytest.approx((math.sqrt(2.0), math.sqrt(2.0)), rel=1e-15)
+    calls = []
+
+    def no_root(u):
+        calls.append(u)
+        return (u[0] * u[0] + 1.0, 1e300 * u[1])
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for u0 in ((0.0, 0.0), (3.0, 1.0), (0.5, -2.0), (-1e200, 1e10)):
+            calls.clear()
+            _, fmax = _newton_2x2(no_root, u0)
+            assert fmax >= 1.0
+            # a failing start gives up after a few dozen evaluations
+            assert len(calls) < 60
+
+
+def test_bisect_stops_at_adjacent_doubles():
+    root = _bisect(lambda x: x * x - 2.0, 1.0, 2.0)
+    assert type(root) is float
+    below, above = math.nextafter(root, 0.0), math.nextafter(root, 3.0)
+    assert (below * below - 2.0) * (above * above - 2.0) < 0.0
+    assert _bisect(lambda x: x - 0.5, 0.0, 1.0) == 0.5
 
 
 # ---------------------------------------------------------------------------

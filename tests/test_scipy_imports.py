@@ -1,13 +1,13 @@
-"""The kernel side of rmtlab runs without loading scipy.
+"""rmtlab's commands run without loading scipy.
 
-Quadrature, recurrence, K_n and the commands built only on them
-(`validate`, raw-grid `kernel`) need numpy alone; scipy.optimize is
-imported inside the equilibrium solvers and scipy.linalg inside
-poly_zeros.  On a 2-vCPU Xeon host each of the two costs about 0.3 s of
-cold start, which a module-level import charges to every
+Quadrature, recurrence, K_n, the equilibrium solves and every command
+built on them need numpy alone.  scipy.linalg is imported only inside
+poly_zeros, which no command calls.  On a 2-vCPU Xeon host
+scipy.optimize alone cost 0.35-0.41 s of cold start and scipy.linalg
+about 0.3 s, which a module-level import charges to every
 `import rmtlab`.  scipy.special alone measured 0.29-0.56 s cold on the
 same host, so if specfun moves onto it (ROADMAP item 5), that import has
-to stay local to the functions that call it, or this guard fails.
+to stay local to the functions that call it, or these guards fail.
 
 Each case runs in a fresh interpreter: the pytest process has loaded
 scipy long before these tests start.
@@ -65,12 +65,36 @@ assert rmtlab.cli.main(["--outdir", out, "kernel", {str(cfg)!r},
     assert (tmp_path / "kernel.csv").exists()
 
 
-def test_equilibrium_solve_loads_scipy_optimize():
-    code = GAUSSIAN + """
+def test_equilibrium_solves_and_commands_load_no_scipy(tmp_path):
+    gue = tmp_path / "gue.json"
+    gue.write_text(json.dumps({"reg": [0.0, 1.0], "singularities": [],
+                               "support": [["-inf", "inf"]], "n": 16}))
+    mp = tmp_path / "mp.json"
+    mp.write_text(json.dumps({"reg": [-1.0],
+                              "singularities": [{"b": [0.0, 0.0], "alpha": 0.5}],
+                              "support": [["-inf", 0.0]], "n": 16}))
+    code = GAUSSIAN + f"""
+import math
+import rmtlab.cli
 from rmtlab import solve_support
-solve_support(p, "one_cut")
+assert solve_support(p, "one_cut").support.intervals == ((-2.0, 2.0),)
+quartic = Potential(n=20, reg=(0.0, -3.0, 0.0, 1.0), singularities=(),
+                    support=IntervalSet(((-math.inf, math.inf),)))
+assert len(solve_support(quartic, "symmetric_two_cut").support.intervals) == 2
+wall = Potential(n=20, reg=(-1.0,), singularities=(),
+                 support=IntervalSet(((-math.inf, 0.0),)))
+assert solve_support(wall, "hard_edge_one_cut").support.intervals == ((-4.0, 0.0),)
+out = {str(tmp_path)!r}
+gue, mp = {str(gue)!r}, {str(mp)!r}
+for argv in (["equilibrium", gue], ["classify", gue],
+             ["kernel", gue, "--at", "2.0", "--grid=-1:1:3"],
+             ["sample", mp, "--steps", "30", "--burn-in", "10",
+              "--structure", "hard_edge_one_cut"],
+             ["converge", "mp-hard-edge", "--n-list", "50,100"]):
+    assert rmtlab.cli.main(["--outdir", out, *argv]) == 0, argv
 """
-    assert "scipy.optimize" in scipy_modules_after(code)
+    assert scipy_modules_after(code) == []
+    assert (tmp_path / "samples.csv").exists()
 
 
 def test_poly_zeros_loads_scipy_linalg():
