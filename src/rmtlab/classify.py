@@ -34,17 +34,17 @@ from .errors import NumericalError, ValidationError
 from .potential import IntervalSet, Potential
 from .equilibrium import (
     EquilibriumMeasure,
-    _half_series,
-    _series_product,
+    SpectralCurve,
+    _expansion_at_infinity,
+    _path_integral,
+    curve_eval,
     h_roots,
     xi_eval,
 )
-from .quad import clustered_rule
 
 _KINDS = ("edge", "interior", "exterior")
 _SERIES_EXTRA = 6  # series_at_infinity keeps 2 max(k, 0) + 6 coefficients
 _DISC_FRACTION = 0.05  # charge-collection disc radius floor, in model scales
-_M_XI = 400  # nodes of the xihat path rule
 _Z_REF = 8.0  # |zeta| where xihat is matched to its series
 
 
@@ -84,13 +84,15 @@ class CriticalPoint:
 
 
 @dataclass(frozen=True)
-class ScaledCurve:
+class ScaledCurve(SpectralCurve):
     """yhat(zeta) = hhat(zeta) prod sqrt(zeta - z) / prod sqrt(zeta - p).
 
-    hhat holds ascending complex coefficients (the exact prefactor is
-    folded in).  Coordinates are already mirrored for left edges.  phat
-    is the base point for xihat integrals: the right-most zero/pole of
-    the scaled R if any, else 0.
+    A SpectralCurve in the scaled coordinate zeta, evaluated by
+    curve_eval: h holds hhat's ascending complex coefficients (the exact
+    prefactor is folded in), zeros and poles the scaled branch points.
+    Coordinates are already mirrored for left edges.  phat is the base
+    point for xihat integrals: the right-most zero/pole of the scaled R
+    if any, else 0.
     """
 
     kind: str
@@ -99,9 +101,6 @@ class ScaledCurve:
     x_star: float
     n: int
     mirrored: bool
-    hhat: tuple[complex, ...]
-    zeros: tuple[float, ...]
-    poles: tuple[float, ...]
     phat: float
 
 
@@ -326,7 +325,7 @@ def scaled_curve(em: EquilibriumMeasure, cp: CriticalPoint, n: int) -> ScaledCur
     hc = np.trim_zeros(np.asarray(curve.h, dtype=float), "b")
     h_lead = hc[-1] if len(hc) else 0.0
     x0 = complex(xs, -0.0) if mirror else complex(xs, +0.0)
-    far = curve.sign * h_lead
+    far = h_lead
     for r in far_h:
         far *= x0 - r
     for z in far_z:
@@ -347,30 +346,19 @@ def scaled_curve(em: EquilibriumMeasure, cp: CriticalPoint, n: int) -> ScaledCur
         ph = sorted(s * (q - xs) for q in near_p)
 
     coeffs = np.polynomial.polynomial.polyfromroots(sigma) if sigma else np.array([1.0])
-    hhat = tuple((complex(pref) * coeffs).tolist())
     feats = zh + ph
     phat = max(feats) if feats else 0.0
     return ScaledCurve(
+        h=tuple((complex(pref) * coeffs).tolist()), zeros=tuple(zh), poles=tuple(ph),
         kind=cp.kind, order_k=cp.order_k, delta=cp.delta, x_star=xs, n=n,
-        mirrored=mirror, hhat=hhat, zeros=tuple(zh), poles=tuple(ph),
-        phat=float(phat))
+        mirrored=mirror, phat=float(phat))
 
 
-def scaled_eval(sc: ScaledCurve, zeta):
-    """yhat(zeta) with principal branches; cuts run left from each sqrt point."""
-    zc = np.asarray(zeta, dtype=complex)
-    out = np.zeros_like(zc)
-    for c in reversed(sc.hhat):
-        out = out * zc + c
-    for z in sc.zeros:
-        out = out * np.sqrt(zc - z)
-    for q in sc.poles:
-        out = out / np.sqrt(zc - q)
-    return out
+scaled_eval = curve_eval  # yhat(zeta); cuts run left from each sqrt point
 
 
 def _leading_power(sc: ScaledCurve) -> Fraction:
-    return Fraction(len(sc.hhat) - 1) + Fraction(len(sc.zeros) - len(sc.poles), 2)
+    return Fraction(len(sc.h) - 1) + Fraction(len(sc.zeros) - len(sc.poles), 2)
 
 
 def series_at_infinity(sc: ScaledCurve) -> np.ndarray:
@@ -380,15 +368,9 @@ def series_at_infinity(sc: ScaledCurve) -> np.ndarray:
     (exterior).  The truncation order is 2 max(k, 0) + 6.
     """
     order = 2 * max(sc.order_k, 0) + _SERIES_EXTRA
-    mh = len(sc.hhat) - 1
-    a = np.zeros(order + 1, dtype=complex)
-    for l in range(min(mh, order) + 1):
-        a[l] = sc.hhat[mh - l]
-    factors = [_half_series(z, order, inverse=False) for z in sc.zeros]
-    factors += [_half_series(q, order, inverse=True) for q in sc.poles]
-    if factors:
-        a = np.convolve(a, _series_product(factors, order))[: order + 1]
-    return a
+    # yhat = zeta^((#zeros - #poles)/2) hhat(zeta)
+    #        * prod_poles (1 - q/zeta)^(-1/2) * prod_zeros (1 - z/zeta)^(1/2)
+    return _expansion_at_infinity(sc.h, sc.poles, sc.zeros, order)
 
 
 def check_scaling(em_a, cp_a: CriticalPoint, n_a: int,
@@ -426,11 +408,6 @@ def check_scaling(em_a, cp_a: CriticalPoint, n_a: int,
 # model data extraction
 
 
-def _xi_hat_numeric(sc: ScaledCurve, z: complex) -> complex:
-    t, w = clustered_rule(complex(sc.phat), z, _M_XI)
-    return -0.5 * complex(np.sum(w * scaled_eval(sc, t)))
-
-
 def _termwise_antiderivative(q: np.ndarray, mpow: Fraction, z: complex):
     """-(1/2) int yhat termwise: power terms plus a log when m - l = -1."""
     tot = 0.0j
@@ -449,7 +426,8 @@ def _series_constant(sc: ScaledCurve, q: np.ndarray) -> complex:
     vals = []
     for th in (math.pi / 3, math.pi / 2, 2 * math.pi / 3):
         z = _Z_REF * complex(math.cos(th), math.sin(th))
-        vals.append(_xi_hat_numeric(sc, z) - _termwise_antiderivative(q, mpow, z))
+        xi_hat = -0.5 * _path_integral(sc, complex(sc.phat), z)
+        vals.append(xi_hat - _termwise_antiderivative(q, mpow, z))
     vals = np.array(vals)
     if np.max(np.abs(vals - vals.mean())) > 1e-7 * max(1.0, abs(vals.mean())):
         raise NumericalError(

@@ -52,38 +52,20 @@ STRUCTURES = ("one_cut", "symmetric_two_cut", "hard_edge_one_cut")
 
 @dataclass(frozen=True)
 class SpectralCurve:
-    """y(z) = sign * h(z) * sqrt(R(z)) with R = prod(z-zeros)/prod(z-poles).
+    """y(z) = h(z) * sqrt(R(z)) with R = prod(z-zeros)/prod(z-poles).
 
-    h holds ascending coefficients.  Branch cuts of sqrt(R) fall exactly
-    on the support when each factor uses the principal branch, and
-    sqrt(R) ~ +z^D on the positive real axis beyond all branch points.
+    h holds ascending coefficients, complex for a scaled curve
+    (classify.ScaledCurve).  Branch cuts of sqrt(R) fall exactly on the
+    support when each factor uses the principal branch, and sqrt(R) ~ +z^D
+    on the positive real axis beyond all branch points.
     """
 
-    h: tuple[float, ...]
+    h: tuple[complex, ...]
     zeros: tuple[float, ...]
     poles: tuple[float, ...]
-    sign: float = 1.0
 
     def branch_points(self) -> tuple[float, ...]:
         return tuple(sorted(self.zeros + self.poles))
-
-
-def sqrt_r(curve: SpectralCurve, z):
-    zc = np.asarray(z, dtype=complex)
-    out = np.ones_like(zc)
-    for r in curve.zeros:
-        out = out * np.sqrt(zc - r)
-    for q in curve.poles:
-        out = out / np.sqrt(zc - q)
-    return out
-
-
-def h_val(curve: SpectralCurve, z):
-    zc = np.asarray(z, dtype=complex)
-    out = np.zeros_like(zc)
-    for c in reversed(curve.h):
-        out = out * zc + c
-    return out
 
 
 def h_roots(curve: SpectralCurve) -> np.ndarray:
@@ -95,7 +77,16 @@ def h_roots(curve: SpectralCurve) -> np.ndarray:
 
 def curve_eval(curve: SpectralCurve, z):
     """y(z); evaluate at x+0j (x-0j) for boundary values from above (below)."""
-    return curve.sign * h_val(curve, z) * sqrt_r(curve, z)
+    zc = np.asarray(z, dtype=complex)
+    h = np.zeros_like(zc)
+    for c in reversed(curve.h):
+        h = h * zc + c
+    root = np.ones_like(zc)
+    for r in curve.zeros:
+        root = root * np.sqrt(zc - r)
+    for q in curve.poles:
+        root = root / np.sqrt(zc - q)
+    return h * root
 
 
 def _on_axis(x, side: int):
@@ -104,13 +95,24 @@ def _on_axis(x, side: int):
     out = np.empty(arr.shape, dtype=complex)
     out.real = arr
     out.imag = 0.0 * side  # signed zero selects the branch
-    if side < 0:
-        out.imag = -0.0
     return out
 
 
+def _rho(curve: SpectralCurve, x):
+    """Im y_+(x) / (2 pi): the density at points x of the support."""
+    return curve_eval(curve, _on_axis(x, +1)).imag / (2.0 * np.pi)
+
+
+def _path_integral(curve: SpectralCurve, a, b, side: int | None = None) -> complex:
+    """int_a^b y(s) ds on a segment; side (+1 above) for boundary values on the axis."""
+    s, w = clustered_rule(a, b, _M_PATH)
+    if side is not None:
+        s = _on_axis(s.real, side)
+    return complex(np.sum(w * curve_eval(curve, s)))
+
+
 # ---------------------------------------------------------------------------
-# Laurent expansion of V'_reg / sqrt(R) at infinity
+# Laurent expansion at infinity
 
 
 def _half_series(r, m: int, inverse: bool) -> np.ndarray:
@@ -133,33 +135,36 @@ def _series_product(factors, m: int) -> np.ndarray:
     return out
 
 
+def _expansion_at_infinity(coeffs, inverse, direct, m: int) -> np.ndarray:
+    """e_0..e_m of poly(z) prod_inverse (1 - r/z)^(-1/2) prod_direct (1 - q/z)^(1/2).
+
+    coeffs are poly's ascending coefficients; e_l multiplies z^(len(coeffs) - 1 - l).
+    """
+    sigma = _series_product(
+        [_half_series(r, m, inverse=True) for r in inverse]
+        + [_half_series(q, m, inverse=False) for q in direct],
+        m,
+    )
+    deg = len(coeffs) - 1
+    e = np.zeros(deg + m + 1, dtype=np.result_type(np.asarray(coeffs), sigma))
+    # ascending k, each product and sum rounded on its own: np.convolve may
+    # hand the sums to a BLAS dot that reorders or fuses them
+    for k, c in enumerate(coeffs):
+        e[deg - k: deg - k + m + 1] += c * sigma
+    return e[: m + 1]
+
+
 def _laurent_split(vc: np.ndarray, zeros, poles, jmax: int):
     """h coefficients and c_1..c_jmax of V'_reg / sqrt(R) at infinity."""
     nz, npo = len(zeros), len(poles)
     if (nz - npo) % 2 != 0:
         raise NumericalError("sqrt(R) needs an even count of zeros minus poles")
-    d = (nz - npo) // 2
-    kmax = len(vc) - 1
-    m = max(kmax + jmax + 2, 1)
-    sigma = _series_product(
-        [_half_series(r, m, inverse=True) for r in zeros]
-        + [_half_series(q, m, inverse=False) for q in poles],
-        m,
-    )
-
-    def coeff(power: int) -> float:
-        # coefficient of z^power in (sum_k vc[k] z^k) * z^-d * (sum sigma_m z^-m)
-        tot = 0.0
-        for k in range(kmax + 1):
-            idx = k - d - power
-            if 0 <= idx <= m:
-                tot += vc[k] * sigma[idx]
-        return tot
-
-    hdeg = max(kmax - d, -1)
-    h = np.array([coeff(p) for p in range(hdeg + 1)]) if hdeg >= 0 else np.zeros(1)
-    c = np.array([coeff(-j) for j in range(1, jmax + 1)])
-    return h, c
+    # V'_reg / sqrt(R) = z^-D V'_reg(z) prod (1 - r/z)^-1/2 prod (1 - q/z)^1/2,
+    # so e_l multiplies z^(top - l); every solver has top >= -1
+    top = len(vc) - 1 - (nz - npo) // 2
+    e = _expansion_at_infinity(vc, zeros, poles, len(vc) + jmax + 1)
+    h = e[top::-1] if top >= 0 else np.zeros(1)
+    return h, e[top + 1: top + 1 + jmax]
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +204,7 @@ def density(em: EquilibriumMeasure, x):
     vals = np.zeros(arr.shape)
     inside = em.support.contains(arr)
     if np.any(inside):
-        y = curve_eval(em.curve, _on_axis(arr[inside], +1))
-        vals[inside] = y.imag / (2.0 * np.pi)
+        vals[inside] = _rho(em.curve, arr[inside])
     return float(vals[0]) if scalar else vals
 
 
@@ -241,23 +245,18 @@ def xi_eval(em: EquilibriumMeasure, z, side: int = +1):
     zc = complex(z)
     p_pt = em.p_sup
     if zc.imag != 0.0:
-        s, w = clustered_rule(p_pt, zc, _M_PATH)
-        return -0.5 * complex(np.sum(w * curve_eval(em.curve, s)))
+        return -0.5 * _path_integral(em.curve, p_pt, zc)
     x = zc.real
     if x == p_pt:
         return 0j  # empty path; its rule would sit on a pole of R at a hard edge
     if x > p_pt:
-        s, w = clustered_rule(p_pt, x, _M_PATH)
-        y = curve_eval(em.curve, _on_axis(s.real, +1))
-        return -0.5 * complex(np.sum(w * y))
+        return -0.5 * _path_integral(em.curve, p_pt, x, +1)
     cuts = [b for b in em.curve.branch_points() if x < b < p_pt]
     stops = [x] + sorted(cuts) + [p_pt]
     total = 0.0j
     for a, b in zip(stops, stops[1:]):
-        s, w = clustered_rule(a, b, _M_PATH)
-        y = curve_eval(em.curve, _on_axis(s.real, side))
-        total += np.sum(w * y)
-    return 0.5 * complex(total)  # orientation: -1/2 int_p^x = +1/2 int_x^p
+        total += _path_integral(em.curve, a, b, side)
+    return 0.5 * total  # orientation: -1/2 int_p^x = +1/2 int_x^p
 
 
 def _variational_value(em: EquilibriumMeasure, x: float) -> float:
@@ -355,11 +354,20 @@ def _density_floor(curve: SpectralCurve, support: IntervalSet):
     for lo, hi in support.intervals:
         pad = (hi - lo) * 1e-9
         x = np.linspace(lo + pad, hi - pad, _M_FLOOR)
-        rho = curve_eval(curve, _on_axis(x, +1)).imag / (2 * np.pi)
+        rho = _rho(curve, x)
         i = int(np.argmin(rho))
         if rho[i] < worst[0]:
             worst = (float(rho[i]), float(x[i]))
     return worst
+
+
+def _check_density(curve: SpectralCurve, support: IntervalSet, verdict: str) -> None:
+    """Refuse a curve whose density dips below -1e-9 of its largest value."""
+    floor, where = _density_floor(curve, support)
+    rho_scale = max(1e-300, float(np.max(np.abs(_rho(
+        curve, np.linspace(support.lo + 1e-6, support.hi - 1e-6, 101))))))
+    if floor < -1e-9 * rho_scale:
+        raise NumericalError(f"negative density near x={where:.6g}: {verdict}")
 
 
 def _finish(
@@ -375,16 +383,7 @@ def _finish(
                 "a hard-edge structure fits this configuration"
             )
     if check_density:
-        floor, where = _density_floor(curve, support)
-        rho_scale = max(
-            1e-300,
-            float(np.max(np.abs(curve_eval(curve, _on_axis(
-                np.linspace(support.lo + 1e-6, support.hi - 1e-6, 101), +1)).imag))) / (2 * np.pi),
-        )
-        if floor < -1e-9 * rho_scale:
-            raise NumericalError(
-                f"negative density near x={where:.6g}: requested structure infeasible"
-            )
+        _check_density(curve, support, "requested structure infeasible")
     em = EquilibriumMeasure(potential=p, curve=curve, support=support)
     masses = tuple(float(np.sum(w)) for _, w in em.component_rules())
     em.masses = masses
@@ -596,14 +595,12 @@ def _solve_hard_edge(p: Potential) -> SpectralCurve:
             )
             continue
         h, _ = _laurent_split(vc, [hit], [edge], 1)
-        zeros, poles = (hit,), (edge,)
-        curve = SpectralCurve(h=tuple(h), zeros=zeros, poles=poles)
-        support = _component_intervals(curve)
-        floor, _where = _density_floor(curve, support)
-        if floor < -1e-9:
-            last_err = NumericalError(
-                f"negative density near x={_where:.6g}: hard edge at {edge:.6g} infeasible"
-            )
+        curve = SpectralCurve(h=tuple(h), zeros=(hit,), poles=(edge,))
+        try:
+            _check_density(curve, _component_intervals(curve),
+                           f"hard edge at {edge:.6g} infeasible")
+        except NumericalError as e:
+            last_err = e
             continue
         return curve
     raise last_err
@@ -619,12 +616,11 @@ def solve_support(p: Potential, structure: str = "one_cut") -> EquilibriumMeasur
     if structure not in STRUCTURES:
         raise ValidationError(f"unknown structure {structure!r}; pick from {STRUCTURES}")
     if structure == "one_cut":
-        curve = _solve_one_cut(p)
-    elif structure == "symmetric_two_cut":
-        curve = _solve_symmetric_two_cut(p)
-    else:
-        curve = _solve_hard_edge(p)
-    return _finish(p, curve)
+        return _finish(p, _solve_one_cut(p))
+    if structure == "symmetric_two_cut":
+        return _finish(p, _solve_symmetric_two_cut(p))
+    # _solve_hard_edge has judged the density of the curve it returns
+    return _finish(p, _solve_hard_edge(p), check_density=False)
 
 
 # ---------------------------------------------------------------------------
@@ -658,29 +654,24 @@ def example_curve(
     at 0 and alpha2 at tau/n^2; curve y = -sqrt((z+4)/z), a hard edge at
     the origin.
     """
-    if name == "quartic":
-        a2 = (2.0 / 3.0) * (-t + math.sqrt(t * t + 12.0))
-        a = math.sqrt(a2)
-        if t <= 0.0:  # rationalized form avoids cancellation near t = -2
-            c = 0.25 * (4.0 - t * t) / (math.sqrt(0.25 * t * t + 3.0) - t)
+    if name in ("quartic", "quartic_merge"):
+        if name == "quartic":
+            t_eff = float(t)
+            a = math.sqrt((2.0 / 3.0) * (-t + math.sqrt(t * t + 12.0)))
+            if t <= 0.0:  # rationalized form avoids cancellation near t = -2
+                c = 0.25 * (4.0 - t * t) / (math.sqrt(0.25 * t * t + 3.0) - t)
+            else:
+                c = (t + math.sqrt(0.25 * t * t + 3.0)) / 3.0
+            one_cut = t >= -2.0
         else:
-            c = (t + math.sqrt(0.25 * t * t + 3.0)) / 3.0
-        p = Potential(
-            n=n,
-            reg=(0.0, float(t), 0.0, 1.0),
-            singularities=(),
-            support=IntervalSet(((-math.inf, math.inf),)),
-        )
-        curve = SpectralCurve(h=(2.0 * c, 0.0, 1.0), zeros=(-a, a), poles=())
-        return _finish(p, curve, check_density=(t >= -2.0))
-    if name == "quartic_merge":
-        # t = -2 + eps with eps = tau n^{-2/3}; every expression is written
-        # in eps so that 4 - t^2 = eps(4 - eps) stays exact for tiny eps
-        eps = tau * float(n) ** (-2.0 / 3.0)
-        t_eff = -2.0 + eps
-        a = math.sqrt((2.0 / 3.0) * ((2.0 - eps) + math.sqrt(16.0 - eps * (4.0 - eps))))
-        c = eps * (4.0 - eps) / (
-            4.0 * (math.sqrt(4.0 - 0.25 * eps * (4.0 - eps)) + 2.0 - eps))
+            # t = -2 + eps with eps = tau n^{-2/3}; every expression is written
+            # in eps so that 4 - t^2 = eps(4 - eps) stays exact for tiny eps
+            eps = tau * float(n) ** (-2.0 / 3.0)
+            t_eff = -2.0 + eps
+            a = math.sqrt((2.0 / 3.0) * ((2.0 - eps) + math.sqrt(16.0 - eps * (4.0 - eps))))
+            c = eps * (4.0 - eps) / (
+                4.0 * (math.sqrt(4.0 - 0.25 * eps * (4.0 - eps)) + 2.0 - eps))
+            one_cut = tau >= 0.0
         p = Potential(
             n=n,
             reg=(0.0, t_eff, 0.0, 1.0),
@@ -688,7 +679,7 @@ def example_curve(
             support=IntervalSet(((-math.inf, math.inf),)),
         )
         curve = SpectralCurve(h=(2.0 * c, 0.0, 1.0), zeros=(-a, a), poles=())
-        return _finish(p, curve, check_density=(tau >= 0.0))
+        return _finish(p, curve, check_density=one_cut)
     if name == "marchenko_pastur":
         sings = []
         if alpha1 > 0:

@@ -31,7 +31,7 @@ _CONFLUENT_REL = 1e-8
 
 @dataclass(frozen=True, eq=False)
 class KernelGrid:
-    """Kernel evaluations on a u x v grid with scaling metadata."""
+    """Kernel evaluations on a square grid (u_grid is v_grid) with scaling metadata."""
 
     u_grid: np.ndarray
     v_grid: np.ndarray
@@ -107,44 +107,35 @@ def cd_kernel(r: Recurrence, p: Potential, x: float, y: float) -> float:
 
 
 def scaled_kernel_grid(r: Recurrence, p: Potential, cp: CriticalPoint,
-                       u_grid, v_grid=None) -> KernelGrid:
-    """Scaled kernel on a grid; validates the grid stays in the domain."""
+                       u_grid) -> KernelGrid:
+    """Scaled kernel on the square grid u x u; validates it stays in the domain."""
     u = np.asarray(u_grid, dtype=float)
-    v = u if v_grid is None else np.asarray(v_grid, dtype=float)
     s = float(p.n) ** (-cp.delta)
     xs = cp.x_star + s * u
-    ys = cp.x_star + s * v
-    bad = int(np.count_nonzero(~p.support.contains(xs))
-              + np.count_nonzero(~p.support.contains(ys)))
+    bad = 2 * int(np.count_nonzero(~p.support.contains(xs)))  # once per axis
     if bad:
         raise ValidationError(f"{bad} scaled grid points leave the domain at n={p.n}")
-    values = s * kernel_matrix(r, p, xs, ys)
+    values = s * kernel_matrix(r, p, xs, xs)
     meta = {"n": p.n, "x_star": cp.x_star, "delta": cp.delta, "scaled": True,
             "kind": cp.kind, "order_k": cp.order_k}
-    grid = KernelGrid(u_grid=u, v_grid=v, values=values, meta=meta)
+    grid = KernelGrid(u_grid=u, v_grid=u, values=values, meta=meta)
     _check_grid_invariants(grid)
     return grid
 
 
-def kernel_grid(r: Recurrence, p: Potential, x_grid, y_grid=None) -> KernelGrid:
-    """Unscaled K_n on a grid; off-domain points give 0 and are counted."""
+def kernel_grid(r: Recurrence, p: Potential, x_grid) -> KernelGrid:
+    """Unscaled K_n on the square grid x x x; off-domain points give 0 and are counted."""
     x = np.asarray(x_grid, dtype=float)
-    y = x if y_grid is None else np.asarray(y_grid, dtype=float)
-    outside = int(np.count_nonzero(~p.support.contains(x))
-                  + np.count_nonzero(~p.support.contains(y)))
-    values = kernel_matrix(r, p, x, y)
+    outside = 2 * int(np.count_nonzero(~p.support.contains(x)))  # once per axis
+    values = kernel_matrix(r, p, x, x)
     meta = {"n": p.n, "x_star": None, "delta": None, "scaled": False,
             "outside_points": outside}
-    grid = KernelGrid(u_grid=x, v_grid=y, values=values, meta=meta)
+    grid = KernelGrid(u_grid=x, v_grid=x, values=values, meta=meta)
     _check_grid_invariants(grid)
     return grid
 
 
 def _check_grid_invariants(grid: KernelGrid) -> None:
-    same = grid.u_grid.shape == grid.v_grid.shape and np.array_equal(
-        grid.u_grid, grid.v_grid)
-    if not same:
-        return
     vals = grid.values
     scale = max(1.0, float(np.max(np.abs(vals)))) if vals.size else 1.0
     asym = float(np.max(np.abs(vals - vals.T))) if vals.size else 0.0
@@ -231,8 +222,8 @@ def bessel_kernel(alpha: float, u: float, v: float) -> float:
     return (ju * _sqrt_jprime(alpha, v) - jv * _sqrt_jprime(alpha, u)) / (2.0 * (u - v))
 
 
-def reference_grid(kind: str, u_grid, v_grid=None, alpha: float = 0.0) -> KernelGrid:
-    """sine/airy/bessel reference kernel tabulated on a grid."""
+def reference_grid(kind: str, u_grid, alpha: float = 0.0) -> KernelGrid:
+    """sine/airy/bessel reference kernel tabulated on the square grid u x u."""
     funcs = {
         "sine": sine_kernel,
         "airy": airy_kernel,
@@ -242,9 +233,8 @@ def reference_grid(kind: str, u_grid, v_grid=None, alpha: float = 0.0) -> Kernel
         raise ValidationError(f"unknown reference kernel {kind!r}")
     f = funcs[kind]
     u = np.asarray(u_grid, dtype=float)
-    v = u if v_grid is None else np.asarray(v_grid, dtype=float)
-    vals = np.array([[f(float(a), float(b)) for b in v] for a in u])
-    return KernelGrid(u_grid=u, v_grid=v, values=vals,
+    vals = np.array([[f(float(a), float(b)) for b in u] for a in u])
+    return KernelGrid(u_grid=u, v_grid=u, values=vals,
                       meta={"reference": kind, "alpha": alpha})
 
 

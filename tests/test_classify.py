@@ -142,7 +142,7 @@ def test_gue_right_edge_scaled_curve():
     sc = scaled_curve(em, right, n=100)
     assert sc.zeros == (0.0,)
     assert sc.poles == ()
-    np.testing.assert_allclose(sc.hhat, [2.0], atol=1e-10)
+    np.testing.assert_allclose(sc.h, [2.0], atol=1e-10)
     z = np.array([0.5 + 0.5j, 2.0, -1.0 + 0.2j])
     np.testing.assert_allclose(scaled_eval(sc, z), 2.0 * np.sqrt(z), atol=1e-10)
 
@@ -152,7 +152,7 @@ def test_gue_left_edge_mirrors_to_right_form():
     left = find_critical_points(em)[0]
     sc = scaled_curve(em, left, n=100)
     assert sc.mirrored
-    np.testing.assert_allclose(sc.hhat, [2.0], atol=1e-10)
+    np.testing.assert_allclose(sc.h, [2.0], atol=1e-10)
     assert sc.zeros == (0.0,)
 
 
@@ -161,7 +161,7 @@ def test_critical_quartic_scaled_curve_exact():
     mid = find_critical_points(em)[1]
     sc = scaled_curve(em, mid, n=1000)
     # yhat = 2 i zeta^2 at exact criticality
-    np.testing.assert_allclose(sc.hhat, [0.0, 0.0, 2.0j], atol=1e-8)
+    np.testing.assert_allclose(sc.h, [0.0, 0.0, 2.0j], atol=1e-8)
     assert sc.zeros == () and sc.poles == ()
 
 
@@ -180,7 +180,7 @@ def test_mp_hard_edge_scaled_curve():
     em = example_curve("marchenko_pastur", n=50)
     hard = find_critical_points(em)[1]
     sc = scaled_curve(em, hard, n=50)
-    np.testing.assert_allclose(sc.hhat, [-2.0], atol=1e-12)
+    np.testing.assert_allclose(sc.h, [-2.0], atol=1e-12)
     assert sc.poles == (0.0,)
     assert sc.phat == 0.0
     z = np.array([1.0 + 1.0j, 4.0])
@@ -291,7 +291,7 @@ def test_mp_model_data():
 def test_exterior_template_synthetic():
     # yhat = 3(zeta - 0.2): xihat = -(1/2)(E_2 zeta^2 + E_1 zeta), c_hat = 0
     sc = ScaledCurve(kind="exterior", order_k=1, delta=0.5, x_star=1.0, n=100,
-                     mirrored=False, hhat=(-0.6, 3.0), zeros=(), poles=(),
+                     mirrored=False, h=(-0.6, 3.0), zeros=(), poles=(),
                      phat=0.0)
     q = series_at_infinity(sc)
     np.testing.assert_allclose(q[:2], [3.0, -0.6], atol=1e-14)

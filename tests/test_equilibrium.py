@@ -22,7 +22,13 @@ from rmtlab import (
     solve_support,
     xi_eval,
 )
-from rmtlab.equilibrium import _bisect, _newton_2x2, mass_right_of
+from rmtlab import equilibrium
+from rmtlab.equilibrium import (
+    _bisect,
+    _expansion_at_infinity,
+    _newton_2x2,
+    mass_right_of,
+)
 
 LINE = IntervalSet(((-math.inf, math.inf),))
 NEG = IntervalSet(((-math.inf, 0.0),))
@@ -153,6 +159,28 @@ def test_hard_edge_solver_finds_mp():
     assert em.curve.poles == pytest.approx((0.0,), abs=1e-12)
     assert em.curve.zeros == pytest.approx((-4.0,), abs=1e-9)
     np.testing.assert_allclose(em.curve.h, [-1.0], atol=1e-9)
+
+
+def test_hard_edge_judges_density_once(monkeypatch):
+    # V = x^2/2 + 3x on [-1, 1]: the support is [-1, 1/3], hard edge at -1
+    scans = []
+    floor = equilibrium._density_floor
+    monkeypatch.setattr(equilibrium, "_density_floor",
+                        lambda *args: scans.append(args) or floor(*args))
+    p = Potential(n=40, reg=(3.0, 1.0), singularities=(),
+                  support=IntervalSet(((-1.0, 1.0),)))
+    em = solve_support(p, "hard_edge_one_cut")
+    np.testing.assert_allclose(em.support.intervals, ((-1.0, 1.0 / 3.0),), atol=1e-12)
+    assert len(scans) == 1
+
+
+def test_hard_edge_refuses_negative_density():
+    # V = x^2/2 - 5x on [0, inf) pulls the charge off the wall at 0
+    p = Potential(n=40, reg=(-5.0, 1.0), singularities=(),
+                  support=IntervalSet(((0.0, math.inf),)))
+    with pytest.raises(NumericalError,
+                       match=r"^negative density near x=.*: hard edge at 0 infeasible$"):
+        solve_support(p, "hard_edge_one_cut")
 
 
 # ---------------------------------------------------------------------------
@@ -303,3 +331,26 @@ def test_one_cut_family_invariants(t):
     v = sum(c / (j + 1) * z ** (j + 1) for j, c in enumerate(em.potential.reg))
     rhs = 2.0 * g_eval(em, z) - v - em.ell
     assert abs(lhs - rhs) < 1e-6
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    coeffs=st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=4),
+    inverse=st.lists(st.floats(-2.0, 2.0), max_size=3),
+    direct=st.lists(st.floats(-2.0, 2.0), max_size=2),
+    theta=st.floats(0.01, math.pi - 0.01),
+)
+def test_expansion_at_infinity_matches_direct_evaluation(coeffs, inverse, direct, theta):
+    # poly(z) prod (1 - r/z)^(-1/2) prod (1 - q/z)^(1/2) summed from its
+    # series at |z| = 20, where the terms past order 30 are below 1e-30
+    z = 20.0 * complex(math.cos(theta), math.sin(theta))
+    e = _expansion_at_infinity(coeffs, inverse, direct, 30)
+    deg = len(coeffs) - 1
+    series = sum(el * z ** (deg - l) for l, el in enumerate(e))
+    direct_val = sum(c * z**k for k, c in enumerate(coeffs))
+    for r in inverse:
+        direct_val /= np.sqrt(1.0 - r / z)
+    for q in direct:
+        direct_val *= np.sqrt(1.0 - q / z)
+    scale = sum(abs(c) * 20.0**k for k, c in enumerate(coeffs))
+    assert abs(series - direct_val) <= 1e-12 * max(abs(direct_val), scale)
