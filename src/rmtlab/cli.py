@@ -165,14 +165,14 @@ def cmd_classify(args, man: RunManifest, outdir: str) -> int:
 def cmd_kernel(args, man: RunManifest, outdir: str) -> int:
     p = _load_potential(args.config, n_override=args.n)
     grid = _parse_grid(args.grid)
+    try:
+        target = None if args.at == "raw" else float(args.at)
+    except ValueError:
+        raise ValidationError(f"--at must be 'raw' or a number, got {args.at!r}")
     r, q = default_fit(p)
-    if args.at == "raw":
+    if target is None:
         g = kernel_grid(r, p, grid)
     else:
-        try:
-            target = float(args.at)
-        except ValueError:
-            raise ValidationError(f"--at must be 'raw' or a number, got {args.at!r}")
         em = solve_support(p, args.structure)
         cps = find_critical_points(em, p)
         if not cps:
@@ -180,7 +180,7 @@ def cmd_kernel(args, man: RunManifest, outdir: str) -> int:
         cp = min(cps, key=lambda c: abs(c.x_star - target))
         g = scaled_kernel_grid(r, p, cp, grid)
     rows = [(u, v, g.values[i, j])
-            for i, u in enumerate(g.u_grid) for j, v in enumerate(g.v_grid)]
+            for i, u in enumerate(g.u_grid) for j, v in enumerate(g.u_grid)]
     diag = kernel_diag(r, p, q.nodes)
     trace = f"{float(np.sum(q.base * diag)):.17g}"
     meta = {**g.meta, "trace": trace}
@@ -211,10 +211,9 @@ def cmd_sample(args, man: RunManifest, outdir: str) -> int:
         raise ValidationError(f"--bins must be at least 1, got {args.bins}")
     p = _load_potential(args.config)
     check_chain_args(args.steps, args.burn_in, args.thin)
+    edges = _parse_grid(args.bins_grid) if args.bins_grid else None
     em = solve_support(p, args.structure)
-    if args.bins_grid:
-        edges = _parse_grid(args.bins_grid)
-    else:
+    if edges is None:
         lo, hi = em.support.lo, em.support.hi
         pad = 0.1 * (hi - lo)
         edges = np.linspace(lo - pad, hi + pad, args.bins + 1)

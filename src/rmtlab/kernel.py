@@ -31,10 +31,9 @@ _CONFLUENT_REL = 1e-8
 
 @dataclass(frozen=True, eq=False)
 class KernelGrid:
-    """Kernel evaluations on a square grid (u_grid is v_grid) with scaling metadata."""
+    """Kernel evaluations on the square grid u_grid x u_grid with scaling metadata."""
 
     u_grid: np.ndarray
-    v_grid: np.ndarray
     values: np.ndarray
     meta: dict
 
@@ -118,7 +117,7 @@ def scaled_kernel_grid(r: Recurrence, p: Potential, cp: CriticalPoint,
     values = s * kernel_matrix(r, p, xs, xs)
     meta = {"n": p.n, "x_star": cp.x_star, "delta": cp.delta, "scaled": True,
             "kind": cp.kind, "order_k": cp.order_k}
-    grid = KernelGrid(u_grid=u, v_grid=u, values=values, meta=meta)
+    grid = KernelGrid(u_grid=u, values=values, meta=meta)
     _check_grid_invariants(grid)
     return grid
 
@@ -130,7 +129,7 @@ def kernel_grid(r: Recurrence, p: Potential, x_grid) -> KernelGrid:
     values = kernel_matrix(r, p, x, x)
     meta = {"n": p.n, "x_star": None, "delta": None, "scaled": False,
             "outside_points": outside}
-    grid = KernelGrid(u_grid=x, v_grid=x, values=values, meta=meta)
+    grid = KernelGrid(u_grid=x, values=values, meta=meta)
     _check_grid_invariants(grid)
     return grid
 
@@ -234,7 +233,7 @@ def reference_grid(kind: str, u_grid, alpha: float = 0.0) -> KernelGrid:
     f = funcs[kind]
     u = np.asarray(u_grid, dtype=float)
     vals = np.array([[f(float(a), float(b)) for b in u] for a in u])
-    return KernelGrid(u_grid=u, v_grid=u, values=vals,
+    return KernelGrid(u_grid=u, values=vals,
                       meta={"reference": kind, "alpha": alpha})
 
 

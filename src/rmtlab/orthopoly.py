@@ -8,8 +8,8 @@ resulting point masses.  The output is the three-term recurrence
 
     p_{j+1}(x) = (x - a_j) p_j(x) - b_j p_{j-1}(x)
 
-for the monic polynomials together with their squared norms h_j,
-with b_j = h_j / h_{j-1}.  orthonormal_rows evaluates the weighted
+for the monic polynomials together with the squared norm h_0 of p_0;
+h_j = h_0 b_1 ... b_j.  orthonormal_rows evaluates the weighted
 orthonormal functions sqrt(w) p_j / sqrt(h_j) from it at any points.
 """
 
@@ -25,10 +25,14 @@ from .errors import NumericalError, ValidationError
 from .potential import Potential, log_weight, v_reg, validate
 from .quad import segment_rule
 
-# All degree-n work runs through sqrt(w) = e^{-n V / 2}, which stays
-# representable while n V <= 2 * 690; the tail budget and the node floor
-# below are set by that half-exponent reach, not by w itself.
+# sqrt(w) = e^{log w / 2} reaches 690 either way: nodes are kept while
+# log w >= -2 * 690, which sets the tail budget below.  w is never
+# formed: log w is exponentiated only minus s = max(0, max log w - 690),
+# so a weight below e^690 runs unshifted.  psi_0 = sqrt(w / h_0) leaves
+# the normal doubles (_TINY) where log w is ~1417 below its maximum.
 _LOG_FLOOR = -1380.0
+_LOG_TOP = 690.0
+_TINY = np.finfo(float).tiny
 _EXP_BUDGET = 20.0      # max swing of n*V_reg across one plain panel
 _MIN_ORDER = 12
 _MAX_ORDER = 48
@@ -36,7 +40,6 @@ _MASS_TOL = 1e-9
 _CLIP_TOL = 1e-8        # max polynomial mass tolerated beside an artificial cut
 _EPS = np.finfo(float).eps
 _OMEGA_TOL = math.sqrt(_EPS)  # semi-orthogonality level of the Lanczos vectors
-_LOG_MAX = math.log(np.finfo(float).max)  # exp overflows above this
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,10 +49,10 @@ class QuadratureRule:
     base holds the bare panel weights, so sum_i base[i] f(nodes[i])
     ~ int f(x) dx over the same truncated domain.  log_w holds log w at
     the nodes, the only form of the weight kept: every degree-n
-    computation starts from it (w itself underflows once n V passes
-    ~708).  cut_lo / cut_hi record where an unbounded
-    domain end was truncated, None at native ends.  nodes are sorted
-    and strictly inside the domain.
+    computation starts from it, because w itself underflows once n V
+    passes ~708 and overflows once -n V passes ~709.  cut_lo / cut_hi
+    record where an unbounded domain end was truncated, None at native
+    ends.  nodes are sorted and strictly inside the domain.
     """
 
     nodes: np.ndarray
@@ -59,23 +62,23 @@ class QuadratureRule:
     cut_lo: float | None = None
     cut_hi: float | None = None
 
-    def mass(self) -> float:
-        return float(np.sum(self.base * np.exp(self.log_w)))
-
 
 @dataclass(frozen=True)
 class Recurrence:
     """Monic three-term recurrence data up to degree m_max.
 
-    a = (a_0, ..., a_{m_max-1}), b = (b_1, ..., b_{m_max}),
-    h = (h_0, ..., h_{m_max}).  omega_max is the largest estimate of
-    |<phi_i, phi_j>|, i != j, that the omega-recurrence of
-    stieltjes_recurrence reached over all degrees (at most sqrt(eps)).
+    a = (a_0, ..., a_{m_max-1}), b = (b_1, ..., b_{m_max}), and
+    h_0 = h0 e^{log_shift}, log_shift = max(0, max log w - 690 over the
+    rule), so h0 stays finite where h_0 overflows; h_j = h_0 b_1 ... b_j.
+    omega_max is the largest estimate of |<phi_i, phi_j>|, i != j, that
+    the omega-recurrence of stieltjes_recurrence reached over all
+    degrees (at most sqrt(eps)).
     """
 
     a: tuple[float, ...]
     b: tuple[float, ...]
-    h: tuple[float, ...]
+    h0: float
+    log_shift: float
     m_max: int
     omega_max: float
 
@@ -223,9 +226,10 @@ def build_quadrature(p: Potential, resolution: int, *, order: int | None = None,
                      degree_hint: int | None = None) -> QuadratureRule:
     """Composite Gauss-Legendre discretization of the measure w(x) dx.
 
-    Unbounded domain ends are truncated where n V_reg exceeds 1380
-    (sqrt(w), the working representation, is below the double-precision
-    floor there).  Panels shrink dyadically (ratio 1/4,
+    Unbounded domain ends are truncated where n V_reg exceeds 1380, an
+    absolute cut (sqrt(w) is below the double-precision floor there;
+    psi_0 is already where log w is ~1417 below its maximum, see
+    stieltjes_recurrence).  Panels shrink dyadically (ratio 1/4,
     ceil(log2(resolution)) levels) into every real charge and finite
     domain endpoint; elsewhere panel widths keep the swing of n V_reg
     below a fixed budget and the oscillation of polynomials up to degree_hint
@@ -233,7 +237,7 @@ def build_quadrature(p: Potential, resolution: int, *, order: int | None = None,
     margin) under the Gauss-Legendre phase budget.  The per-panel order
     is set so the total node count roughly matches resolution, floored
     at 12.  A doubled-order rule on the same panels must reproduce the
-    total mass to 1e-9 relative or the rule is rejected.
+    total mass to 1e-9 relative (both carry the factor e^{-s}).
     """
     validate(p)
     if resolution < 8:
@@ -288,14 +292,10 @@ def build_quadrature(p: Potential, resolution: int, *, order: int | None = None,
 
     x2, b2 = assemble(2 * m)
     lw2 = log_weight(p, x2)
-    top = max(float(np.max(lw)), float(np.max(lw2)))
-    if top > _LOG_MAX:
-        raise NumericalError(
-            f"w = exp(log w) overflows double precision: max log w {top:.6g} "
-            f"exceeds {_LOG_MAX:.6g}")
-    mass = float(np.sum(base[keep] * np.exp(lw[keep])))
+    s = max(0.0, float(np.max(lw)) - _LOG_TOP, float(np.max(lw2)) - _LOG_TOP)
+    mass = float(np.sum(base[keep] * np.exp(lw[keep] - s)))
     k2 = lw2 >= _LOG_FLOOR
-    mass2 = float(np.sum(b2[k2] * np.exp(lw2[k2])))
+    mass2 = float(np.sum(b2[k2] * np.exp(lw2[k2] - s)))
     rel = abs(mass - mass2) / abs(mass2) if mass2 != 0.0 else math.inf
     if not rel <= _MASS_TOL:
         raise NumericalError(
@@ -319,17 +319,24 @@ def build_quadrature(p: Potential, resolution: int, *, order: int | None = None,
 # Stieltjes procedure
 
 
-def _clip_guard(q: QuadratureRule, phi_top: np.ndarray, m_max: int) -> None:
+def _clip_guard(q: QuadratureRule, phi_top: np.ndarray, m_max: int,
+                faint: np.ndarray) -> None:
     """Reject rules whose truncated end clips the top polynomial.
 
     At a proper truncation the weighted polynomials decay to nothing
     long before the cut, so the mass of psi_m in a slab beside the cut
     is transcendentally small.  Order-one mass there means the weight
     decays too slowly for this degree at this n (n V reaches the budget
-    inside the region where p_m still lives).
+    inside the region where p_m still lives).  The nodes in faint, where
+    psi_0 and so psi_m are subnormal or zero, cut the measure as well.
     """
     span = float(q.nodes[-1] - q.nodes[0])
     dens = q.base * phi_top * phi_top
+    frac = float(np.sum(dens[faint]))
+    if frac > _CLIP_TOL:
+        raise NumericalError(
+            f"sqrt(w / h_0) falls below the double-precision floor where "
+            f"degree-{m_max} polynomials live (mass {frac:.2e} there)")
     for cut, hither in ((q.cut_lo, q.nodes < (q.cut_lo or 0.0) + 0.02 * span),
                        (q.cut_hi, q.nodes > (q.cut_hi or 0.0) - 0.02 * span)):
         if cut is None:
@@ -349,7 +356,12 @@ def stieltjes_recurrence(q: QuadratureRule, m_max: int) -> Recurrence:
     The Lanczos vectors are the weighted orthonormal functions
     sqrt(w) p_j / sqrt(h_j) sampled at the nodes; every stored entry is
     of order one, so degrees with p_j^2 w spanning ~600 decades of
-    pointwise dynamic range still come out at full precision.
+    pointwise dynamic range still come out at full precision.  The
+    first, sqrt(w e^{-s} / h0) with h0 = h_0 e^{-s}, needs no w, so a
+    weight that overflows double precision is fitted too.  It is
+    subnormal where log w is ~1417 below its maximum, and the clip guard
+    rejects the rule if psi_{m_max} has mass there: for the quartic
+    x^4/4 - x^2 (max log w = n) from n ~ 1350 on, beside x = +-2.
 
     Only the current and previous vectors are kept: the plain
     three-term recurrence is enough because Lanczos vectors lose
@@ -371,7 +383,8 @@ def stieltjes_recurrence(q: QuadratureRule, m_max: int) -> Recurrence:
         )
     x = q.nodes
     wt = q.base
-    sw = np.exp(0.5 * q.log_w)
+    s = max(0.0, float(np.max(q.log_w)) - _LOG_TOP)
+    sw = np.exp(0.5 * (q.log_w - s))
     h0 = float(np.sum(wt * sw * sw))
     if not (h0 > 0.0 and math.isfinite(h0)):
         raise NumericalError("quadrature rule has no mass")
@@ -379,7 +392,6 @@ def stieltjes_recurrence(q: QuadratureRule, m_max: int) -> Recurrence:
     a = np.zeros(m_max)
     beta = np.zeros(m_max + 1)          # beta[j] = sqrt(b_j), beta[0] = 0
     b_list: list[float] = []
-    h_list = [h0]
     # omega[k] estimates <phi_j, phi_k>, omega_prev[k] <phi_{j-1}, phi_k>
     omega = np.zeros(m_max + 1)
     omega[0] = 1.0
@@ -387,6 +399,7 @@ def stieltjes_recurrence(q: QuadratureRule, m_max: int) -> Recurrence:
     omega_max = 0.0
     rounding = _EPS * math.sqrt(npts) * float(np.max(np.abs(x)))
     cur = sw / math.sqrt(h0)
+    faint = cur < _TINY
     prev = np.zeros(npts)
     for j in range(m_max):
         aj = float(np.sum(wt * x * cur * cur))
@@ -399,7 +412,6 @@ def stieltjes_recurrence(q: QuadratureRule, m_max: int) -> Recurrence:
         a[j] = aj
         beta[j + 1] = math.sqrt(b2)
         b_list.append(b2)
-        h_list.append(h_list[-1] * b2)
         prev, cur = cur, r / beta[j + 1]
 
         # beta_{j+1} w_{j+1,k} = beta_{k+1} w_{j,k+1} + (a_k - a_j) w_{j,k}
@@ -420,9 +432,9 @@ def stieltjes_recurrence(q: QuadratureRule, m_max: int) -> Recurrence:
             )
         omega_max = max(omega_max, worst)
         omega_prev, omega = omega, nxt
-    _clip_guard(q, cur, m_max)
-    return Recurrence(a=tuple(a.tolist()), b=tuple(b_list), h=tuple(h_list), m_max=m_max,
-                      omega_max=omega_max)
+    _clip_guard(q, cur, m_max, faint)
+    return Recurrence(a=tuple(a.tolist()), b=tuple(b_list), h0=h0, log_shift=s,
+                      m_max=m_max, omega_max=omega_max)
 
 
 def orthonormal_rows(r: Recurrence, x, log_w, m: int):
@@ -440,9 +452,8 @@ def orthonormal_rows(r: Recurrence, x, log_w, m: int):
 
 
 def _scaled_rows(r: Recurrence, x, log_w, m: int):
-    with np.errstate(over="ignore"):
-        sw = np.exp(0.5 * log_w)
-    prev, cur, beta = 0.0, sw / math.sqrt(r.h[0]), 0.0
+    sw = np.exp(0.5 * (log_w - r.log_shift))
+    prev, cur, beta = 0.0, sw / math.sqrt(r.h0), 0.0
     yield cur
     for j in range(m):
         beta_next = math.sqrt(r.b[j])
@@ -482,17 +493,7 @@ def poly_zeros(r: Recurrence, m: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# serialization and fitting
-
-
-def recurrence_table(r: Recurrence):
-    """Rows (j, a_j, b_j, h_j); a_{m_max} is nan and b_0 is 0 by convention."""
-    rows = []
-    for j in range(r.m_max + 1):
-        aj = r.a[j] if j < r.m_max else math.nan
-        bj = r.b[j - 1] if j >= 1 else 0.0
-        rows.append((j, aj, bj, r.h[j]))
-    return rows
+# fitting
 
 
 def cached_recurrence(p: Potential, resolution: int,

@@ -19,6 +19,9 @@ BAD_ALPHA = {"reg": [-1.0], "singularities": [{"b": [0.0, 0.0], "alpha": -0.7}],
              "support": [["-inf", 0.0]], "n": 16}
 TWO_CUT = {"reg": [0.0, -3.0, 0.0, 1.0], "singularities": [],
            "support": [["-inf", "inf"]], "n": 16}
+# V = x^4/4 - x^2: max log w = n, past log(float max) = 709.78 at n = 720
+QUARTIC = {"reg": [0.0, -2.0, 0.0, 1.0], "singularities": [],
+           "support": [["-inf", "inf"]], "n": 720}
 
 
 @pytest.fixture()
@@ -152,6 +155,22 @@ def test_kernel_scaled_at_edge(outdir):
     assert float(meta["x_star"]) == pytest.approx(2.0, abs=1e-8)
 
 
+def test_kernel_where_weight_overflows(outdir):
+    cfg = write_cfg(outdir, QUARTIC)
+    assert run(outdir, "kernel", cfg, "--at", "0.0") == 0
+    _, arr, meta = read_csv(outdir / "kernel.csv")
+    assert meta["trace"] == "720"
+    assert np.all(np.isfinite(arr))
+
+
+def test_kernel_at_checked_before_fit(outdir, capsys):
+    # the MP charge at n = 320 fails the clip guard, so a fit first would exit 3
+    cfg = write_cfg(outdir, MP)
+    assert run(outdir, "kernel", cfg, "--n", "320", "--at", "nope") == 2
+    assert "--at must be 'raw' or a number" in capsys.readouterr().err
+    assert not (outdir / "kernel.csv").exists()
+
+
 def test_converge_scan_json(outdir):
     assert run(outdir, "converge", "gue-bulk", "--n-list", "16,32",
                "--grid=-1:1:5") == 0
@@ -225,6 +244,14 @@ def test_sample_chain_arguments_checked_before_solve(outdir, capsys):
     assert "steps must exceed burn_in" in capsys.readouterr().err
     assert run(outdir, "sample", cfg, "--steps", "5", "--thin", "0") == 2
     assert "thin must be at least 1" in capsys.readouterr().err
+
+
+def test_sample_bins_grid_checked_before_solve(outdir, capsys):
+    # V = -x on (-inf, 0] has no one_cut solution, so a solve first would exit 3
+    cfg = write_cfg(outdir, {**MP, "singularities": [], "n": 40})
+    assert run(outdir, "sample", cfg, "--steps", "10", "--bins-grid", "bad") == 2
+    assert "bad grid spec" in capsys.readouterr().err
+    assert not (outdir / "samples.csv").exists()
 
 
 def test_console_script_entry_point(outdir):

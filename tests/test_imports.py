@@ -7,7 +7,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 # package __init__ modules import names to re-export them
-MODULES = sorted(path for folder in ("src/rmtlab", "tests", "scripts")
+MODULES = sorted(path for folder in ("src/rmtlab", "tests", "scripts", "benchmark")
                  for path in (ROOT / folder).glob("*.py") if path.name != "__init__.py")
 
 

@@ -121,7 +121,8 @@ def test_projection_residual_detects_wrong_kernel():
 
 def confluent_diag(r, p, x):
     """beta_n (chi_n psi_{n-1} - chi_{n-1} psi_n), chi_j = sqrt(w) p_j' / sqrt(h_j)."""
-    psi_prev, psi = np.zeros_like(x), np.exp(0.5 * log_weight(p, x)) / math.sqrt(r.h[0])
+    psi_prev = np.zeros_like(x)
+    psi = np.exp(0.5 * (log_weight(p, x) - r.log_shift)) / math.sqrt(r.h0)
     chi_prev, chi = np.zeros_like(x), np.zeros_like(x)
     beta = 0.0
     for j in range(p.n):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 import scipy.special as sps
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import quad as scipy_quad
 
 from rmtlab.errors import NumericalError, ValidationError
@@ -17,9 +17,9 @@ from rmtlab.orthopoly import (
     gram_check,
     orthonormal_rows,
     poly_zeros,
-    recurrence_table,
     stieltjes_recurrence,
 )
+from rmtlab.kernel import kernel_diag, trace_check
 from rmtlab.scenarios import default_fit
 
 LINE = IntervalSet(((-math.inf, math.inf),))
@@ -38,7 +38,7 @@ def gaussian(n=10):
 def test_gaussian_mass():
     q = build_quadrature(gaussian(10), 400)
     exact = math.sqrt(2.0 * math.pi / 10.0)
-    assert q.mass() == pytest.approx(exact, rel=1e-10)
+    assert np.sum(q.base * np.exp(q.log_w)) == pytest.approx(exact, rel=1e-10)
 
 
 def test_nodes_sorted_inside_domain():
@@ -60,9 +60,10 @@ def test_charged_weight_mass():
     p = Potential(n=1, reg=(0.0, 1.0),
                   singularities=(Singularity(b=0.0, alpha=0.5),), support=LINE)
     q = build_quadrature(p, 400)
-    assert q.mass() == pytest.approx(2.0, rel=1e-10)
+    mass = np.sum(q.base * np.exp(q.log_w))
+    assert mass == pytest.approx(2.0, rel=1e-10)
     oracle, err = scipy_quad(lambda x: math.exp(log_weight(p, x)), -12.0, 12.0)
-    assert q.mass() == pytest.approx(oracle, rel=1e-9)
+    assert mass == pytest.approx(oracle, rel=1e-9)
 
 
 def test_hard_edge_node_grading():
@@ -82,16 +83,49 @@ def test_weight_values_recovered():
     assert np.array_equal(q.log_w, log_weight(p, q.nodes))
 
 
-def test_weight_overflow_named():
-    # V = x^4/4 - x^2 has min V = -1, so max log w = n passes log(float max)
-    # = 709.78 between n = 700 and n = 720
-    def quartic(n):
-        return Potential(n=n, reg=(0.0, -2.0, 0.0, 1.0), singularities=(), support=LINE)
+@st.composite
+def overflowing_quartics(draw):
+    # V = t x^2/2 + x^4/4 has min V = -t^2/4, so max log w = n t^2/4;
+    # draw n <= 600 with that past log(float max) = 709.78 but <= 1400
+    t = draw(st.floats(-4.0, -2.0))
+    top = t * t / 4.0
+    lo, hi = math.floor(710.0 / top) + 1, min(600, math.floor(1400.0 / top))
+    assume(lo <= hi)
+    n = draw(st.integers(lo, hi))
+    return Potential(n=n, reg=(0.0, t, 0.0, 1.0), singularities=(), support=LINE)
 
-    with pytest.raises(NumericalError, match=r"overflows .* max log w 720 exceeds 709\.78"):
-        default_fit(quartic(720))
-    r, q = default_fit(quartic(700))
-    assert r.m_max == 701
+
+@settings(max_examples=4, deadline=None)
+@given(p=overflowing_quartics())
+def test_fit_where_weight_overflows(p):
+    assert float(np.max(log_weight(p, np.linspace(-3.0, 3.0, 601)))) > 709.8
+    r, q = default_fit(p)
+    assert abs(trace_check(r, p, q) - p.n) / p.n < 1e-8
+    assert gram_check(r, q, p.n) < 1e-10
+
+
+def critical_quartic(n):
+    return Potential(n=n, reg=(0.0, -2.0, 0.0, 1.0), singularities=(), support=LINE)
+
+
+def test_critical_kernel_follows_its_scaling_past_overflow():
+    # V = x^4/4 - x^2 has max log w = n, and its density vanishes like x^2
+    # at x = 0, where K_n(0, 0) grows like n^(1/3); trace and Gram checks
+    # pass on any discrete orthonormal system, this one needs the weight
+    # at x = 0, where w is e^(-n) of its maximum
+    scaled = []
+    for n in (700, 1000):
+        r, _ = default_fit(critical_quartic(n))
+        scaled.append(float(kernel_diag(r, critical_quartic(n), np.array([0.0]))[0])
+                      / n ** (1.0 / 3.0))
+    assert scaled[1] == pytest.approx(scaled[0], rel=0.02)
+
+
+def test_weight_beyond_one_scale_refused():
+    # at n = 1400, sqrt(w / h_0) ~ e^((log w - n) / 2) underflows beside the
+    # soft edges x = +-2 (log w = 0 there), where degree-n polynomials live
+    with pytest.raises(NumericalError, match="below the double-precision floor"):
+        default_fit(critical_quartic(1400))
 
 
 # ---------------------------------------------------------------------------
@@ -105,9 +139,10 @@ def test_gaussian_recurrence():
     assert max(abs(a) for a in r.a) < 1e-12
     for j in range(1, 31):
         assert r.b[j - 1] == pytest.approx(j / n, rel=1e-9)
-    assert r.h[0] == pytest.approx(math.sqrt(2.0 * math.pi / n), rel=1e-10)
-    # h_j = sqrt(2 pi/n) j! / n^j
-    assert r.h[5] == pytest.approx(
+    h0 = r.h0 * math.exp(r.log_shift)
+    assert h0 == pytest.approx(math.sqrt(2.0 * math.pi / n), rel=1e-10)
+    # h_j = h_0 b_1 ... b_j = sqrt(2 pi/n) j! / n^j
+    assert h0 * math.prod(r.b[:5]) == pytest.approx(
         math.sqrt(2.0 * math.pi / n) * math.factorial(5) / n ** 5, rel=1e-9)
 
 
@@ -163,8 +198,7 @@ def test_h_positive_and_finite():
     p = Potential(n=30, reg=(0.0, -2.0, 0.0, 1.0), singularities=(), support=LINE)
     q = build_quadrature(p, 600, degree_hint=60)
     r = stieltjes_recurrence(q, 25)
-    h = np.asarray(r.h)
-    assert np.all(h > 0) and np.all(np.isfinite(h))
+    assert r.h0 > 0 and math.isfinite(r.h0)
 
 
 # ---------------------------------------------------------------------------
@@ -249,15 +283,6 @@ def test_precondition_errors():
         orthonormal_rows(r, q.nodes, q.log_w, 11)
     with pytest.raises(ValidationError):
         poly_zeros(r, 11)
-
-
-def test_recurrence_table_layout():
-    q = build_quadrature(gaussian(5), 300)
-    r = stieltjes_recurrence(q, 6)
-    rows = recurrence_table(r)
-    assert len(rows) == 7
-    assert rows[0][2] == 0.0 and math.isnan(rows[6][1])
-    assert rows[3] == (3, r.a[3], r.b[2], r.h[3])
 
 
 @settings(max_examples=12, deadline=None)
