@@ -42,7 +42,9 @@ def main(argv=None) -> int:
     kept, state = mcmc_chain(p, steps=args.burn_in + args.sweeps,
                              burn_in=args.burn_in, seed=args.seed)
     elapsed = time.monotonic() - start
-    print(f"chain: {len(kept)} kept sweeps in {elapsed:.1f}s, "
+    us_per_proposal = 1e6 * elapsed / state.propose_count
+    print(f"chain: {len(kept)} kept sweeps in {elapsed:.1f}s "
+          f"({us_per_proposal:.2f} us per proposal), "
           f"acceptance {state.acceptance_rate():.3f}")
 
     cols = ["sweep"] + [f"x{i}" for i in range(args.n)]
@@ -52,8 +54,11 @@ def main(argv=None) -> int:
     write_json(os.path.join(args.outdir, "chain_meta.json"), {
         "seed": args.seed, "rng_stream": f"pcg64:{state.rng_seed}",
         "acceptance_rate": state.acceptance_rate(),
+        "accept_count": state.accept_count,
+        "propose_count": state.propose_count,
         "step_scale": state.step_scale, "max_drift": state.max_drift,
-        "wall_time_s": elapsed,
+        "n": args.n, "kept_sweeps": len(kept),
+        "wall_time_s": elapsed, "us_per_proposal": us_per_proposal,
     })
 
     em = solve_support(p, "one_cut")

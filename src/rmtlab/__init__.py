@@ -74,7 +74,6 @@ from .sampler import (
     compare_density,
     histogram_density,
     mcmc_chain,
-    mcmc_sample,
 )
 from .scenarios import get_scenario, scenario_names
 

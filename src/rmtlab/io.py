@@ -22,6 +22,8 @@ _FMT = "%.17g"
 
 
 def fmt_number(x) -> str:
+    if isinstance(x, float):   # np.float64 included: it subclasses float
+        return _FMT % x
     if isinstance(x, str):
         return x
     if isinstance(x, (bool, np.bool_)):

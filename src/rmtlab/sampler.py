@@ -14,8 +14,20 @@ array call before visiting the sites.  That is exact, not an
 approximation: site i keeps its position until its own turn, so its
 proposal xs[i] + step * noise[i] is the same double whether formed at
 the start of the sweep or at the visit, and log w of it does not
-depend on the other sites.  Pair terms come from a cached table of
-log|x_i - x_j|, rewritten along row and column i when site i moves.
+depend on the other sites.
+
+Pair terms come from three n x n tables of log-distances.  `logd`
+holds log|x_i - x_j| for the current positions and lives across
+sweeps.  At the start of each sweep two more are built, one array call
+each: `cur` holds log|props_i - x_j| against the positions the sweep
+starts from, and `moved` holds log|props_i - props_j|.  When site j
+accepts, column j of `cur` is overwritten with column j of `moved`, so
+row i of `cur` always equals log|props_i - x_j| for the positions at
+site i's turn, and a visit needs one numpy reduction for both of its
+row sums.  Each entry is the same double a fresh log|x_i - x_j| gives
+(the diagonal is log 1 = 0 in every table), so the row sums, and with
+them every accept/reject decision, are those of the site-by-site
+evaluation bit for bit.
 """
 
 from __future__ import annotations
@@ -105,6 +117,14 @@ def check_chain_args(steps: int, burn_in: int, thin: int) -> None:
         raise ValidationError("thin must be at least 1")
 
 
+def _log_gaps(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    """out[i, j] = log|a_i - b_j|, with log 1 = 0 on the diagonal."""
+    np.subtract(a[:, None], b[None, :], out=out)
+    np.abs(out, out=out)
+    np.fill_diagonal(out, 1.0)
+    np.log(out, out=out)
+
+
 def mcmc_chain(p: Potential, steps: int, burn_in: int, thin: int = 1,
                seed: int = 0) -> tuple[list[np.ndarray], ChainState]:
     """Run the chain for `steps` sweeps and keep every thin-th after burn-in.
@@ -112,9 +132,15 @@ def mcmc_chain(p: Potential, steps: int, burn_in: int, thin: int = 1,
     One sweep proposes one Gaussian move per site in fixed order.  All n
     proposals and their log-weights are computed in one batch when the
     sweep starts; this is exact because no site moves before its turn.
-    Row i of the log-distance table holds the same doubles a fresh
-    log|x_i - x_j| would, so every accept/reject decision matches the
-    site-by-site evaluation bit for bit.  The cached log density is
+    The sweep also builds `cur` (log|props_i - x_j|) and `moved`
+    (log|props_i - props_j|); `cur` sits beside the persistent
+    log-distance table `logd` in one (2, n, n) array, so a visit gets
+    both row sums from one reduction.  An accept at site i copies row i
+    of `cur` into row and column i of `logd`, and row i of `moved` into
+    column i of `cur` (`moved` is symmetric bit for bit: |a - b| and
+    |b - a| are the same double).  Every entry is the double a fresh
+    log|x_i - x_j| would give, so each accept/reject decision matches
+    the site-by-site evaluation bit for bit.  The cached log density is
     audited against full recomputation from the positions every 10^4
     proposals; drift beyond 1e-9 (relative) aborts the run, and the
     largest drift seen is kept in ChainState.max_drift.
@@ -132,35 +158,37 @@ def mcmc_chain(p: Potential, steps: int, burn_in: int, thin: int = 1,
     )
     rng = np.random.Generator(np.random.PCG64(seed))
     kept: list[np.ndarray] = []
-    lw_cache = np.asarray(log_weight(p, xs), dtype=float)
-    gaps = np.abs(xs[:, None] - xs[None, :])
-    np.fill_diagonal(gaps, 1.0)
-    logd = np.log(gaps)
+    lw_cache = log_weight(p, xs).tolist()
+    tab = np.empty((2, n, n))   # tab[0] = cur, tab[1] = logd
+    cur, logd = tab
+    moved = np.empty((n, n))
+    _log_gaps(xs, xs, logd)
+    pairs = list(tab.swapaxes(0, 1))   # pairs[i] is the view tab[:, i]
     window_acc = window_prop = 0
     since_check = 0
 
     for sweep in range(steps):
         noise = rng.standard_normal(n)
-        gates = np.log(rng.random(n))
+        gates = np.log(rng.random(n)).tolist()
         props = xs + state.step_scale * noise
-        lw_props = log_weight(p, props)
+        lw_props = log_weight(p, props).tolist()
+        _log_gaps(props, xs, cur)
+        _log_gaps(props, props, moved)
         for i in range(n):
             state.propose_count += 1
             window_prop += 1
             since_check += 1
-            new = props[i]
-            lw_new = float(lw_props[i])
+            lw_new = lw_props[i]
             if math.isfinite(lw_new):
-                row = np.abs(new - xs)
-                row[i] = 1.0
-                np.log(row, out=row)
-                delta = (2.0 * float(row.sum() - logd[i].sum())
-                         + lw_new - lw_cache[i])
+                # ndarray.sum(axis=1) without its Python-level wrapper
+                s_new, s_old = np.add.reduce(pairs[i], 1).tolist()
+                delta = 2.0 * (s_new - s_old) + lw_new - lw_cache[i]
                 if gates[i] < delta:
-                    xs[i] = new
+                    xs[i] = props[i]
                     lw_cache[i] = lw_new
-                    logd[i] = row
-                    logd[:, i] = row
+                    logd[i] = cur[i]
+                    logd[:, i] = cur[i]
+                    cur[:, i] = moved[i]
                     state.log_density += delta
                     state.accept_count += 1
                     window_acc += 1
@@ -184,12 +212,6 @@ def mcmc_chain(p: Potential, steps: int, burn_in: int, thin: int = 1,
             kept.append(xs.copy())
     state.positions = xs
     return kept, state
-
-
-def mcmc_sample(p: Potential, steps: int, burn_in: int, thin: int = 1,
-                seed: int = 0) -> list[np.ndarray]:
-    """Kept configurations only; see mcmc_chain for the full state."""
-    return mcmc_chain(p, steps, burn_in, thin, seed)[0]
 
 
 # ---------------------------------------------------------------------------

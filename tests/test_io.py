@@ -25,6 +25,33 @@ def test_fmt_number_types():
     assert fmt_number(0.1) == "0.10000000000000001"
 
 
+def test_fmt_number_strings_per_type():
+    # the float fast path must print what the type dispatch printed
+    cases = [
+        (0.1, "0.10000000000000001"),
+        (np.float64(0.1), "0.10000000000000001"),
+        (np.float32(0.1), "0.10000000149011612"),
+        (2.0, "2"),
+        (-1.2345678901234567e150, "-1.2345678901234567e+150"),
+        (7, "7"),
+        (np.int64(-7), "-7"),
+        (True, "true"),
+        (False, "false"),
+        (np.bool_(True), "true"),
+        (np.bool_(False), "false"),
+        ("ok", "ok"),
+        (math.nan, "nan"),
+        (np.float64(math.nan), "nan"),
+        (math.inf, "inf"),
+        (-math.inf, "-inf"),
+        (np.float64(-math.inf), "-inf"),
+        (-0.0, "-0"),
+        (np.float64(-0.0), "-0"),
+    ]
+    for x, want in cases:
+        assert fmt_number(x) == want, (x, type(x))
+
+
 def test_csv_round_trip_exact():
     path = "/tmp/rmtlab_io_rt.csv"
     xs = [math.pi, 1.0 / 3.0, 2.0 ** -40, -1.2345678901234567e150]

@@ -16,7 +16,6 @@ from rmtlab.sampler import (
     compare_density,
     histogram_density,
     mcmc_chain,
-    mcmc_sample,
 )
 
 LINE = IntervalSet(((-math.inf, math.inf),))
@@ -36,6 +35,10 @@ def mp_charge(n):
 def pole_half_line(n):
     return Potential(n=n, reg=(1.0,), singularities=(Singularity(b=0.0, alpha=1.0, t=(-1.0,)),),
                      support=HALF)
+
+
+def critical_quartic(n):
+    return Potential(n=n, reg=(0.0, -2.0, 0.0, 1.0), singularities=(), support=LINE)
 
 
 def site_by_site_chain(p, steps, burn_in, thin=1, seed=0):
@@ -95,8 +98,8 @@ def site_by_site_chain(p, steps, burn_in, thin=1, seed=0):
 
 def test_same_seed_reproduces_exactly():
     p = gaussian(6)
-    a = mcmc_sample(p, steps=120, burn_in=40, thin=2, seed=99)
-    b = mcmc_sample(p, steps=120, burn_in=40, thin=2, seed=99)
+    a, _ = mcmc_chain(p, steps=120, burn_in=40, thin=2, seed=99)
+    b, _ = mcmc_chain(p, steps=120, burn_in=40, thin=2, seed=99)
     assert len(a) == len(b) == 40
     assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
@@ -104,9 +107,9 @@ def test_same_seed_reproduces_exactly():
 def test_parameter_validation():
     p = gaussian(4)
     with pytest.raises(ValidationError, match="burn_in"):
-        mcmc_sample(p, steps=10, burn_in=10)
+        mcmc_chain(p, steps=10, burn_in=10)
     with pytest.raises(ValidationError, match="thin"):
-        mcmc_sample(p, steps=10, burn_in=2, thin=0)
+        mcmc_chain(p, steps=10, burn_in=2, thin=0)
 
 
 def test_domain_restriction_holds():
@@ -130,11 +133,18 @@ def test_incremental_log_density_consistent():
     assert abs(full - st.log_density) < 1e-9 * max(1.0, abs(full))
 
 
-@pytest.mark.parametrize("model", [gaussian, mp_charge, pole_half_line])
-def test_batched_sweep_matches_site_by_site_exactly(model, monkeypatch):
-    # 9 sites x 130 sweeps: two tuning windows and three audits
-    monkeypatch.setattr(sampler, "_RECHECK_EVERY", 300)
-    p = model(9)
+@pytest.mark.parametrize("model, n, recheck", [
+    # the n = 9 cases keep the bare model name as their id
+    pytest.param(model, n, recheck,
+                 id=model.__name__ if n == 9 else f"{model.__name__}-n{n}")
+    for model in (gaussian, mp_charge, pole_half_line, critical_quartic)
+    for n, recheck in ((1, 40), (2, 60), (9, 300), (40, 1_020))
+])
+def test_batched_sweep_matches_site_by_site_exactly(model, n, recheck, monkeypatch):
+    # 130 sweeps: two tuning windows and several audits; at n = 40 an
+    # audit every 1020 proposals lands mid-sweep (1020 = 25 * 40 + 20)
+    monkeypatch.setattr(sampler, "_RECHECK_EVERY", recheck)
+    p = model(n)
     kept, st = mcmc_chain(p, steps=130, burn_in=110, thin=3, seed=21)
     ref_kept, ref = site_by_site_chain(p, steps=130, burn_in=110, thin=3, seed=21)
     assert len(kept) == len(ref_kept) == 7
