@@ -40,11 +40,16 @@ def write_csv(path, columns, rows, meta=None) -> None:
         lines.append(f"# {key}: {val}")
     lines.append(f"# timestamp: {time.strftime('%Y-%m-%dT%H:%M:%S')}")
     lines.append(",".join(columns))
+    # one % per row of floats; it formats each entry as fmt_number does
+    floats = ",".join([_FMT] * len(columns))
     for row in rows:
         if len(row) != len(columns):
             raise FormatError(
                 f"row of width {len(row)} under {len(columns)} columns")
-        lines.append(",".join(fmt_number(v) for v in row))
+        if all(isinstance(v, float) for v in row):
+            lines.append(floats % tuple(row))
+        else:
+            lines.append(",".join(fmt_number(v) for v in row))
     with open(path, "w") as f:
         f.write("\n".join(lines) + "\n")
 

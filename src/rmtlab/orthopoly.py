@@ -19,11 +19,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npp
 
 from .errors import NumericalError, ValidationError
 from .potential import Potential, log_weight, v_reg, validate
-from .quad import segment_rule
+from .quad import gauss_legendre
 
 # sqrt(w) = e^{log w / 2} reaches 690 either way: nodes are kept while
 # log w >= -2 * 690, which sets the tail budget below.  w is never
@@ -120,50 +119,64 @@ def _graded_zone(anchor: float, length: float, depth: int, direction: float):
     return list(zip(edges[:-1], edges[1:]))
 
 
-def _plain_width(p: Potential, x: float, anchors, d_hint: int) -> float:
+def _horner(c, x: float) -> float:
+    # numpy.polynomial.polynomial.polyval's operations, on Python floats
+    v = c[-1] + x * 0.0
+    for t in reversed(c[:-1]):
+        v = t + v * x
+    return v
+
+
+def _width_rule(p: Potential, d_hint: int):
+    """x, anchors -> width of a plain panel starting at x."""
     # V_reg' = sum_j t_j x^{j-1}: p.reg is its coefficient list, and
     # V_reg'' has coefficients (j - 1) t_j
-    dv1 = abs(npp.polyval(x, p.reg))
-    d2 = [j * t for j, t in enumerate(p.reg)][1:]
-    dv2 = abs(npp.polyval(x, d2)) if d2 else 0.0
-    cap = max(1.0, 0.25 * (abs(x) + 1.0))
-    w = min(cap, _EXP_BUDGET / (p.n * dv1 + 1e-12))
-    w = min(w, math.sqrt(2.0 * _EXP_BUDGET / (p.n * dv2 + 1e-12)))
-    # keep the oscillation of a degree-d_hint polynomial under the
-    # Gauss-Legendre phase budget: local wavenumber^2 ~ 2 n d V'' in
-    # the bulk and ~ 2 n d V'/dist approaching a hard endpoint or
-    # charge, where the node density of p_d diverges like dist^{-1/2}
-    dist = min((abs(x - a) for a in anchors), default=math.inf)
-    k2 = 2.0 * d_hint * (p.n * dv2 + p.n * dv1 / max(dist, 1e-300))
-    w = min(w, _MIN_ORDER / math.sqrt(max(k2, 1e-12)))
-    return w
+    d1 = [float(t) for t in p.reg]
+    d2 = [j * t for j, t in enumerate(d1)][1:]
+    n = p.n
+
+    def width(x, anchors) -> float:
+        dv1 = abs(_horner(d1, x))
+        dv2 = abs(_horner(d2, x)) if d2 else 0.0
+        cap = max(1.0, 0.25 * (abs(x) + 1.0))
+        w = min(cap, _EXP_BUDGET / (n * dv1 + 1e-12))
+        w = min(w, math.sqrt(2.0 * _EXP_BUDGET / (n * dv2 + 1e-12)))
+        # keep the oscillation of a degree-d_hint polynomial under the
+        # Gauss-Legendre phase budget: local wavenumber^2 ~ 2 n d V'' in
+        # the bulk and ~ 2 n d V'/dist approaching a hard endpoint or
+        # charge, where the node density of p_d diverges like dist^{-1/2}
+        dist = min((abs(x - a) for a in anchors), default=math.inf)
+        k2 = 2.0 * d_hint * (n * dv2 + n * dv1 / max(dist, 1e-300))
+        return min(w, _MIN_ORDER / math.sqrt(max(k2, 1e-12)))
+
+    return width
 
 
-def _zone_length(p: Potential, anchor: float, direction: float, limit: float,
-                 anchors, d_hint: int) -> float:
-    """Graded-zone reach: fixed point of w = plain_width(anchor + dir w).
+def _zone_length(width, anchor: float, direction: float, limit: float,
+                 anchors) -> float:
+    """Graded-zone reach: fixed point of w = width(anchor + dir w).
 
     The width rule vanishes at the anchor itself, so the zone extends to
     where plain marching could take over with order-_MIN_ORDER panels.
     """
     w = limit
     for _ in range(40):
-        nxt = min(limit, _plain_width(p, anchor + direction * w, anchors, d_hint))
+        nxt = min(limit, width(anchor + direction * w, anchors))
         if nxt >= w * 0.999:
             break
         w = nxt
     return max(w, 1e-12 * max(1.0, abs(anchor)))
 
 
-def _plain_panels(p: Potential, x0: float, x1: float, anchors, d_hint: int):
+def _plain_panels(width, x0: float, x1: float, anchors):
     """March left to right with the width rules."""
     out = []
     x = x0
     span = x1 - x0
     while x < x1 - 1e-13 * max(1.0, abs(x1)):
-        w = _plain_width(p, x, anchors, d_hint)
+        w = width(x, anchors)
         # look ahead once so a growing tail cannot outrun the budget
-        w = min(w, _plain_width(p, min(x1, x + w), anchors, d_hint))
+        w = min(w, width(min(x1, x + w), anchors))
         w = max(w, 1e-8 * span)
         nxt = min(x1, x + w)
         out.append((x, nxt))
@@ -189,7 +202,7 @@ def _is_even_model(p: Potential) -> bool:
     return pool == refl
 
 
-def _component_panels(p: Potential, lo: float, hi: float, depth: int, d_hint: int):
+def _component_panels(p: Potential, lo: float, hi: float, depth: int, width):
     """Panels for one domain component plus its truncation points.
 
     Returns (panels, start_cut, stop_cut); a cut is the truncation
@@ -212,14 +225,23 @@ def _component_panels(p: Potential, lo: float, hi: float, depth: int, d_hint: in
         graded_u = u in anchors
         graded_v = v in anchors
         half = 0.5 * (v - u)
-        lu = _zone_length(p, u, +1.0, half, anchors, d_hint) if graded_u else 0.0
-        lv = _zone_length(p, v, -1.0, half, anchors, d_hint) if graded_v else 0.0
+        lu = _zone_length(width, u, +1.0, half, anchors) if graded_u else 0.0
+        lv = _zone_length(width, v, -1.0, half, anchors) if graded_v else 0.0
         if graded_u:
             panels += _graded_zone(u, lu, depth, +1.0)
-        panels += _plain_panels(p, u + lu, v - lv, anchors, d_hint)
+        panels += _plain_panels(width, u + lu, v - lv, anchors)
         if graded_v:
             panels += _graded_zone(v, lv, depth, -1.0)
     return panels, (None if a_end is not None else start), (None if b_end is not None else stop)
+
+
+def _panel_rules(panels, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Order-m Gauss-Legendre nodes and weights of every panel, in panel order."""
+    ends = np.array(panels)
+    mid = 0.5 * (ends[:, 0] + ends[:, 1])
+    half = 0.5 * (ends[:, 1] - ends[:, 0])
+    t, w = gauss_legendre(m)
+    return (mid[:, None] + half[:, None] * t).ravel(), (half[:, None] * w).ravel()
 
 
 def build_quadrature(p: Potential, resolution: int, *, order: int | None = None,
@@ -244,6 +266,7 @@ def build_quadrature(p: Potential, resolution: int, *, order: int | None = None,
         raise ValidationError("resolution must be at least 8")
     depth = math.ceil(math.log2(resolution))
     d_hint = int(degree_hint) if degree_hint is not None else max(8, resolution // 2)
+    width = _width_rule(p, d_hint)
 
     panels = []
     cut_lo = cut_hi = None
@@ -255,14 +278,14 @@ def build_quadrature(p: Potential, resolution: int, *, order: int | None = None,
             # which also covers a possible charge sitting there
             if hi <= 0.0:
                 continue
-            sub, _, c_hi = _component_panels(p, max(lo, 0.0), hi, depth, d_hint)
+            sub, _, c_hi = _component_panels(p, max(lo, 0.0), hi, depth, width)
             panels += sub
             panels += [(-b, -a) for a, b in sub]
             if c_hi is not None:
                 cut_hi = c_hi
                 cut_lo = -c_hi
         else:
-            sub, c_lo, c_hi = _component_panels(p, lo, hi, depth, d_hint)
+            sub, c_lo, c_hi = _component_panels(p, lo, hi, depth, width)
             panels += sub
             if c_lo is not None and lo == p.support.intervals[0][0]:
                 cut_lo = c_lo
@@ -277,20 +300,12 @@ def build_quadrature(p: Potential, resolution: int, *, order: int | None = None,
         if m < 2:
             raise ValidationError("order must be at least 2")
 
-    def assemble(mm):
-        xs, ws = [], []
-        for a, b in panels:
-            x, w = segment_rule(a, b, mm)
-            xs.append(x)
-            ws.append(w)
-        return np.concatenate(xs), np.concatenate(ws)
-
-    nodes, base = assemble(m)
+    nodes, base = _panel_rules(panels, m)
     lw = log_weight(p, nodes)
     keep = lw >= _LOG_FLOOR
     dropped = int(np.size(keep) - np.count_nonzero(keep))
 
-    x2, b2 = assemble(2 * m)
+    x2, b2 = _panel_rules(panels, 2 * m)
     lw2 = log_weight(p, x2)
     s = max(0.0, float(np.max(lw)) - _LOG_TOP, float(np.max(lw2)) - _LOG_TOP)
     mass = float(np.sum(base[keep] * np.exp(lw[keep] - s)))
@@ -392,19 +407,32 @@ def stieltjes_recurrence(q: QuadratureRule, m_max: int) -> Recurrence:
     a = np.zeros(m_max)
     beta = np.zeros(m_max + 1)          # beta[j] = sqrt(b_j), beta[0] = 0
     b_list: list[float] = []
-    # omega[k] estimates <phi_j, phi_k>, omega_prev[k] <phi_{j-1}, phi_k>
-    omega = np.zeros(m_max + 1)
+    # omega[k] estimates <phi_j, phi_k>, omega_prev[k] <phi_{j-1}, phi_k>;
+    # the three rows rotate, and step j writes nxt[:j + 2], all it reads
+    omega_prev, omega, nxt = np.zeros((3, m_max + 1))
     omega[0] = 1.0
-    omega_prev = np.zeros(m_max + 1)
     omega_max = 0.0
     rounding = _EPS * math.sqrt(npts) * float(np.max(np.abs(x)))
+    wx = wt * x
+    # prev, cur and r rotate too: each step overwrites prev once it has
+    # entered r, and reuses it for the products b_{j+1} is summed from
     cur = sw / math.sqrt(h0)
     faint = cur < _TINY
     prev = np.zeros(npts)
+    r = np.empty(npts)
     for j in range(m_max):
-        aj = float(np.sum(wt * x * cur * cur))
-        r = (x - aj) * cur - beta[j] * prev
-        b2 = float(np.sum(wt * r * r))
+        # a_j = sum ((wt x) psi_j) psi_j
+        np.multiply(wx, cur, out=r)
+        r *= cur
+        aj = float(np.add.reduce(r))
+        # r = (x - a_j) psi_j - beta_j psi_{j-1};  b_{j+1} = sum (wt r) r
+        np.subtract(x, aj, out=r)
+        r *= cur
+        prev *= beta[j]
+        r -= prev
+        np.multiply(wt, r, out=prev)
+        prev *= r
+        b2 = float(np.add.reduce(prev))
         if not (b2 > 0.0 and math.isfinite(b2)):
             raise NumericalError(
                 f"degree exceeds discretization resolution (b_{j + 1} lost positivity)"
@@ -412,11 +440,11 @@ def stieltjes_recurrence(q: QuadratureRule, m_max: int) -> Recurrence:
         a[j] = aj
         beta[j + 1] = math.sqrt(b2)
         b_list.append(b2)
-        prev, cur = cur, r / beta[j + 1]
+        r /= beta[j + 1]
+        prev, cur, r = cur, r, prev
 
         # beta_{j+1} w_{j+1,k} = beta_{k+1} w_{j,k+1} + (a_k - a_j) w_{j,k}
         #     + beta_k w_{j,k-1} - beta_j w_{j-1,k}, plus a rounding term
-        nxt = np.zeros(m_max + 1)
         if j >= 1:
             t = (beta[1:j + 1] * omega[1:j + 1] + (a[:j] - aj) * omega[:j]
                  - beta[j] * omega_prev[:j])
@@ -431,7 +459,7 @@ def stieltjes_recurrence(q: QuadratureRule, m_max: int) -> Recurrence:
                 f"(estimated |<phi_i, phi_j>| = {worst:.2e} > {_OMEGA_TOL:.1e})"
             )
         omega_max = max(omega_max, worst)
-        omega_prev, omega = omega, nxt
+        omega_prev, omega, nxt = omega, nxt, omega_prev
     _clip_guard(q, cur, m_max, faint)
     return Recurrence(a=tuple(a.tolist()), b=tuple(b_list), h0=h0, log_shift=s,
                       m_max=m_max, omega_max=omega_max)
@@ -481,15 +509,12 @@ def gram_check(r: Recurrence, q: QuadratureRule, m: int) -> float:
 
 
 def poly_zeros(r: Recurrence, m: int) -> np.ndarray:
-    """Zeros of p_m from the Jacobi matrix of the recurrence."""
-    from scipy.linalg import eigh_tridiagonal
-
+    """Zeros of p_m: eigenvalues of the m x m Jacobi matrix of the recurrence."""
     if not 1 <= m <= r.m_max:
         raise ValidationError(f"degree {m} outside recurrence range 1..{r.m_max}")
-    diag = np.asarray(r.a[:m])
-    off = np.sqrt(np.asarray(r.b[: m - 1])) if m > 1 else np.zeros(0)
-    vals = eigh_tridiagonal(diag, off, eigvals_only=True)
-    return np.asarray(vals)
+    off = np.sqrt(np.asarray(r.b[: m - 1]))
+    jac = np.diag(np.asarray(r.a[:m])) + np.diag(off, 1) + np.diag(off, -1)
+    return np.linalg.eigvalsh(jac)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,9 @@
-"""Small Gauss-Legendre helpers used throughout the package."""
+"""Gauss-Legendre helpers.
+
+gauss_legendre caches the nodes and weights on [-1, 1]; orthopoly maps
+them onto its quadrature panels.  clustered_rule is the endpoint-clustered
+rule of the equilibrium layer's spectral-curve and log integrals.
+"""
 
 from __future__ import annotations
 
@@ -16,26 +21,20 @@ def gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
     return got
 
 
-def segment_rule(a, b, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Plain Gauss-Legendre rule on the (possibly complex) segment [a, b]."""
-    t, wt = gauss_legendre(m)
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    return mid + half * t, half * wt
-
-
 def clustered_rule(a, b, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Rule on segment [a, b] with quadratic clustering at both ends.
 
     The substitution x = mid - half*cos(theta) absorbs inverse-square-root
     endpoint singularities exactly and renders square-root ones analytic,
     so Gauss-Legendre in theta converges fast for spectral-curve
-    integrands.  Works for complex segment endpoints.
+    integrands.  Works for complex segment endpoints.  Array endpoints
+    (broadcast together to shape S) give one rule per segment, as arrays
+    of shape S + (m,).
     """
     t, wt = gauss_legendre(m)
     th = 0.5 * (t + 1.0) * np.pi
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
+    mid = np.expand_dims(0.5 * (a + b), -1)
+    half = np.expand_dims(0.5 * (b - a), -1)
     x = mid - half * np.cos(th)
     w = 0.5 * np.pi * wt * half * np.sin(th)
     return x, w

@@ -29,6 +29,8 @@ from rmtlab.equilibrium import (
     _newton_2x2,
     mass_right_of,
 )
+from rmtlab.potential import v_reg
+from rmtlab.quad import clustered_rule
 
 LINE = IntervalSet(((-math.inf, math.inf),))
 NEG = IntervalSet(((-math.inf, 0.0),))
@@ -308,6 +310,40 @@ def test_variational_conditions_two_cut():
     rep = check_variational(em, grid_points=120)
     assert rep["eq_max"] < 1e-7
     assert rep["ineq_max"] < -1e-6
+
+
+def reference_log_integral(em, x):
+    """int log|x - y| rho(y) dy one point at a time, summed as Python floats."""
+    total = 0.0
+    for (lo, hi), (xs, ws) in zip(em.support.intervals, em.component_rules()):
+        if lo < x < hi:
+            for a, b in ((lo, x), (x, hi)):
+                t, wt = clustered_rule(a, b, equilibrium._M_PATH)
+                total += float(np.sum(wt * density(em, t) * np.log(np.abs(x - t))))
+        else:
+            with np.errstate(divide="ignore"):
+                total += float(np.sum(ws * np.log(np.abs(x - xs))))
+    return total
+
+
+@pytest.mark.parametrize("p, structure", [
+    (gaussian(), "one_cut"),
+    (quartic(-3.0), "symmetric_two_cut"),
+    (Potential(n=30, reg=(-1.0,), singularities=(Singularity(b=0.0, alpha=0.5),),
+               support=NEG), "hard_edge_one_cut"),
+])
+def test_variational_values_match_pointwise_reference_exactly(p, structure):
+    em = solve_support(p, structure)
+    rep = check_variational(em, grid_points=90)
+
+    def values(xs):
+        return [2.0 * reference_log_integral(em, x) - v_reg(p, x) - em.ell for x in xs]
+
+    assert rep["support_residual"].tolist() == [abs(v) for v in values(rep["support_x"])]
+    assert rep["off_value"].tolist() == values(rep["off_x"])
+    # ell is the value at the middle of the widest component, taken at ell = 0
+    mid = 0.5 * sum(max(em.support.intervals, key=lambda iv: iv[1] - iv[0]))
+    assert 2.0 * reference_log_integral(em, mid) - v_reg(p, mid) - 0.0 == em.ell
 
 
 def test_mass_right_interpolates():

@@ -66,6 +66,29 @@ def test_csv_round_trip_exact():
         assert row[1] == x * x
 
 
+def test_csv_rows_print_as_fmt_number(tmp_path):
+    # rows of floats take one % template; every row must still print
+    # what the per-value fmt_number join prints
+    rows = [
+        (0.1, np.float64(-0.0), 0.0),
+        [math.inf, -math.inf, math.nan],
+        (np.float64(math.nan), 2.0, -1.2345678901234567e150),
+        np.array([1.0 / 3.0, -2.0 ** -1074, 1e308]),
+        (1.5, 7, np.int64(-7)),
+        (True, np.bool_(False), 0.25),
+        (False, 0.5, 1.0),
+        (10 ** 20, np.int64(2 ** 62), 2.0),
+        ("ok", -0.0, np.float32(0.1)),
+        (np.float32(2.5), np.float64(3.0), np.uint8(4)),
+    ]
+    path = tmp_path / "mixed.csv"
+    write_csv(path, ["a", "b", "c"], rows)
+    body = path.read_text().splitlines()[2:]
+    assert body == [",".join(fmt_number(v) for v in row) for row in rows]
+    assert body[0] == "0.10000000000000001,-0,0"
+    assert body[1] == "inf,-inf,nan"
+
+
 def test_csv_rejects_ragged_rows():
     with pytest.raises(FormatError, match="width"):
         write_csv("/tmp/rmtlab_io_bad.csv", ["a", "b"], [(1.0,)])

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 import scipy.special as sps
 from hypothesis import assume, given, settings, strategies as st
+from numpy.polynomial import polynomial as npp
 from scipy.integrate import quad as scipy_quad
 
+from rmtlab import orthopoly
 from rmtlab.errors import NumericalError, ValidationError
 from rmtlab.potential import IntervalSet, Potential, Singularity, log_weight
 from rmtlab.orthopoly import (
@@ -20,7 +22,7 @@ from rmtlab.orthopoly import (
     stieltjes_recurrence,
 )
 from rmtlab.kernel import kernel_diag, trace_check
-from rmtlab.scenarios import default_fit
+from rmtlab.scenarios import default_fit, get_scenario
 
 LINE = IntervalSet(((-math.inf, math.inf),))
 HALF = IntervalSet(((0.0, math.inf),))
@@ -268,6 +270,146 @@ def test_zeros_inside_node_hull():
     z = poly_zeros(r, 25)
     assert z.min() > q.nodes.min() and z.max() < q.nodes.max()
     assert np.all(np.diff(z) > 0)
+
+
+# ---------------------------------------------------------------------------
+# the fit layers against their straightforward forms: a width rule on
+# npp.polyval, one Gauss-Legendre rule per panel, and a recurrence that
+# allocates every vector; each must agree with the fast form bit for bit
+
+
+def reference_width_rule(p, d_hint):
+    def width(x, anchors):
+        dv1 = abs(npp.polyval(x, p.reg))
+        d2 = [j * t for j, t in enumerate(p.reg)][1:]
+        dv2 = abs(npp.polyval(x, d2)) if d2 else 0.0
+        cap = max(1.0, 0.25 * (abs(x) + 1.0))
+        w = min(cap, orthopoly._EXP_BUDGET / (p.n * dv1 + 1e-12))
+        w = min(w, math.sqrt(2.0 * orthopoly._EXP_BUDGET / (p.n * dv2 + 1e-12)))
+        dist = min((abs(x - a) for a in anchors), default=math.inf)
+        k2 = 2.0 * d_hint * (p.n * dv2 + p.n * dv1 / max(dist, 1e-300))
+        return min(w, orthopoly._MIN_ORDER / math.sqrt(max(k2, 1e-12)))
+    return width
+
+
+def reference_panel_rules(panels, m):
+    t, wt = np.polynomial.legendre.leggauss(m)
+    xs, ws = [], []
+    for a, b in panels:
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        xs.append(mid + half * t)
+        ws.append(half * wt)
+    return np.concatenate(xs), np.concatenate(ws)
+
+
+def reference_recurrence(q, m_max):
+    """(a, b, h0, omega_max) of stieltjes_recurrence, one new array per step."""
+    x, wt, npts = q.nodes, q.base, q.nodes.size
+    s = max(0.0, float(np.max(q.log_w)) - orthopoly._LOG_TOP)
+    sw = np.exp(0.5 * (q.log_w - s))
+    h0 = float(np.sum(wt * sw * sw))
+    a, beta, b_list = np.zeros(m_max), np.zeros(m_max + 1), []
+    omega, omega_prev = np.zeros(m_max + 1), np.zeros(m_max + 1)
+    omega[0] = 1.0
+    omega_max = 0.0
+    rounding = orthopoly._EPS * math.sqrt(npts) * float(np.max(np.abs(x)))
+    cur, prev = sw / math.sqrt(h0), np.zeros(npts)
+    for j in range(m_max):
+        aj = float(np.sum(wt * x * cur * cur))
+        r = (x - aj) * cur - beta[j] * prev
+        b2 = float(np.sum(wt * r * r))
+        if not (b2 > 0.0 and math.isfinite(b2)):
+            raise NumericalError(
+                f"degree exceeds discretization resolution (b_{j + 1} lost positivity)")
+        a[j] = aj
+        beta[j + 1] = math.sqrt(b2)
+        b_list.append(b2)
+        prev, cur = cur, r / beta[j + 1]
+        nxt = np.zeros(m_max + 1)
+        if j >= 1:
+            t = (beta[1:j + 1] * omega[1:j + 1] + (a[:j] - aj) * omega[:j]
+                 - beta[j] * omega_prev[:j])
+            t[1:] += beta[1:j] * omega[:j - 1]
+            nxt[:j] = (t + np.copysign(rounding, t)) / beta[j + 1]
+        nxt[j] = rounding / beta[j + 1]
+        nxt[j + 1] = 1.0
+        worst = float(np.max(np.abs(nxt[:j + 1])))
+        if not worst <= _OMEGA_TOL:
+            raise NumericalError(
+                f"Lanczos vectors lost orthogonality at degree {j + 1} "
+                f"(estimated |<phi_i, phi_j>| = {worst:.2e} > {_OMEGA_TOL:.1e})")
+        omega_max = max(omega_max, worst)
+        omega_prev, omega = omega, nxt
+    return tuple(a.tolist()), tuple(b_list), h0, omega_max
+
+
+def mp_hard_edge(n, alpha):
+    return get_scenario("mp-hard-edge", alpha=alpha).make_potential(n)
+
+
+@pytest.mark.parametrize("p, order", [
+    (gaussian(60), None),
+    (gaussian(60), 16),
+    (critical_quartic(120), None),
+    (mp_hard_edge(100, 0.0), None),
+    (mp_hard_edge(100, 0.5), None),
+    (mp_hard_edge(100, 0.5), 7),
+    (get_scenario("mp-two-charge").make_potential(40), None),
+], ids=["gue", "gue-order16", "quartic", "mp0", "mp-half", "mp-half-order7",
+        "mp-two-charge"])
+def test_fit_layers_match_reference_exactly(monkeypatch, p, order):
+    m = p.n + 1
+    res, hint = max(900, 6 * p.n), 2 * (m + 1)
+    q = build_quadrature(p, res, order=order, degree_hint=hint)
+    r = stieltjes_recurrence(q, m)
+    with monkeypatch.context() as mp:
+        mp.setattr(orthopoly, "_width_rule", reference_width_rule)
+        mp.setattr(orthopoly, "_panel_rules", reference_panel_rules)
+        ref = build_quadrature(p, res, order=order, degree_hint=hint)
+    for field in ("nodes", "base", "log_w"):
+        assert np.array_equal(getattr(q, field), getattr(ref, field)), field
+    assert (q.provenance, q.cut_lo, q.cut_hi) == (ref.provenance, ref.cut_lo, ref.cut_hi)
+    a, b, h0, omega_max = reference_recurrence(ref, m)
+    assert r.a == a and r.b == b
+    assert r.h0 == h0 and r.omega_max == omega_max
+
+
+@pytest.mark.parametrize("reg", [(-1.0,), (0.0, 1.0), (0.0, -2.0, 0.0, 1.0),
+                                 (0.3, -1.7, 0.25, 1.1, -0.05, 0.4)])
+def test_width_rule_matches_reference_exactly(reg):
+    p = Potential(n=37, reg=reg, singularities=(), support=LINE)
+    width, ref = orthopoly._width_rule(p, 75), reference_width_rule(p, 75)
+    xs = np.linspace(-7.0, 7.0, 2001).tolist()
+    for anchors in ((), (-1.0, 0.0)):
+        assert [width(x, anchors) for x in xs] == [ref(x, anchors) for x in xs]
+
+
+def single_point_rule():
+    # one node carries all the mass, so a_0 is that node exactly and
+    # (x - a_0) psi_0 vanishes: b_1 = 0
+    log_w = np.full(41, -math.inf)
+    log_w[30] = 0.0
+    return QuadratureRule(nodes=np.linspace(-1.0, 1.0, 41), base=np.ones(41),
+                          log_w=log_w, provenance="hand-built")
+
+
+def heavy_outlier_rule():
+    # the rule of test_lost_orthogonality_is_rejected
+    x, w = np.polynomial.legendre.leggauss(240)
+    return QuadratureRule(nodes=np.append(x, 3.0), base=np.append(w, 0.05),
+                          log_w=np.zeros(241), provenance="hand-built")
+
+
+@pytest.mark.parametrize("rule, m_max, match", [
+    (single_point_rule, 5, "b_1 lost positivity"),
+    (heavy_outlier_rule, 40, "orthogonality"),
+])
+def test_recurrence_refuses_as_reference(rule, m_max, match):
+    with pytest.raises(NumericalError, match=match) as ref:
+        reference_recurrence(rule(), m_max)
+    with pytest.raises(NumericalError) as got:
+        stieltjes_recurrence(rule(), m_max)
+    assert str(got.value) == str(ref.value)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,11 @@
-"""rmtlab's commands run without loading scipy.
+"""rmtlab runs without loading scipy.
 
-Quadrature, recurrence, K_n, the equilibrium solves and every command
-built on them need numpy alone.  scipy.linalg is imported only inside
-poly_zeros, which no command calls.  On a 2-vCPU Xeon host
-scipy.optimize alone cost 0.35-0.41 s of cold start and scipy.linalg
-about 0.3 s, which a module-level import charges to every
-`import rmtlab`.  scipy.special alone measured 0.29-0.56 s cold on the
-same host, so if specfun moves onto it (ROADMAP item 5), that import has
-to stay local to the functions that call it, or these guards fail.
+Quadrature, recurrence, K_n, the equilibrium solves, poly_zeros and
+every command built on them need numpy alone; scipy is a test
+dependency only.  On a 2-vCPU Xeon host scipy.optimize alone cost
+0.35-0.41 s of cold start and scipy.linalg about 0.3 s, which a
+module-level import charges to every `import rmtlab`.  scipy.special
+alone measured 0.29-0.56 s cold on the same host.
 
 Each case runs in a fresh interpreter: the pytest process has loaded
 scipy long before these tests start.
@@ -47,11 +45,12 @@ def test_kernel_side_and_cli_load_no_scipy(tmp_path):
     code = GAUSSIAN + f"""
 import numpy as np
 import rmtlab.cli
-from rmtlab import gram_check, projection_residual, trace_check
+from rmtlab import gram_check, poly_zeros, projection_residual, trace_check
 from rmtlab.kernel import kernel_matrix
 from rmtlab.scenarios import default_fit
 r, q = default_fit(p)
 assert abs(trace_check(r, p, q) - 60) < 1e-6
+assert poly_zeros(r, 10).shape == (10,)
 assert projection_residual(r, p, q, [(-1.3, 0.7), (0.0, 0.0)]) < 1e-7
 xs = np.linspace(-1.5, 1.5, 7)
 assert kernel_matrix(r, p, xs, xs).shape == (7, 7)
@@ -96,12 +95,3 @@ for argv in (["equilibrium", gue], ["classify", gue],
     assert scipy_modules_after(code) == []
     assert (tmp_path / "samples.csv").exists()
 
-
-def test_poly_zeros_loads_scipy_linalg():
-    code = GAUSSIAN + """
-from rmtlab import poly_zeros
-from rmtlab.scenarios import default_fit
-r, _ = default_fit(p)
-poly_zeros(r, 10)
-"""
-    assert "scipy.linalg" in scipy_modules_after(code)
