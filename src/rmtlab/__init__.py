@@ -40,6 +40,7 @@ from .classify import (
     check_scaling,
     extract_model_data,
     find_critical_points,
+    nearest_critical_point,
     scaled_curve,
     scaled_eval,
     series_at_infinity,

@@ -31,7 +31,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .potential import IntervalSet, Potential
+from .potential import IntervalSet
 from .equilibrium import (
     EquilibriumMeasure,
     SpectralCurve,
@@ -162,11 +162,8 @@ def _ambiguity_check(anchor: float, roots, member_count: int, tol: float):
         )
 
 
-def find_critical_points(
-    em: EquilibriumMeasure,
-    p: Potential | None = None,
-    proximity_tol: float | None = None,
-) -> list[CriticalPoint]:
+def find_critical_points(em: EquilibriumMeasure,
+                         proximity_tol: float | None = None) -> list[CriticalPoint]:
     """Locate and classify all critical points of the solved measure.
 
     Returns every support endpoint (order from h-roots clustered there,
@@ -176,8 +173,7 @@ def find_critical_points(
     single point; a cluster that would change order under a 3x larger
     tolerance is reported as an error rather than guessed.
     """
-    if p is None:
-        p = em.potential
+    p = em.potential
     tol = 1e-7 * p.scale() if proximity_tol is None else float(proximity_tol)
     if tol <= 0:
         raise ValidationError("proximity_tol must be positive")
@@ -280,6 +276,11 @@ def find_critical_points(
             delta=1.0, m_h=0, m_r=0, m_p=0, radius=tol))
 
     return sorted(points, key=lambda cp: cp.x_star)
+
+
+def nearest_critical_point(em: EquilibriumMeasure, x: float) -> CriticalPoint:
+    """The critical point of em nearest x (the first one on a tie)."""
+    return min(find_critical_points(em), key=lambda cp: abs(cp.x_star - x))
 
 
 def bulk_point(em: EquilibriumMeasure, x: float, radius: float | None = None) -> CriticalPoint:
@@ -442,12 +443,7 @@ def _real_part(v: complex, what: str) -> float:
     return float(v.real)
 
 
-def extract_model_data(
-    em: EquilibriumMeasure,
-    cp: CriticalPoint,
-    n: int,
-    p: Potential | None = None,
-) -> ModelData:
+def extract_model_data(em: EquilibriumMeasure, cp: CriticalPoint, n: int) -> ModelData:
     """Assemble the local model data (I, B, tau_inf, c_hat) at cp.
 
     E_j come from the termwise antiderivative of the scaled curve:
@@ -459,8 +455,7 @@ def extract_model_data(
     of the window; sub-leading interior entries enter tau_inf doubled,
     matching the worked normalization of the merge family.
     """
-    if p is None:
-        p = em.potential
+    p = em.potential
     k = cp.order_k
     # charges at distance O(n^-delta) must fall inside the collection disc,
     # so its radius is floored at a fixed fraction of the model scale

@@ -26,6 +26,7 @@ from .classify import (
     extract_model_data,
     find_critical_points,
     model_data_dict,
+    nearest_critical_point,
 )
 from .equilibrium import STRUCTURES, check_variational, density_table, solve_support
 from .errors import FormatError, NumericalError, ValidationError
@@ -149,12 +150,12 @@ def cmd_equilibrium(args, man: RunManifest, outdir: str) -> int:
 def cmd_classify(args, man: RunManifest, outdir: str) -> int:
     p = _load_potential(args.config, n_override=args.n)
     em = solve_support(p, args.structure)
-    cps = find_critical_points(em, p)
+    cps = find_critical_points(em)
     out = {"n": p.n, "structure": args.structure, "critical_points": [],
            "model_data": []}
     for cp in cps:
         out["critical_points"].append(critical_point_dict(cp))
-        md = extract_model_data(em, cp, p.n, p)
+        md = extract_model_data(em, cp, p.n)
         out["model_data"].append(model_data_dict(md))
     write_json(man.record(os.path.join(outdir, "classify_report.json")), out)
     kinds = ", ".join(f"{c.kind}@{c.x_star:.6g}" for c in cps)
@@ -173,21 +174,18 @@ def cmd_kernel(args, man: RunManifest, outdir: str) -> int:
     if target is None:
         g = kernel_grid(r, p, grid)
     else:
-        em = solve_support(p, args.structure)
-        cps = find_critical_points(em, p)
-        if not cps:
-            raise ValidationError("no critical points found to scale at")
-        cp = min(cps, key=lambda c: abs(c.x_star - target))
+        cp = nearest_critical_point(solve_support(p, args.structure), target)
         g = scaled_kernel_grid(r, p, cp, grid)
-    rows = [(u, v, g.values[i, j])
-            for i, u in enumerate(g.u_grid) for j, v in enumerate(g.u_grid)]
+    us = g.u_grid.tolist()
+    rows = [(u, v, value) for u, row in zip(us, g.values.tolist()) for v, value in zip(us, row)]
     diag = kernel_diag(r, p, q.nodes)
     trace = f"{float(np.sum(q.base * diag)):.17g}"
     meta = {**g.meta, "trace": trace}
     write_csv(man.record(os.path.join(outdir, "kernel.csv")),
               ["u", "v", "value"], rows, meta)
     write_csv(man.record(os.path.join(outdir, "kernel_diag.csv")),
-              ["x", "weight", "k_diag"], zip(q.nodes, q.base, diag),
+              ["x", "weight", "k_diag"],
+              zip(q.nodes.tolist(), q.base.tolist(), diag.tolist()),
               {"n": p.n, "trace": trace})
     print(f"kernel {g.values.shape[0]}x{g.values.shape[1]} grid, "
           f"trace {trace}")

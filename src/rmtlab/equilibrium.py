@@ -701,7 +701,7 @@ def example_curve(
         )
         curve = SpectralCurve(h=(-1.0,), zeros=(-4.0,), poles=(0.0,))
         return _finish(p, curve)
-    raise ValueError(f"unknown example family {name!r}")
+    raise ValidationError(f"unknown example family {name!r}")
 
 
 # ---------------------------------------------------------------------------

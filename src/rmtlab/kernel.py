@@ -252,58 +252,49 @@ def _fit_decay(ns, errs):
 def convergence_scan(sc, n_list, grid, progress=None) -> dict:
     """Sup-norm error of the scaled kernel against the scenario reference.
 
-    sc is a scenario object (see rmtlab.scenarios): it builds the
-    potential per n, solves the equilibrium problem, marks the critical
-    point, and supplies the reference law.  reference "self" compares
-    successive n against each other (scaling collapse) instead of a
-    closed form.  Errors are compared on |kernel| when the scenario
-    carries charges on the scaled axis.
+    sc is a scenario (see rmtlab.scenarios): per n it builds the
+    potential, solves the equilibrium problem, marks the critical point,
+    fits the recurrence and names the law, of which the last stage's is
+    used; None compares successive n instead (scaling collapse).  Errors
+    are on |kernel| when sc.compare_abs is set.  A failing stage
+    re-raises its ValidationError or NumericalError with the n named.
     """
     grid = np.asarray(grid, dtype=float)
-    stages = []
     ns = list(n_list)
-    md = None
+    if not ns:
+        raise ValidationError("convergence scan needs at least one n")
+    stages = []
     for n in ns:
-        stage = f"n={n}"
         try:
             p = sc.make_potential(n)
             em = sc.equilibrium(p)
-            cp = sc.critical_point(em, p)
+            cp = sc.critical_point(em)
             r, q = sc.recurrence(p)
             g = scaled_kernel_grid(r, p, cp, grid)
-            md = sc.model_data(em, cp, p)
-            stages.append((n, g))
-        except Exception as e:
-            raise NumericalError(f"convergence scan failed at stage {stage}: {e}") from e
+            law = sc.reference_law(em, cp)
+        except (ValidationError, NumericalError) as e:
+            raise type(e)(f"convergence scan failed at stage n={n}: {e}") from e
+        stages.append((n, np.abs(g.values) if sc.compare_abs else g.values))
         if progress is not None:
             progress(n)
-    use_abs = getattr(sc, "compare_abs", False)
 
-    rows = []
-    if sc.reference == "self":
-        for (n1, g1), (n2, g2) in zip(stages, stages[1:]):
-            a = np.abs(g1.values) if use_abs else g1.values
-            b = np.abs(g2.values) if use_abs else g2.values
-            rows.append({"n": n2, "against": n1,
-                         "sup_error": float(np.max(np.abs(a - b)))})
-        pair_ns = [row["n"] for row in rows]
-        errs = [row["sup_error"] for row in rows]
+    if law is None:
+        rows = [{"n": n2, "against": n1, "sup_error": float(np.max(np.abs(a - b)))}
+                for (n1, a), (n2, b) in zip(stages, stages[1:])]
         ref_meta = {"kind": "self"}
     else:
-        ref_fn, ref_meta = sc.reference_law(md)
+        ref_fn, ref_meta = law
         ref_vals = np.array([[ref_fn(float(a), float(b)) for b in grid] for a in grid])
-        if use_abs:
+        if sc.compare_abs:
             ref_vals = np.abs(ref_vals)
-        for n, g in stages:
-            vals = np.abs(g.values) if use_abs else g.values
-            rows.append({"n": n, "sup_error": float(np.max(np.abs(vals - ref_vals)))})
-        pair_ns = [row["n"] for row in rows]
-        errs = [row["sup_error"] for row in rows]
+        rows = [{"n": n, "sup_error": float(np.max(np.abs(vals - ref_vals)))}
+                for n, vals in stages]
     return {
-        "scenario": getattr(sc, "name", "?"),
+        "scenario": sc.name,
         "reference": ref_meta,
         "grid": [float(g) for g in grid],
-        "compare_abs": bool(use_abs),
+        "compare_abs": bool(sc.compare_abs),
         "rows": rows,
-        "fitted_decay": _fit_decay(pair_ns, errs),
+        "fitted_decay": _fit_decay([row["n"] for row in rows],
+                                   [row["sup_error"] for row in rows]),
     }

@@ -1,19 +1,18 @@
 """Named scenario presets for the kernel convergence scans.
 
-A scenario bundles an n-indexed potential family, the equilibrium
-structure to solve, the critical point under study, the recurrence
-fitting rule, and the reference law (closed-form kernel with its affine
-map from the extracted E-coefficients, or "self" for scaling collapse).
-The registry ships five presets:
+convergence_scan reads seven members of a scenario, duck-typed: name,
+compare_abs (compare |kernel|, for charges on the scaled axis),
+make_potential(n), equilibrium(p), critical_point(em), recurrence(p)
+and reference_law(em, cp).  The law is (kernel, meta), the closed form
+with its affine map from the extracted E-coefficients, or None for
+scaling collapse, where successive n are compared directly.  The
+registry ships five presets:
 
     gue-bulk       Gaussian, interior point 0, sine law
     gue-edge       Gaussian, soft edge at 2, Airy law
     quartic-merge  quartic at t = -2 + tau n^{-2/3}, collapse only
     mp-hard-edge   linear V on R-, charge alpha at 0, Bessel law
     mp-two-charge  second charge at tau/n^2, collapse only
-
-convergence_scan consumes these duck-typed; anything exposing the same
-attributes and methods works in its place.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from .classify import (
     CriticalPoint,
     bulk_point,
     extract_model_data,
-    find_critical_points,
+    nearest_critical_point,
 )
 from .equilibrium import example_curve, solve_support
 from .errors import ValidationError
@@ -44,25 +43,27 @@ def default_fit(p: Potential):
 
 
 class _Scenario:
-    """Base: shared equilibrium solve, recurrence rule and model-data hook."""
+    """Base: shared solve and fit, critical point nearest x_star, collapse."""
 
     compare_abs = False
 
     def equilibrium(self, p):
         return solve_support(p, self.structure)
 
+    def critical_point(self, em):
+        return nearest_critical_point(em, self.x_star)
+
     def recurrence(self, p):
         return default_fit(p)
 
-    def model_data(self, em, cp, p):
-        return extract_model_data(em, cp, p.n, p)
+    def reference_law(self, em, cp):
+        return None
 
 
 class GueBulk(_Scenario):
     """Gaussian ensemble, interior point x_* = 0, sine-kernel law."""
 
     name = "gue-bulk"
-    reference = "sine"
     structure = "one_cut"
     default_n_list = (40, 80, 160)
     default_grid = tuple(np.linspace(-2.0, 2.0, 9))
@@ -70,10 +71,11 @@ class GueBulk(_Scenario):
     def make_potential(self, n):
         return Potential(n=n, reg=(0.0, 1.0), singularities=(), support=_LINE)
 
-    def critical_point(self, em, p):
+    def critical_point(self, em):
         return bulk_point(em, 0.0)
 
-    def reference_law(self, md):
+    def reference_law(self, em, cp):
+        md = extract_model_data(em, cp, em.potential.n)
         s = md.e_series[1] / math.pi   # = local density rho(x_*)
         return (lambda u, v: s * sine_kernel(s * u, s * v)), {
             "kind": "sine", "scale": s}
@@ -83,20 +85,16 @@ class GueEdge(_Scenario):
     """Gaussian ensemble, right soft edge x_* = 2, Airy-kernel law."""
 
     name = "gue-edge"
-    reference = "airy"
     structure = "one_cut"
+    x_star = 2.0
     default_n_list = (50, 100, 200)
     default_grid = tuple(np.linspace(-4.0, 1.0, 9))
 
     def make_potential(self, n):
         return Potential(n=n, reg=(0.0, 1.0), singularities=(), support=_LINE)
 
-    def critical_point(self, em, p):
-        edges = [c for c in find_critical_points(em, p)
-                 if c.kind == "edge" and c.order_k >= 0]
-        return max(edges, key=lambda c: c.x_star)
-
-    def reference_law(self, md):
+    def reference_law(self, em, cp):
+        md = extract_model_data(em, cp, em.potential.n)
         s = md.e_series[1] ** (2.0 / 3.0)   # unit for the Gaussian edge
         return (lambda u, v: s * airy_kernel(s * u, s * v)), {
             "kind": "airy", "scale": s}
@@ -106,13 +104,12 @@ class QuarticMerge(_Scenario):
     """Quartic at t = -2 + tau n^{-2/3}; verified by scaling collapse.
 
     The local law is Painleve-type with no desk-scale closed form, so
-    the reference is "self": successive n are compared directly.  The
-    critical point is the merging interior zero pinned at the origin
-    with k = 1, delta = 1/3 for every member of the family.
+    the scan compares successive n directly.  The critical point is the
+    merging interior zero pinned at the origin with k = 1, delta = 1/3
+    for every member of the family.
     """
 
     name = "quartic-merge"
-    reference = "self"
     structure = "one_cut"
     default_n_list = (30, 60, 120)
     default_grid = tuple(np.linspace(-2.0, 2.0, 9))
@@ -130,23 +127,17 @@ class QuarticMerge(_Scenario):
         # near the merge point where c(t) ~ (t + 2)
         return example_curve("quartic_merge", tau=self.tau, n=p.n)
 
-    def critical_point(self, em, p):
+    def critical_point(self, em):
         return CriticalPoint(x_star=0.0, kind="interior", order_k=1,
                              delta=1.0 / 3.0, m_h=2, m_r=0, m_p=0, radius=0.5)
-
-    def model_data(self, em, cp, p):
-        return None
-
-    def reference_law(self, md):
-        raise ValidationError("quartic-merge has no closed-form reference")
 
 
 class MpHardEdge(_Scenario):
     """Linear V on R- with one charge alpha at 0; Bessel-kernel law."""
 
     name = "mp-hard-edge"
-    reference = "bessel"
     structure = "hard_edge_one_cut"
+    x_star = 0.0
     default_n_list = (50, 100, 200)
     default_grid = tuple(np.linspace(-3.0, -0.05, 9))
 
@@ -159,11 +150,8 @@ class MpHardEdge(_Scenario):
             Singularity(b=0.0, alpha=self.alpha),)
         return Potential(n=n, reg=(-1.0,), singularities=sings, support=_NEG)
 
-    def critical_point(self, em, p):
-        return [c for c in find_critical_points(em, p)
-                if abs(c.x_star) < 1e-9][0]
-
-    def reference_law(self, md):
+    def reference_law(self, em, cp):
+        md = extract_model_data(em, cp, em.potential.n)
         s = 4.0 * md.e_series[0] ** 2
         a = 2.0 * self.alpha
         return (lambda u, v: s * bessel_kernel(a, s * abs(u), s * abs(v))), {
@@ -174,16 +162,16 @@ class MpTwoCharge(_Scenario):
     """Hard edge colliding with a second charge at tau/n^2.
 
     The scaled charge set is B = {0, tau}; the limit kernel is genuinely
-    Painleve-type, so the scan runs in "self" collapse mode and the
-    model-problem data (criterion for the two-charge family) comes from
-    extract_model_data.  Comparisons use |kernel| because charges sit on
-    the scaled axis.
+    Painleve-type, so the scan compares successive n (scaling collapse),
+    and the model-problem data of the two-charge family comes from
+    extract_model_data at the hard edge.  Comparisons use |kernel|
+    because charges sit on the scaled axis.
     """
 
     name = "mp-two-charge"
-    reference = "self"
     structure = "hard_edge_one_cut"
     compare_abs = True
+    x_star = 0.0
     default_n_list = (20, 40, 80)
     default_grid = tuple(np.linspace(-3.0, -0.05, 9))
 
@@ -197,13 +185,6 @@ class MpTwoCharge(_Scenario):
         sings = (Singularity(b=0.0, alpha=self.alpha1),
                  Singularity(b=self.tau / float(n) ** 2, alpha=self.alpha2))
         return Potential(n=n, reg=(-1.0,), singularities=sings, support=_NEG)
-
-    def critical_point(self, em, p):
-        return [c for c in find_critical_points(em, p)
-                if abs(c.x_star) < 1e-9][0]
-
-    def reference_law(self, md):
-        raise ValidationError("mp-two-charge has no closed-form reference")
 
 
 _REGISTRY = {

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import math
 
+from .errors import ValidationError
+
 # the Maclaurin series loses ~e^{2 zeta} in cancellation for z > 0 but
 # only ~(largest term) for z < 0, so the switch points are asymmetric
 _AIRY_SERIES_POS = 6.0
@@ -182,7 +184,7 @@ def bessel_j(alpha: float, x: float) -> tuple[float, float]:
     """(J_alpha(x), J_alpha'(x)) for real x >= 0, alpha > -2."""
     x = float(x)
     if x < 0.0:
-        raise ValueError("bessel_j requires x >= 0")
+        raise ValidationError("bessel_j requires x >= 0")
     if x <= _BESSEL_SERIES_R:
         return _bessel_series(alpha, x)
     j = _bessel_hankel_one(alpha, x)

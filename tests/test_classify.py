@@ -18,6 +18,7 @@ from rmtlab import (
     example_curve,
     extract_model_data,
     find_critical_points,
+    nearest_critical_point,
     scaled_curve,
     scaled_eval,
     series_at_infinity,
@@ -60,6 +61,21 @@ def test_gaussian_two_soft_edges():
     assert (right.x_star, right.kind, right.order_k, right.side) == (
         pytest.approx(2.0), "edge", 0, "right")
     assert left.delta == pytest.approx(2 / 3)
+
+
+def test_nearest_critical_point_picks_closest():
+    em = solve_support(gaussian(), "one_cut")
+    left, right = find_critical_points(em)
+    assert nearest_critical_point(em, 1.9) == right
+    assert nearest_critical_point(em, -0.1) == left
+    assert nearest_critical_point(em, 0.0) == left   # a tie keeps the first
+    mid = nearest_critical_point(example_curve("quartic", t=-2.0), 0.1)
+    assert (mid.kind, mid.order_k) == ("interior", 1)
+
+
+def test_unknown_example_family_rejected():
+    with pytest.raises(ValidationError, match="unknown example family"):
+        example_curve("cubic")
 
 
 def test_critical_quartic_interior_point():

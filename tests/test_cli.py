@@ -184,6 +184,21 @@ def test_converge_unknown_scenario(outdir):
     assert run(outdir, "converge", "unknown-name") == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("--n-list", "20,40", "--grid", "0.5:1:3"),   # grid leaves R-
+    ("--param", "alpha=-3"),                       # charge must be > 0
+])
+def test_converge_validation_failure_exits_two(outdir, capsys, argv):
+    assert run(outdir, "converge", "mp-hard-edge", *argv) == 2
+    assert "convergence scan failed at stage n=" in capsys.readouterr().err
+
+
+def test_converge_numerical_failure_exits_three(outdir, capsys):
+    # the clip guard refuses the MP hard edge at n = 400
+    assert run(outdir, "converge", "mp-hard-edge", "--n-list", "300,400") == 3
+    assert "convergence scan failed at stage n=400" in capsys.readouterr().err
+
+
 def test_converge_scenario_params(outdir):
     assert run(outdir, "converge", "quartic-merge", "--param", "tau=2.0",
                "--n-list", "12,24", "--grid=-1:1:4") == 0

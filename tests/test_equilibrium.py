@@ -371,7 +371,8 @@ def test_one_cut_family_invariants(t):
 
 @settings(max_examples=200, deadline=None)
 @given(
-    coeffs=st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=4),
+    # subnormal coefficients give products finer than any 1e-12 relative bound
+    coeffs=st.lists(st.floats(-5.0, 5.0, allow_subnormal=False), min_size=1, max_size=4),
     inverse=st.lists(st.floats(-2.0, 2.0), max_size=3),
     direct=st.lists(st.floats(-2.0, 2.0), max_size=2),
     theta=st.floats(0.01, math.pi - 0.01),

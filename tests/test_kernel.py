@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 import scipy.special as sps
 
-from rmtlab.errors import ValidationError
+from rmtlab.errors import NumericalError, ValidationError
 from rmtlab.potential import IntervalSet, Potential, Singularity, log_weight
 from rmtlab.equilibrium import solve_support, density
 from rmtlab.classify import CriticalPoint, bulk_point, extract_model_data, find_critical_points
 from rmtlab.orthopoly import build_quadrature, stieltjes_recurrence
-from rmtlab.scenarios import default_fit
+from rmtlab.scenarios import default_fit, get_scenario
 from rmtlab.kernel import (
     KernelGrid,
     airy_kernel,
@@ -263,7 +263,7 @@ def test_hard_edge_limit_is_bessel(alpha, tol):
     r, q = fit(p)
     em = solve_support(p, "hard_edge_one_cut")
     cp = [c for c in find_critical_points(em) if abs(c.x_star) < 1e-9][0]
-    md = extract_model_data(em, cp, n, p)
+    md = extract_model_data(em, cp, n)
     s = 4.0 * md.e_series[0] ** 2
     assert s == pytest.approx(4.0, abs=1e-9)
     us = np.linspace(-3.0, -0.05, 9)
@@ -349,7 +349,6 @@ class _BulkScenario:
     """Minimal scenario: Gaussian bulk against the sine law."""
 
     name = "inline-gue-bulk"
-    reference = "sine"
     compare_abs = False
 
     def make_potential(self, n):
@@ -358,16 +357,14 @@ class _BulkScenario:
     def equilibrium(self, p):
         return solve_support(p, "one_cut")
 
-    def critical_point(self, em, p):
+    def critical_point(self, em):
         return bulk_point(em, 0.0)
 
     def recurrence(self, p):
         return fit(p)
 
-    def model_data(self, em, cp, p):
-        return extract_model_data(em, cp, p.n, p)
-
-    def reference_law(self, md):
+    def reference_law(self, em, cp):
+        md = extract_model_data(em, cp, em.potential.n)
         s = md.e_series[1] / math.pi
         return (lambda u, v: s * sine_kernel(s * u, s * v)), {"kind": "sine", "scale": s}
 
@@ -380,3 +377,18 @@ def test_convergence_scan_reports_decay():
     assert errs[0] > errs[1] > errs[2]
     assert out["fitted_decay"] == pytest.approx(-1.0, abs=0.2)
     assert out["reference"]["kind"] == "sine"
+
+
+class _LostFit(_BulkScenario):
+    def recurrence(self, p):
+        raise NumericalError("lost orthogonality")
+
+
+def test_convergence_scan_stage_failure_keeps_its_type():
+    grid = np.linspace(-1.0, 1.0, 3)
+    with pytest.raises(NumericalError, match="stage n=20: lost orthogonality"):
+        convergence_scan(_LostFit(), [20, 40], grid)
+    with pytest.raises(ValidationError, match="stage n=20: .* leave the domain"):
+        convergence_scan(get_scenario("mp-hard-edge"), [20, 40], grid)
+    with pytest.raises(ValidationError, match="at least one n"):
+        convergence_scan(_BulkScenario(), [], grid)

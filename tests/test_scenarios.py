@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from rmtlab.classify import extract_model_data
 from rmtlab.equilibrium import xi_eval
 from rmtlab.errors import ValidationError
 from rmtlab.scenarios import get_scenario, scenario_names
@@ -34,10 +35,9 @@ def test_bulk_scenario_wiring():
     p = sc.make_potential(24)
     assert p.n == 24 and p.reg == (0.0, 1.0)
     em = sc.equilibrium(p)
-    cp = sc.critical_point(em, p)
+    cp = sc.critical_point(em)
     assert cp.kind == "interior" and cp.delta == 1.0
-    md = sc.model_data(em, cp, p)
-    fn, meta = sc.reference_law(md)
+    fn, meta = sc.reference_law(em, cp)
     assert meta["scale"] == pytest.approx(1.0 / math.pi, abs=1e-8)
     assert fn(0.3, 0.3) == pytest.approx(1.0 / math.pi, abs=1e-8)
 
@@ -46,25 +46,22 @@ def test_edge_scenario_wiring():
     sc = get_scenario("gue-edge")
     p = sc.make_potential(30)
     em = sc.equilibrium(p)
-    cp = sc.critical_point(em, p)
+    cp = sc.critical_point(em)
     assert cp.kind == "edge" and cp.x_star == pytest.approx(2.0, abs=1e-8)
     assert cp.delta == pytest.approx(2.0 / 3.0, abs=1e-12)
-    md = sc.model_data(em, cp, p)
-    fn, meta = sc.reference_law(md)
+    fn, meta = sc.reference_law(em, cp)
     assert meta["scale"] == pytest.approx(1.0, abs=1e-8)
 
 
 def test_merge_scenario_is_self_compared():
     sc = get_scenario("quartic-merge", tau=2.0)
-    assert sc.reference == "self"
     p = sc.make_potential(27)
     assert p.reg[1] == pytest.approx(-2.0 + 2.0 * 27.0 ** (-2.0 / 3.0), abs=1e-14)
-    cp = sc.critical_point(sc.equilibrium(p), p)
+    em = sc.equilibrium(p)
+    cp = sc.critical_point(em)
     assert cp.kind == "interior" and cp.order_k == 1
     assert cp.delta == pytest.approx(1.0 / 3.0, abs=1e-15)
-    assert sc.model_data(None, cp, p) is None
-    with pytest.raises(ValidationError, match="no closed-form"):
-        sc.reference_law(None)
+    assert sc.reference_law(em, cp) is None
 
 
 def test_hard_edge_scenario_wiring():
@@ -74,10 +71,9 @@ def test_hard_edge_scenario_wiring():
     p = sc.make_potential(40)
     assert len(p.singularities) == 1
     em = sc.equilibrium(p)
-    cp = sc.critical_point(em, p)
+    cp = sc.critical_point(em)
     assert cp.order_k == -1 and cp.delta == 2.0
-    md = sc.model_data(em, cp, p)
-    fn, meta = sc.reference_law(md)
+    fn, meta = sc.reference_law(em, cp)
     assert meta["scale"] == pytest.approx(4.0, abs=1e-8)
     assert meta["alpha"] == 1.0
 
@@ -88,8 +84,9 @@ def test_two_charge_scenario_charges_land_in_window():
     p = sc.make_potential(n)
     assert p.singularities[1].b == pytest.approx(1.0 / n ** 2, abs=1e-18)
     em = sc.equilibrium(p)
-    cp = sc.critical_point(em, p)
-    md = sc.model_data(em, cp, p)
+    cp = sc.critical_point(em)
+    assert sc.reference_law(em, cp) is None
+    md = extract_model_data(em, cp, n)
     locs = sorted(c.location.real for c in md.charges)
     assert locs[0] == pytest.approx(0.0, abs=1e-9)
     assert locs[1] == pytest.approx(1.0, abs=1e-9)

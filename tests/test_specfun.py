@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.special as sps
 
+from rmtlab.errors import ValidationError
 from rmtlab.specfun import _airy_asym_neg, _airy_asym_pos, _airy_series, airy_ai, bessel_j
 
 
@@ -65,7 +66,7 @@ def test_bessel_negative_order_reflection():
 
 
 def test_bessel_rejects_negative_argument():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError, match="x >= 0"):
         bessel_j(0.0, -1.0)
 
 
