@@ -7,7 +7,7 @@ dependency only.  On a 2-vCPU Xeon host scipy.optimize alone cost
 module-level import charges to every `import rmtlab`.  scipy.special
 alone measured 0.29-0.56 s cold on the same host.
 
-The case runs in a fresh interpreter, since the pytest process has
+Each case runs in a fresh interpreter, since the pytest process has
 loaded scipy long before it starts.  An import hook refuses every scipy
 import there and records the module that asked for it, so a regression
 names its culprit even where the import error is caught.
@@ -49,27 +49,24 @@ def blocked_scipy_imports(code: str) -> list:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def test_no_command_loads_scipy(tmp_path):
-    gue = tmp_path / "gue.json"
-    gue.write_text(json.dumps({"reg": [0.0, 1.0], "singularities": [],
-                               "support": [["-inf", "inf"]], "n": 16}))
-    gue60 = tmp_path / "gue60.json"
-    gue60.write_text(json.dumps({"reg": [0.0, 1.0], "singularities": [],
-                                 "support": [["-inf", "inf"]], "n": 60}))
-    mp = tmp_path / "mp.json"
-    mp.write_text(json.dumps({"reg": [-1.0],
-                              "singularities": [{"b": [0.0, 0.0], "alpha": 0.5}],
-                              "support": [["-inf", 0.0]], "n": 16}))
-    code = f"""
+GAUSSIAN = """
 import math
-import numpy as np
-import rmtlab.cli
-from rmtlab import (IntervalSet, Potential, gram_check, poly_zeros,
-                    projection_residual, solve_support, trace_check)
-from rmtlab.kernel import kernel_matrix
-from rmtlab.scenarios import default_fit
+from rmtlab import IntervalSet, Potential
 line = IntervalSet(((-math.inf, math.inf),))
 p = Potential(n=60, reg=(0.0, 1.0), singularities=(), support=line)
+"""
+
+
+def test_kernel_side_and_cli_load_no_scipy(tmp_path):
+    cfg = tmp_path / "gue.json"
+    cfg.write_text(json.dumps({"reg": [0.0, 1.0], "singularities": [],
+                               "support": [["-inf", "inf"]], "n": 60}))
+    code = GAUSSIAN + f"""
+import numpy as np
+import rmtlab.cli
+from rmtlab import gram_check, poly_zeros, projection_residual, trace_check
+from rmtlab.kernel import kernel_matrix
+from rmtlab.scenarios import default_fit
 r, q = default_fit(p)
 assert abs(trace_check(r, p, q) - 60) < 1e-6
 assert poly_zeros(r, 10).shape == (10,)
@@ -77,6 +74,25 @@ assert projection_residual(r, p, q, [(-1.3, 0.7), (0.0, 0.0)]) < 1e-7
 xs = np.linspace(-1.5, 1.5, 7)
 assert kernel_matrix(r, p, xs, xs).shape == (7, 7)
 assert gram_check(r, q, 60) < 1e-9
+out, cfg = {str(tmp_path)!r}, {str(cfg)!r}
+for argv in (["validate", cfg], ["kernel", cfg, "--grid=-1.5:1.5:5"]):
+    assert rmtlab.cli.main(["--outdir", out, *argv]) == 0, argv
+"""
+    assert blocked_scipy_imports(code) == []
+    assert (tmp_path / "kernel.csv").exists()
+
+
+def test_equilibrium_solves_and_commands_load_no_scipy(tmp_path):
+    gue = tmp_path / "gue.json"
+    gue.write_text(json.dumps({"reg": [0.0, 1.0], "singularities": [],
+                               "support": [["-inf", "inf"]], "n": 16}))
+    mp = tmp_path / "mp.json"
+    mp.write_text(json.dumps({"reg": [-1.0],
+                              "singularities": [{"b": [0.0, 0.0], "alpha": 0.5}],
+                              "support": [["-inf", 0.0]], "n": 16}))
+    code = GAUSSIAN + f"""
+import rmtlab.cli
+from rmtlab import solve_support
 assert solve_support(p, "one_cut").support.intervals == ((-2.0, 2.0),)
 quartic = Potential(n=20, reg=(0.0, -3.0, 0.0, 1.0), singularities=(),
                     support=line)
@@ -85,9 +101,8 @@ wall = Potential(n=20, reg=(-1.0,), singularities=(),
                  support=IntervalSet(((-math.inf, 0.0),)))
 assert solve_support(wall, "hard_edge_one_cut").support.intervals == ((-4.0, 0.0),)
 out = {str(tmp_path)!r}
-gue, gue60, mp = {str(gue)!r}, {str(gue60)!r}, {str(mp)!r}
-for argv in (["validate", gue60], ["kernel", gue60, "--grid=-1.5:1.5:5"],
-             ["equilibrium", gue], ["classify", gue],
+gue, mp = {str(gue)!r}, {str(mp)!r}
+for argv in (["equilibrium", gue], ["classify", gue],
              ["kernel", gue, "--at", "2.0", "--grid=-1:1:3"],
              ["sample", mp, "--steps", "30", "--burn-in", "10",
               "--structure", "hard_edge_one_cut"],
@@ -95,5 +110,4 @@ for argv in (["validate", gue60], ["kernel", gue60, "--grid=-1.5:1.5:5"],
     assert rmtlab.cli.main(["--outdir", out, *argv]) == 0, argv
 """
     assert blocked_scipy_imports(code) == []
-    assert (tmp_path / "kernel.csv").exists()
     assert (tmp_path / "samples.csv").exists()
