@@ -56,7 +56,6 @@ from .orthopoly import (
     stieltjes_recurrence,
 )
 from .kernel import (
-    KernelGrid,
     airy_kernel,
     bessel_kernel,
     cd_kernel,

@@ -75,12 +75,16 @@ class CriticalPoint:
     x_star: float
     kind: str
     order_k: int
-    delta: float
     side: str = "none"  # "left"/"right" for edges
     m_h: int = 0
     m_r: int = 0
     m_p: int = 0
     radius: float = 0.0
+
+    @property
+    def delta(self) -> float:
+        """Blow-up exponent of (kind, order_k); see the module docstring."""
+        return float(_delta_frac(self.kind, self.order_k))
 
 
 @dataclass(frozen=True)
@@ -95,11 +99,7 @@ class ScaledCurve(SpectralCurve):
     if any, else 0.
     """
 
-    kind: str
     order_k: int
-    delta: float
-    x_star: float
-    n: int
     mirrored: bool
     phat: float
 
@@ -113,12 +113,9 @@ class ScaledCharge:
 
 @dataclass(frozen=True)
 class ModelData:
-    """Canonical data of the local model problem at a critical point."""
+    """Canonical data of the local model problem at critical point cp."""
 
-    kind: str
-    order_k: int
-    delta: float
-    x_star: float
+    cp: CriticalPoint
     n: int
     window: IntervalSet
     charges: tuple[ScaledCharge, ...]
@@ -209,8 +206,7 @@ def find_critical_points(em: EquilibriumMeasure,
                 )
             k = m_h
         points.append(CriticalPoint(
-            x_star=float(e), kind="edge", order_k=k,
-            delta=float(_delta_frac("edge", k)), side=side,
+            x_star=float(e), kind="edge", order_k=k, side=side,
             m_h=m_h, m_r=m_r, m_p=m_p, radius=tol))
 
     def covered(x):
@@ -249,7 +245,6 @@ def find_critical_points(em: EquilibriumMeasure,
             k = m_h // 2
             points.append(CriticalPoint(
                 x_star=x, kind="interior", order_k=k,
-                delta=float(_delta_frac("interior", k)),
                 m_h=m_h, m_r=m_r, m_p=m_p, radius=tol))
         elif any(abs(x - e) <= tol for e in em.exterior_points):
             if m_h % 2 != 1:
@@ -260,7 +255,6 @@ def find_critical_points(em: EquilibriumMeasure,
             k = (m_h + 1) // 2
             points.append(CriticalPoint(
                 x_star=x, kind="exterior", order_k=k,
-                delta=float(_delta_frac("exterior", k)),
                 m_h=m_h, m_r=m_r, m_p=m_p, radius=tol))
         # an off-support root with a strict variational gap is not critical
 
@@ -272,8 +266,7 @@ def find_critical_points(em: EquilibriumMeasure,
         if covered(x) or not em.support.contains(x):
             continue
         points.append(CriticalPoint(
-            x_star=x, kind="interior", order_k=0,
-            delta=1.0, m_h=0, m_r=0, m_p=0, radius=tol))
+            x_star=x, kind="interior", order_k=0, radius=tol))
 
     return sorted(points, key=lambda cp: cp.x_star)
 
@@ -288,8 +281,7 @@ def bulk_point(em: EquilibriumMeasure, x: float, radius: float | None = None) ->
     if not em.support.contains(x):
         raise ValidationError(f"x={x:.6g} is not inside the support")
     rad = 1e-7 * em.potential.scale() if radius is None else radius
-    return CriticalPoint(x_star=float(x), kind="interior", order_k=0,
-                         delta=1.0, m_h=0, m_r=0, m_p=0, radius=rad)
+    return CriticalPoint(x_star=float(x), kind="interior", order_k=0, radius=rad)
 
 
 # ---------------------------------------------------------------------------
@@ -351,8 +343,7 @@ def scaled_curve(em: EquilibriumMeasure, cp: CriticalPoint, n: int) -> ScaledCur
     phat = max(feats) if feats else 0.0
     return ScaledCurve(
         h=tuple((complex(pref) * coeffs).tolist()), zeros=tuple(zh), poles=tuple(ph),
-        kind=cp.kind, order_k=cp.order_k, delta=cp.delta, x_star=xs, n=n,
-        mirrored=mirror, phat=float(phat))
+        order_k=cp.order_k, mirrored=mirror, phat=float(phat))
 
 
 scaled_eval = curve_eval  # yhat(zeta); cuts run left from each sqrt point
@@ -525,8 +516,7 @@ def extract_model_data(em: EquilibriumMeasure, cp: CriticalPoint, n: int) -> Mod
     else:
         window = IntervalSet(((-math.inf, math.inf),))
 
-    return ModelData(kind=cp.kind, order_k=k, delta=cp.delta, x_star=cp.x_star,
-                     n=n, window=window, charges=tuple(charges), tau_inf=tau,
+    return ModelData(cp=cp, n=n, window=window, charges=tuple(charges), tau_inf=tau,
                      c_hat=c_hat, e_series=tuple(e_vals))
 
 
@@ -548,8 +538,8 @@ def critical_point_dict(cp: CriticalPoint) -> dict:
 
 def model_data_dict(md: ModelData) -> dict:
     return {
-        "kind": md.kind, "order_k": md.order_k, "delta": md.delta,
-        "x_star": md.x_star, "n": md.n,
+        "kind": md.cp.kind, "order_k": md.cp.order_k, "delta": md.cp.delta,
+        "x_star": md.cp.x_star, "n": md.n,
         "window": [[lo, hi] for lo, hi in md.window.intervals],
         "charges": [
             {"location": _c_pair(c.location), "alpha": c.alpha,

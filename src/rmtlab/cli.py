@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -93,6 +94,8 @@ def _parse_params(pairs) -> dict:
             out[key] = float(val)
         except ValueError:
             raise ValidationError(f"parameter {pair!r} has a non-numeric value")
+        if not math.isfinite(out[key]):
+            raise ValidationError(f"parameter {pair!r} must be finite")
     return out
 
 
@@ -170,25 +173,31 @@ def cmd_kernel(args, man: RunManifest, outdir: str) -> int:
         target = None if args.at == "raw" else float(args.at)
     except ValueError:
         raise ValidationError(f"--at must be 'raw' or a number, got {args.at!r}")
+    if target is not None and not math.isfinite(target):
+        raise ValidationError(f"--at must be finite, got {args.at!r}")
     r, q = default_fit(p)
     if target is None:
-        g = kernel_grid(r, p, grid)
+        values = kernel_grid(r, p, grid)
+        outside = 2 * int(np.count_nonzero(~p.support.contains(grid)))  # once per axis
+        meta = {"n": p.n, "x_star": None, "delta": None, "scaled": False,
+                "outside_points": outside}
     else:
         cp = nearest_critical_point(solve_support(p, args.structure), target)
-        g = scaled_kernel_grid(r, p, cp, grid)
-    us = g.u_grid.tolist()
-    rows = [(u, v, value) for u, row in zip(us, g.values.tolist()) for v, value in zip(us, row)]
+        values = scaled_kernel_grid(r, p, cp, grid)
+        meta = {"n": p.n, "x_star": cp.x_star, "delta": cp.delta, "scaled": True,
+                "kind": cp.kind, "order_k": cp.order_k}
+    us = grid.tolist()
+    rows = [(u, v, value) for u, row in zip(us, values.tolist()) for v, value in zip(us, row)]
     diag = kernel_diag(r, p, q.nodes)
     trace = f"{float(np.sum(q.base * diag)):.17g}"
-    meta = {**g.meta, "trace": trace}
+    meta["trace"] = trace
     write_csv(man.record(os.path.join(outdir, "kernel.csv")),
               ["u", "v", "value"], rows, meta)
     write_csv(man.record(os.path.join(outdir, "kernel_diag.csv")),
               ["x", "weight", "k_diag"],
               zip(q.nodes.tolist(), q.base.tolist(), diag.tolist()),
               {"n": p.n, "trace": trace})
-    print(f"kernel {g.values.shape[0]}x{g.values.shape[1]} grid, "
-          f"trace {trace}")
+    print(f"kernel {values.shape[0]}x{values.shape[1]} grid, trace {trace}")
     return 0
 
 
@@ -208,7 +217,7 @@ def cmd_sample(args, man: RunManifest, outdir: str) -> int:
     if args.bins < 1:
         raise ValidationError(f"--bins must be at least 1, got {args.bins}")
     p = _load_potential(args.config)
-    check_chain_args(args.steps, args.burn_in, args.thin)
+    check_chain_args(args.steps, args.burn_in, args.thin, args.seed)
     edges = _parse_grid(args.bins_grid) if args.bins_grid else None
     em = solve_support(p, args.structure)
     if edges is None:

@@ -10,13 +10,13 @@ psi_j = sqrt(w) p_j / sqrt(h_j) (orthopoly.orthonormal_rows), which stay
 of order one where p_j and w separately overflow and underflow; on the
 diagonal it is the sum of squares sum_{j<n} psi_j(x)^2.  Closed-form
 sine, Airy and Bessel kernels serve as references for the double-scaling
-checks.
+checks.  Grids come back as bare value matrices: the caller already
+holds the grid and the critical point, so no metadata is copied.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,15 +27,6 @@ from .potential import Potential, log_weight
 from .specfun import airy_ai, bessel_j
 
 _CONFLUENT_REL = 1e-8
-
-
-@dataclass(frozen=True, eq=False)
-class KernelGrid:
-    """Kernel evaluations on the square grid u_grid x u_grid with scaling metadata."""
-
-    u_grid: np.ndarray
-    values: np.ndarray
-    meta: dict
 
 
 # ---------------------------------------------------------------------------
@@ -106,36 +97,27 @@ def cd_kernel(r: Recurrence, p: Potential, x: float, y: float) -> float:
 
 
 def scaled_kernel_grid(r: Recurrence, p: Potential, cp: CriticalPoint,
-                       u_grid) -> KernelGrid:
-    """Scaled kernel on the square grid u x u; validates it stays in the domain."""
-    u = np.asarray(u_grid, dtype=float)
+                       u_grid) -> np.ndarray:
+    """n^{-delta} K_n(x_* + n^{-delta} u, x_* + n^{-delta} v) on the grid u x u.
+
+    Returns the value matrix; every grid point must stay in the domain.
+    """
     s = float(p.n) ** (-cp.delta)
-    xs = cp.x_star + s * u
+    xs = cp.x_star + s * np.asarray(u_grid, dtype=float)
     bad = 2 * int(np.count_nonzero(~p.support.contains(xs)))  # once per axis
     if bad:
         raise ValidationError(f"{bad} scaled grid points leave the domain at n={p.n}")
-    values = s * kernel_matrix(r, p, xs, xs)
-    meta = {"n": p.n, "x_star": cp.x_star, "delta": cp.delta, "scaled": True,
-            "kind": cp.kind, "order_k": cp.order_k}
-    grid = KernelGrid(u_grid=u, values=values, meta=meta)
-    _check_grid_invariants(grid)
-    return grid
+    return s * kernel_grid(r, p, xs)
 
 
-def kernel_grid(r: Recurrence, p: Potential, x_grid) -> KernelGrid:
-    """Unscaled K_n on the square grid x x x; off-domain points give 0 and are counted."""
-    x = np.asarray(x_grid, dtype=float)
-    outside = 2 * int(np.count_nonzero(~p.support.contains(x)))  # once per axis
-    values = kernel_matrix(r, p, x, x)
-    meta = {"n": p.n, "x_star": None, "delta": None, "scaled": False,
-            "outside_points": outside}
-    grid = KernelGrid(u_grid=x, values=values, meta=meta)
-    _check_grid_invariants(grid)
-    return grid
+def kernel_grid(r: Recurrence, p: Potential, x_grid) -> np.ndarray:
+    """Unscaled K_n on the square grid x x x; off-domain points give 0."""
+    values = kernel_matrix(r, p, x_grid, x_grid)
+    _check_grid_invariants(values)
+    return values
 
 
-def _check_grid_invariants(grid: KernelGrid) -> None:
-    vals = grid.values
+def _check_grid_invariants(vals: np.ndarray) -> None:
     scale = max(1.0, float(np.max(np.abs(vals)))) if vals.size else 1.0
     asym = float(np.max(np.abs(vals - vals.T))) if vals.size else 0.0
     if asym > 1e-10 * scale:
@@ -221,7 +203,7 @@ def bessel_kernel(alpha: float, u: float, v: float) -> float:
     return (ju * _sqrt_jprime(alpha, v) - jv * _sqrt_jprime(alpha, u)) / (2.0 * (u - v))
 
 
-def reference_grid(kind: str, u_grid, alpha: float = 0.0) -> KernelGrid:
+def reference_grid(kind: str, u_grid, alpha: float = 0.0) -> np.ndarray:
     """sine/airy/bessel reference kernel tabulated on the square grid u x u."""
     funcs = {
         "sine": sine_kernel,
@@ -232,9 +214,7 @@ def reference_grid(kind: str, u_grid, alpha: float = 0.0) -> KernelGrid:
         raise ValidationError(f"unknown reference kernel {kind!r}")
     f = funcs[kind]
     u = np.asarray(u_grid, dtype=float)
-    vals = np.array([[f(float(a), float(b)) for b in u] for a in u])
-    return KernelGrid(u_grid=u, values=vals,
-                      meta={"reference": kind, "alpha": alpha})
+    return np.array([[f(float(a), float(b)) for b in u] for a in u])
 
 
 # ---------------------------------------------------------------------------
@@ -253,9 +233,9 @@ def convergence_scan(sc, n_list, grid, progress=None) -> dict:
     """Sup-norm error of the scaled kernel against the scenario reference.
 
     sc is a scenario (see rmtlab.scenarios): per n it builds the
-    potential, solves the equilibrium problem, marks the critical point,
-    fits the recurrence and names the law, of which the last stage's is
-    used; None compares successive n instead (scaling collapse).  Errors
+    potential, solves the equilibrium problem, marks the critical point
+    and fits the recurrence; the last stage alone names the law, and
+    None compares successive n instead (scaling collapse).  Errors
     are on |kernel| when sc.compare_abs is set.  A failing stage
     re-raises its ValidationError or NumericalError with the n named.
     """
@@ -264,17 +244,18 @@ def convergence_scan(sc, n_list, grid, progress=None) -> dict:
     if not ns:
         raise ValidationError("convergence scan needs at least one n")
     stages = []
-    for n in ns:
+    for i, n in enumerate(ns, start=1):
         try:
             p = sc.make_potential(n)
             em = sc.equilibrium(p)
             cp = sc.critical_point(em)
             r, q = sc.recurrence(p)
             g = scaled_kernel_grid(r, p, cp, grid)
-            law = sc.reference_law(em, cp)
+            if i == len(ns):
+                law = sc.reference_law(em, cp)
         except (ValidationError, NumericalError) as e:
             raise type(e)(f"convergence scan failed at stage n={n}: {e}") from e
-        stages.append((n, np.abs(g.values) if sc.compare_abs else g.values))
+        stages.append((n, np.abs(g) if sc.compare_abs else g))
         if progress is not None:
             progress(n)
 

@@ -262,6 +262,15 @@ def validate(p: Potential) -> None:
     if p.n < 1:
         raise ValidationError(f"n must be >= 1, got {p.n}")
 
+    # JSON admits NaN and Infinity; only support endpoints may be infinite
+    numbers = [(f"reg[{i}]", c) for i, c in enumerate(p.reg)]
+    for i, s in enumerate(p.singularities):
+        numbers += [(f"singularities[{i}].b", s.b), (f"singularities[{i}].alpha", s.alpha)]
+        numbers += [(f"singularities[{i}].t[{j}]", c) for j, c in enumerate(s.t)]
+    for what, v in numbers:
+        if not (math.isfinite(v.real) and math.isfinite(v.imag)):
+            raise ValidationError(f"{what} must be finite, got {v}")
+
     # growth: the weight must decay along every unbounded direction
     lo, hi = p.support.lo, p.support.hi
     deg = 0

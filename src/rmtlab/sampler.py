@@ -39,7 +39,7 @@ import numpy as np
 
 from .equilibrium import EquilibriumMeasure, mass_right_of
 from .errors import NumericalError, ValidationError
-from .potential import IntervalSet, Potential, log_weight, v_reg, validate
+from .potential import Potential, log_weight, v_reg, validate
 
 _RECHECK_EVERY = 10_000   # proposals between cache-vs-recompute audits
 _TUNE_WINDOW = 50         # sweeps per burn-in tuning decision
@@ -109,12 +109,14 @@ def _initial_positions(p: Potential, n: int) -> np.ndarray:
     return xs
 
 
-def check_chain_args(steps: int, burn_in: int, thin: int) -> None:
-    """Reject a sweep count, burn-in or thinning no chain can run with."""
+def check_chain_args(steps: int, burn_in: int, thin: int, seed: int) -> None:
+    """Reject a sweep count, burn-in, thinning or seed no chain can run with."""
     if steps <= burn_in:
         raise ValidationError("steps must exceed burn_in")
     if thin < 1:
         raise ValidationError("thin must be at least 1")
+    if seed < 0:
+        raise ValidationError(f"seed must be non-negative, got {seed}")
 
 
 def _log_gaps(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
@@ -146,7 +148,7 @@ def mcmc_chain(p: Potential, steps: int, burn_in: int, thin: int = 1,
     largest drift seen is kept in ChainState.max_drift.
     """
     validate(p)
-    check_chain_args(steps, burn_in, thin)
+    check_chain_args(steps, burn_in, thin, seed)
     n = p.n
     xs = _initial_positions(p, n)
     span = float(xs.max() - xs.min()) if n > 1 else 1.0
@@ -220,64 +222,44 @@ def mcmc_chain(p: Potential, steps: int, burn_in: int, thin: int = 1,
 
 @dataclass(frozen=True)
 class EmpiricalDensity:
-    """Histogram density: values[i] on bins[i] = (lo_i, hi_i)."""
+    """Histogram density: values[i] on [edges[i], edges[i + 1]]."""
 
-    bins: tuple[tuple[float, float], ...]
+    edges: np.ndarray
     values: np.ndarray
 
     def widths(self) -> np.ndarray:
-        return np.array([hi - lo for lo, hi in self.bins])
+        return np.diff(self.edges)
 
     def mass(self) -> float:
         return float(np.sum(self.values * self.widths()))
 
 
-def _as_bins(bins) -> tuple[tuple[float, float], ...]:
-    if isinstance(bins, IntervalSet):
-        out = bins.intervals
-    else:
-        edges = np.asarray(bins, dtype=float)
-        if edges.ndim != 1 or edges.size < 2 or not np.all(np.diff(edges) > 0):
-            raise ValidationError(
-                "bin edges must be increasing with at least two entries")
-        out = tuple(zip(edges[:-1], edges[1:]))
-    if not all(math.isfinite(lo) and math.isfinite(hi) for lo, hi in out):
-        raise ValidationError("histogram bins must be finite")
-    return tuple((float(lo), float(hi)) for lo, hi in out)
+def histogram_density(samples, edges) -> EmpiricalDensity:
+    """Normalized histogram over contiguous bins given by their edges.
 
-
-def histogram_density(samples, bins) -> EmpiricalDensity:
-    """Normalized histogram over the bins (total mass 1 across them).
-
-    bins is an array of edges (contiguous bins) or an IntervalSet
-    (disjoint bins, gaps allowed).  Samples falling outside every bin
-    are discarded before normalizing, so the values integrate to 1
-    over the bins that were given.
+    Samples falling outside the edges are discarded before normalizing,
+    so the values integrate to 1 over [edges[0], edges[-1]].
     """
     if len(samples) == 0:
         raise ValidationError("histogram needs at least one sample")
-    pairs = _as_bins(bins)
+    edges = np.asarray(edges, dtype=float)
+    if edges.ndim != 1 or edges.size < 2 or not np.all(np.diff(edges) > 0):
+        raise ValidationError("bin edges must be increasing with at least two entries")
+    if not np.all(np.isfinite(edges)):
+        raise ValidationError("histogram bins must be finite")
     data = np.concatenate([np.atleast_1d(np.asarray(s, dtype=float)) for s in samples])
-    if isinstance(bins, IntervalSet):
-        counts = np.array([np.count_nonzero((data >= lo) & (data <= hi))
-                           for lo, hi in pairs], dtype=float)
-    else:
-        counts, _ = np.histogram(data, bins=np.asarray(bins, dtype=float))
-        counts = counts.astype(float)
+    counts = np.histogram(data, bins=edges)[0].astype(float)
     total = counts.sum()
     if total == 0:
         raise ValidationError("no samples fall inside the bins")
-    widths = np.array([hi - lo for lo, hi in pairs])
-    return EmpiricalDensity(bins=pairs, values=counts / (total * widths))
+    return EmpiricalDensity(edges=edges, values=counts / (total * np.diff(edges)))
 
 
 def compare_density(emp: EmpiricalDensity, em: EquilibriumMeasure) -> dict:
     """Sup and L1 deviation of the histogram from bin-averaged rho."""
     widths = emp.widths()
-    avg = np.array([
-        (mass_right_of(em, lo) - mass_right_of(em, hi)) / (hi - lo)
-        for lo, hi in emp.bins
-    ])
+    mass = np.array([mass_right_of(em, e) for e in emp.edges.tolist()])
+    avg = (mass[:-1] - mass[1:]) / widths
     dev = np.abs(emp.values - avg)
     return {
         "sup_dev": float(np.max(dev)),

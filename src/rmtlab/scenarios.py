@@ -129,7 +129,7 @@ class QuarticMerge(_Scenario):
 
     def critical_point(self, em):
         return CriticalPoint(x_star=0.0, kind="interior", order_k=1,
-                             delta=1.0 / 3.0, m_h=2, m_r=0, m_p=0, radius=0.5)
+                             m_h=2, radius=0.5)
 
 
 class MpHardEdge(_Scenario):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from rmtlab import (
+    CriticalPoint,
     IntervalSet,
     NumericalError,
     Potential,
@@ -18,6 +19,7 @@ from rmtlab import (
     example_curve,
     extract_model_data,
     find_critical_points,
+    get_scenario,
     nearest_critical_point,
     scaled_curve,
     scaled_eval,
@@ -49,6 +51,24 @@ def test_delta_table():
     assert _delta_frac("interior", 1) == pytest.approx(1 / 3)
     assert _delta_frac("interior", 0) == 1
     assert _delta_frac("exterior", 1) == pytest.approx(1 / 2)
+
+
+@pytest.mark.parametrize("kind,k,delta", [
+    ("edge", -1, 2.0), ("edge", 0, 2 / 3), ("edge", 2, 2 / 7),
+    ("interior", 0, 1.0), ("interior", 1, 1 / 3), ("interior", 2, 1 / 5),
+    ("exterior", 1, 1 / 2), ("exterior", 2, 1 / 4),
+])
+def test_critical_point_delta_follows_kind_and_order(kind, k, delta):
+    cp = CriticalPoint(x_star=0.0, kind=kind, order_k=k)
+    assert cp.delta == delta
+    with pytest.raises(TypeError):
+        CriticalPoint(x_star=0.0, kind=kind, order_k=k, delta=delta)
+
+
+def test_quartic_merge_point_delta_is_one_third():
+    cp = get_scenario("quartic-merge").critical_point(None)
+    assert (cp.kind, cp.order_k) == ("interior", 1)
+    assert cp.delta == 1.0 / 3.0
 
 
 def test_gaussian_two_soft_edges():
@@ -211,8 +231,8 @@ def test_scaled_curve_consistency_rate():
 
     def err(n):
         sc = scaled_curve(em, right, n)
-        approx = float(n) ** (1 - sc.delta) * curve_eval(
-            em.curve, right.x_star + float(n) ** (-sc.delta) * zeta)
+        approx = float(n) ** (1 - right.delta) * curve_eval(
+            em.curve, right.x_star + float(n) ** (-right.delta) * zeta)
         return np.max(np.abs(approx - scaled_eval(sc, zeta)))
 
     e1, e2 = err(400), err(800)
@@ -226,8 +246,8 @@ def test_scaled_curve_consistency_mirrored():
     left = find_critical_points(em)[0]
     sc = scaled_curve(em, left, n=600)
     zeta = np.exp(1j * np.linspace(0.3, math.pi - 0.3, 7))
-    approx = -float(600) ** (1 - sc.delta) * curve_eval(
-        em.curve, left.x_star - float(600) ** (-sc.delta) * zeta)
+    approx = -float(600) ** (1 - left.delta) * curve_eval(
+        em.curve, left.x_star - float(600) ** (-left.delta) * zeta)
     assert np.max(np.abs(approx - scaled_eval(sc, zeta))) < 0.05
 
 
@@ -306,8 +326,7 @@ def test_mp_model_data():
 
 def test_exterior_template_synthetic():
     # yhat = 3(zeta - 0.2): xihat = -(1/2)(E_2 zeta^2 + E_1 zeta), c_hat = 0
-    sc = ScaledCurve(kind="exterior", order_k=1, delta=0.5, x_star=1.0, n=100,
-                     mirrored=False, h=(-0.6, 3.0), zeros=(), poles=(),
+    sc = ScaledCurve(order_k=1, mirrored=False, h=(-0.6, 3.0), zeros=(), poles=(),
                      phat=0.0)
     q = series_at_infinity(sc)
     np.testing.assert_allclose(q[:2], [3.0, -0.6], atol=1e-14)

@@ -57,6 +57,42 @@ def test_validate_negative_alpha_fails(outdir):
     assert rep["ok"] is False and "alpha" in rep["error"]
 
 
+def test_validate_rejects_nan_coefficient(outdir, capsys):
+    cfg = write_cfg(outdir, {**GUE, "reg": [math.nan, 1.0]})
+    assert run(outdir, "validate", cfg) == 2
+    rep = read_json(outdir / "validate_report.json")
+    assert rep["ok"] is False and "reg[0] must be finite" in rep["error"]
+    assert run(outdir, "equilibrium", cfg) == 2
+    assert "reg[0] must be finite" in capsys.readouterr().err
+
+
+def test_validate_rejects_nan_charge(outdir, capsys):
+    doc = {**MP, "singularities": [{"b": [0.0, 0.0], "alpha": math.nan}]}
+    cfg = write_cfg(outdir, doc)
+    assert run(outdir, "validate", cfg) == 2
+    assert "singularities[0].alpha must be finite" in read_json(
+        outdir / "validate_report.json")["error"]
+    assert run(outdir, "kernel", cfg) == 2
+    assert not (outdir / "kernel.csv").exists()
+
+
+def test_validate_infinite_support_endpoint_still_valid(outdir):
+    # JSON Infinity in the support means an unbounded interval
+    cfg = write_cfg(outdir, {**GUE, "support": [[-math.inf, math.inf]]})
+    assert run(outdir, "validate", cfg) == 0
+
+
+@pytest.mark.parametrize("scenario,param", [
+    ("mp-hard-edge", "alpha=nan"), ("quartic-merge", "tau=nan"),
+    ("quartic-merge", "tau=inf"),
+])
+def test_converge_rejects_non_finite_param(outdir, capsys, scenario, param):
+    assert run(outdir, "converge", scenario, "--param", param,
+               "--n-list", "12,24") == 2
+    assert f"parameter {param!r} must be finite" in capsys.readouterr().err
+    assert not (outdir / f"scan_{scenario}.json").exists()
+
+
 def test_validate_missing_file(outdir, capsys):
     assert run(outdir, "validate", str(outdir / "absent.json")) == 2
     assert "not found" in capsys.readouterr().err
@@ -143,6 +179,10 @@ def test_kernel_off_domain_zeros_flagged(outdir):
     cols, arr, meta = read_csv(outdir / "kernel.csv")
     # the shared grid is used for both axes, so one off point counts twice
     assert int(meta["outside_points"]) == 2
+    assert list(meta) == ["n", "x_star", "delta", "scaled", "outside_points",
+                          "trace", "timestamp"]
+    assert (meta["n"], meta["x_star"], meta["delta"], meta["scaled"]) == (
+        "16", "None", "None", "False")
     off = arr[np.abs(arr[:, 0] - 0.5) < 1e-12]
     assert np.all(off[:, 2] == 0.0)
 
@@ -153,6 +193,11 @@ def test_kernel_scaled_at_edge(outdir):
     cols, arr, meta = read_csv(outdir / "kernel.csv")
     assert meta["scaled"] == "True"
     assert float(meta["x_star"]) == pytest.approx(2.0, abs=1e-8)
+    assert list(meta) == ["n", "x_star", "delta", "scaled", "kind", "order_k",
+                          "trace", "timestamp"]
+    assert (meta["n"], meta["delta"], meta["kind"], meta["order_k"]) == (
+        "16", repr(2.0 / 3.0), "edge", "0")
+    assert np.array_equal(np.unique(arr[:, 0]), np.linspace(-2, 0.5, 4))
 
 
 def test_kernel_where_weight_overflows(outdir):
@@ -168,6 +213,15 @@ def test_kernel_at_checked_before_fit(outdir, capsys):
     cfg = write_cfg(outdir, MP)
     assert run(outdir, "kernel", cfg, "--n", "320", "--at", "nope") == 2
     assert "--at must be 'raw' or a number" in capsys.readouterr().err
+    assert not (outdir / "kernel.csv").exists()
+
+
+@pytest.mark.parametrize("at", ["nan", "inf", "-inf"])
+def test_kernel_at_must_be_finite(outdir, capsys, at):
+    # every distance to a non-finite target ties, so the first point would win
+    cfg = write_cfg(outdir, GUE)
+    assert run(outdir, "kernel", cfg, f"--at={at}") == 2
+    assert f"--at must be finite, got {at!r}" in capsys.readouterr().err
     assert not (outdir / "kernel.csv").exists()
 
 
@@ -245,6 +299,15 @@ def test_sample_bins_below_one_exits_two(outdir, capsys, bins):
     assert run(outdir, "sample", cfg, "--steps", "20", "--bins", bins) == 2
     assert "--bins must be at least 1" in capsys.readouterr().err
     assert not (outdir / "samples.csv").exists()
+
+
+def test_sample_negative_seed_exits_two(outdir, capsys):
+    # numpy refuses a negative seed; the chain arguments are checked first
+    cfg = write_cfg(outdir, GUE)
+    assert run(outdir, "sample", cfg, "--steps", "20", "--seed", "-1") == 2
+    assert "seed must be non-negative" in capsys.readouterr().err
+    assert not (outdir / "samples.csv").exists()
+    assert read_json(outdir / "manifest_sample.json")["outputs"] == []
 
 
 def test_sample_zero_steps_errors(outdir):

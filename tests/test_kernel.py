@@ -13,7 +13,6 @@ from rmtlab.classify import CriticalPoint, bulk_point, extract_model_data, find_
 from rmtlab.orthopoly import build_quadrature, stieltjes_recurrence
 from rmtlab.scenarios import default_fit, get_scenario
 from rmtlab.kernel import (
-    KernelGrid,
     airy_kernel,
     bessel_kernel,
     cd_kernel,
@@ -162,8 +161,7 @@ def test_off_domain_points_give_zero():
     assert cd_kernel(r, p, 1.0, 2.0) == 0.0
     assert cd_kernel(r, p, 1e-12, -1e-12) == 0.0   # confluent pair across the edge
     g = kernel_grid(r, p, np.array([-1.0, 0.5]))
-    assert g.meta["outside_points"] == 2
-    assert g.values[1, 1] == 0.0
+    assert np.all(g[1] == 0.0) and np.all(g[:, 1] == 0.0) and g[0, 0] > 0.0
 
 
 def test_real_pole_point_gives_zero():
@@ -214,16 +212,18 @@ def test_scaled_points_must_stay_in_domain():
         scaled_kernel_grid(r, p, cp, np.array([-1.0, 0.5]))
 
 
-def test_scaled_grid_metadata():
+def test_scaled_grid_values():
     n = 30
     p = gaussian(n)
     r, q = fit(p)
     cp = bulk_point(solve_support(p, "one_cut"), 0.0)
-    g = scaled_kernel_grid(r, p, cp, np.linspace(-1, 1, 5))
-    assert isinstance(g, KernelGrid)
-    assert g.meta["n"] == n and g.meta["scaled"] is True
-    assert g.meta["delta"] == 1.0
-    assert g.values.shape == (5, 5)
+    us = np.linspace(-1, 1, 5)
+    g = scaled_kernel_grid(r, p, cp, us)
+    assert isinstance(g, np.ndarray)
+    assert cp.delta == 1.0
+    assert g.shape == (5, 5)
+    s = float(n) ** -1.0   # n^{-delta} K_n(x_* + n^{-delta} u, ...) with x_* = 0
+    assert np.array_equal(g, s * kernel_matrix(r, p, s * us, s * us))
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +241,7 @@ def test_bulk_limit_is_sine():
     # with E_1 = rho(0) = 1/pi the mapped sine law is sin(u-v)/(pi(u-v))
     ref = np.array([[math.sin(a - b) / (math.pi * (a - b)) if a != b else 1.0 / math.pi
                      for b in us] for a in us])
-    assert np.max(np.abs(g.values - ref)) < 5e-3
+    assert np.max(np.abs(g - ref)) < 5e-3
 
 
 def test_soft_edge_limit_is_airy():
@@ -253,7 +253,7 @@ def test_soft_edge_limit_is_airy():
     us = np.linspace(-4, 1, 9)
     g = scaled_kernel_grid(r, p, cp, us)
     ref = np.array([[airy_kernel(a, b) for b in us] for a in us])
-    assert np.max(np.abs(g.values - ref)) < 3e-2
+    assert np.max(np.abs(g - ref)) < 3e-2
 
 
 @pytest.mark.parametrize("alpha,tol", [(0.0, 1e-3), (0.5, 1e-2)])
@@ -270,12 +270,12 @@ def test_hard_edge_limit_is_bessel(alpha, tol):
     g = scaled_kernel_grid(r, p, cp, us)
     ref = np.array([[s * bessel_kernel(2 * alpha, s * abs(a), s * abs(b))
                      for b in us] for a in us])
-    assert np.max(np.abs(g.values - ref)) < tol
+    assert np.max(np.abs(g - ref)) < tol
 
 
 def test_merge_family_kernels_collapse():
     tau = 2.0
-    cp = CriticalPoint(x_star=0.0, kind="interior", order_k=1, delta=1.0 / 3.0,
+    cp = CriticalPoint(x_star=0.0, kind="interior", order_k=1,
                        m_h=2, m_r=0, m_p=0, radius=0.5)
     us = np.linspace(-2, 2, 7)
     mats = []
@@ -283,7 +283,7 @@ def test_merge_family_kernels_collapse():
         t = -2.0 + tau * n ** (-2.0 / 3.0)
         p = Potential(n=n, reg=(0.0, t, 0.0, 1.0), singularities=(), support=LINE)
         r, q = fit(p)
-        mats.append(scaled_kernel_grid(r, p, cp, us).values)
+        mats.append(scaled_kernel_grid(r, p, cp, us))
     assert np.max(np.abs(mats[0] - mats[1])) < 6e-2
 
 
@@ -335,8 +335,8 @@ def test_bessel_kernel_input_validation():
 def test_reference_grid_shapes_and_kinds():
     u = np.linspace(0.1, 2.0, 4)
     g = reference_grid("bessel", u, alpha=1.0)
-    assert g.values.shape == (4, 4)
-    assert g.meta["reference"] == "bessel"
+    assert g.shape == (4, 4)
+    assert g[1, 2] == bessel_kernel(1.0, u[1], u[2])
     with pytest.raises(ValidationError, match="unknown"):
         reference_grid("gamma", u)
 

@@ -1,6 +1,7 @@
 """Potential parsing, validation, and weight evaluation."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -114,6 +115,21 @@ def test_validate_alpha_positive():
                   singularities=(Singularity(b=0.0, alpha=0.0),),
                   support=IntervalSet(((-math.inf, math.inf),)))
     with pytest.raises(ValidationError):
+        validate(p)
+
+
+@pytest.mark.parametrize("reg,sing,what", [
+    ((math.nan, 1.0), None, "reg[0]"),
+    ((0.0, math.inf), None, "reg[1]"),
+    ((0.0, 1.0), Singularity(b=complex(0.0, math.nan), alpha=1.0), "singularities[0].b"),
+    ((0.0, 1.0), Singularity(b=0.5, alpha=math.nan), "singularities[0].alpha"),
+    ((0.0, 1.0), Singularity(b=0.5, alpha=1.0, t=(-1.0, complex(math.inf, 0.0))),
+     "singularities[0].t[1]"),
+])
+def test_validate_rejects_non_finite_numbers(reg, sing, what):
+    p = Potential(n=10, reg=reg, singularities=(sing,) if sing else (),
+                  support=IntervalSet(((-math.inf, math.inf),)))
+    with pytest.raises(ValidationError, match=re.escape(f"{what} must be finite")):
         validate(p)
 
 

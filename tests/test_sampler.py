@@ -110,6 +110,8 @@ def test_parameter_validation():
         mcmc_chain(p, steps=10, burn_in=10)
     with pytest.raises(ValidationError, match="thin"):
         mcmc_chain(p, steps=10, burn_in=2, thin=0)
+    with pytest.raises(ValidationError, match="seed must be non-negative"):
+        mcmc_chain(p, steps=10, burn_in=2, seed=-1)
 
 
 def test_domain_restriction_holds():
@@ -224,20 +226,23 @@ def test_histogram_normalization():
     assert emp.mass() == pytest.approx(1.0, abs=1e-12)
 
 
-def test_histogram_interval_set_bins():
-    # gapped bins: samples in the gap are dropped before normalizing
-    gappy = IntervalSet(((0.0, 0.4), (0.6, 1.0)))
-    emp = histogram_density([np.array([0.1, 0.3, 0.5, 0.7, 0.8])], gappy)
-    assert emp.bins == ((0.0, 0.4), (0.6, 1.0))
-    assert np.allclose(emp.values, [2 / (4 * 0.4), 2 / (4 * 0.4)])
-    assert emp.mass() == pytest.approx(1.0, abs=1e-12)
-
-
 def test_histogram_error_cases():
     with pytest.raises(ValidationError, match="at least one"):
         histogram_density([], np.linspace(0, 1, 5))
     with pytest.raises(ValidationError, match="inside"):
         histogram_density([np.array([5.0])], np.linspace(0, 1, 5))
+    with pytest.raises(ValidationError, match="increasing"):
+        histogram_density([np.array([0.5])], [0.0, 1.0, 1.0])
+    with pytest.raises(ValidationError, match="finite"):
+        histogram_density([np.array([0.5])], [0.0, 1.0, math.inf])
+
+
+def test_histogram_keeps_its_edges():
+    edges = np.array([0.0, 0.25, 1.0])
+    emp = histogram_density([np.array([0.1, 0.2, 0.5, 0.9])], edges)
+    assert np.array_equal(emp.edges, edges)
+    assert np.array_equal(emp.widths(), [0.25, 0.75])
+    assert np.array_equal(emp.values, [2 / (4 * 0.25), 2 / (4 * 0.75)])
 
 
 def test_compare_density_zero_for_exact_bin_averages():
@@ -246,7 +251,7 @@ def test_compare_density_zero_for_exact_bin_averages():
     edges = np.linspace(-2.2, 2.2, 23)
     cum = np.array([mass_right_of(em, float(e)) for e in edges])
     avg = (cum[:-1] - cum[1:]) / np.diff(edges)
-    emp = EmpiricalDensity(bins=tuple(zip(edges[:-1], edges[1:])), values=avg)
+    emp = EmpiricalDensity(edges=edges, values=avg)
     out = compare_density(emp, em)
     assert out["sup_dev"] < 1e-12
     assert out["l1_dev"] < 1e-12
