@@ -1,8 +1,10 @@
 """Equilibrium measures and spectral curves.
 
-The equilibrium measure minimizes the Coulomb energy
+The equilibrium measure solved here minimizes the Coulomb energy
 int int log(1/|x-y|) dmu dmu + int V_reg dmu over probability measures on
-the domain.  Its density is encoded by the spectral curve
+the domain; solve_support refuses a potential with pole terms (V_sing),
+whose measure needs the whole V.  Its density is encoded by the
+spectral curve
 
     y(z) = h(z) sqrt(R(z)),      rho(x) = y_+(x) / (2 pi i),
 
@@ -618,10 +620,20 @@ def solve_support(p: Potential, structure: str = "one_cut") -> EquilibriumMeasur
 
     structure: "one_cut" (two soft edges), "symmetric_two_cut" (even
     potential, mirror-image cuts), or "hard_edge_one_cut" (one support
-    endpoint pinned at a finite domain endpoint).
+    endpoint pinned at a finite domain endpoint).  A potential with a
+    nonzero pole coefficient is refused with ValidationError: the
+    solvers balance V_reg alone, and the measure they returned for it
+    would be that of V without V_sing.
     """
     if structure not in STRUCTURES:
         raise ValidationError(f"unknown structure {structure!r}; pick from {STRUCTURES}")
+    poles = [(i, j) for i, s in enumerate(p.singularities)
+             for j, c in enumerate(s.t, 1) if c != 0]
+    if poles:
+        i, j = poles[0]
+        raise ValidationError(
+            f"singularities[{i}] has pole coefficient t_{j} != 0: the equilibrium "
+            f"solve covers V_reg and log charges only, not pole terms")
     if structure == "one_cut":
         return _finish(p, _solve_one_cut(p))
     if structure == "symmetric_two_cut":

@@ -19,6 +19,7 @@ import numpy as np
 from .errors import FormatError
 
 _FMT = "%.17g"
+_FLOAT_TYPES = frozenset((float, np.float64))
 
 
 def fmt_number(x) -> str:
@@ -40,13 +41,15 @@ def write_csv(path, columns, rows, meta=None) -> None:
         lines.append(f"# {key}: {val}")
     lines.append(f"# timestamp: {time.strftime('%Y-%m-%dT%H:%M:%S')}")
     lines.append(",".join(columns))
-    # one % per row of floats; it formats each entry as fmt_number does
+    # one % per row of floats; it formats each entry as fmt_number does.
+    # The exact-type test runs in C; a row with any other type in it,
+    # other float subclasses too, takes the per-value path (same bytes)
     floats = ",".join([_FMT] * len(columns))
     for row in rows:
         if len(row) != len(columns):
             raise FormatError(
                 f"row of width {len(row)} under {len(columns)} columns")
-        if all(isinstance(v, float) for v in row):
+        if _FLOAT_TYPES.issuperset(map(type, row)):
             lines.append(floats % tuple(row))
         else:
             lines.append(",".join(fmt_number(v) for v in row))

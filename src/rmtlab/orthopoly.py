@@ -32,6 +32,8 @@ from .quad import gauss_legendre
 _LOG_FLOOR = -1380.0
 _LOG_TOP = 690.0
 _TINY = np.finfo(float).tiny
+_SQRT_TINY = math.sqrt(_TINY)
+_GRAM_BLOCK = 1 << 18   # entries (2 MiB of doubles) per node block of gram_check
 _EXP_BUDGET = 20.0      # max swing of n*V_reg across one plain panel
 _MIN_ORDER = 12
 _MAX_ORDER = 48
@@ -191,14 +193,14 @@ def _is_even_model(p: Potential) -> bool:
     mirror = tuple(sorted((-hi, -lo) for lo, hi in ivs))
     if mirror != tuple(sorted(ivs)):
         return False
-    def key(s):
-        return (complex(s.b), float(s.alpha), tuple(complex(c) for c in s.t))
-    pool = sorted(key(s) for s in p.singularities)
-    refl = sorted(
-        (-complex(s.b), float(s.alpha),
-         tuple((-1.0) ** (j + 1) * complex(c) for j, c in enumerate(s.t)))
-        for s in p.singularities
-    )
+    # complex numbers do not order, so the keys hold (real, imag) pairs
+    def key(b, alpha, t):
+        return (b.real, b.imag, float(alpha), tuple((c.real, c.imag) for c in t))
+    pool = sorted(key(complex(s.b), s.alpha, map(complex, s.t))
+                  for s in p.singularities)
+    refl = sorted(key(-complex(s.b), s.alpha,
+                      ((-1.0) ** (j + 1) * complex(c) for j, c in enumerate(s.t)))
+                  for s in p.singularities)
     return pool == refl
 
 
@@ -474,9 +476,13 @@ def orthonormal_rows(r: Recurrence, x, log_w, m: int):
     recurrence at points.  The degree range is checked before the first
     row is computed.
     """
+    _check_degree(r, m)
+    return _scaled_rows(r, x, log_w, m)
+
+
+def _check_degree(r: Recurrence, m: int) -> None:
     if not 0 <= m <= r.m_max:
         raise ValidationError(f"degree {m} outside recurrence range 0..{r.m_max}")
-    return _scaled_rows(r, x, log_w, m)
 
 
 def _scaled_rows(r: Recurrence, x, log_w, m: int):
@@ -497,13 +503,31 @@ def gram_check(r: Recurrence, q: QuadratureRule, m: int) -> float:
     diagonal should be 1; the returned scalar is the largest deviation,
     so an under-resolved rule reports a large residual instead of
     passing silently.
+
+    The (m+1) x N matrix of psi_j sqrt(base) is never formed: the nodes
+    are walked in blocks of about _GRAM_BLOCK entries, and each block's
+    products are summed into the (m+1)^2 Gram matrix, so memory stays
+    O(m^2 + _GRAM_BLOCK) at any N.  In each scaled block, entries below
+    sqrt(tiny) ~ 1.5e-154 are set to 0.  Entries are of modulus about 1
+    at most (sum_i base_i psi_j(x_i)^2 ~ 1), so no dropped product can
+    move a Gram entry the defect reads; the products of two such
+    entries are subnormal, and the floating-point unit takes a slow
+    assist on every one.  Only this scaled copy is cleared, never the
+    rows: tail values tiny at low degree grow at higher degree.
     """
-    rows = orthonormal_rows(r, q.nodes, q.log_w, m)
-    psi = np.empty((m + 1, q.nodes.size))
-    for j, row in enumerate(rows):
-        psi[j] = row
-    psi *= np.sqrt(q.base)
-    gram = psi @ psi.T
+    _check_degree(r, m)
+    npts = q.nodes.size
+    width = max(1, _GRAM_BLOCK // (m + 1))
+    gram = np.zeros((m + 1, m + 1))
+    blk = np.empty((m + 1, min(width, npts)))
+    for lo in range(0, npts, width):
+        hi = min(npts, lo + width)
+        part = blk[:, :hi - lo]
+        for j, row in enumerate(orthonormal_rows(r, q.nodes[lo:hi], q.log_w[lo:hi], m)):
+            part[j] = row
+        part *= np.sqrt(q.base[lo:hi])
+        part[(part < _SQRT_TINY) & (part > -_SQRT_TINY)] = 0.0
+        gram += part @ part.T
     defect = np.abs(gram - np.eye(m + 1))
     return float(defect.max())
 

@@ -19,6 +19,15 @@ BAD_ALPHA = {"reg": [-1.0], "singularities": [{"b": [0.0, 0.0], "alpha": -0.7}],
              "support": [["-inf", 0.0]], "n": 16}
 TWO_CUT = {"reg": [0.0, -3.0, 0.0, 1.0], "singularities": [],
            "support": [["-inf", "inf"]], "n": 16}
+# V = x + 1/x on (0, inf) with a charge 1 at 0: the pole term is in the
+# weight of every fit, but no equilibrium solver balances it
+POLE = {"reg": [1.0], "singularities": [{"b": [0.0, 0.0], "alpha": 1.0, "t": [-1.0]}],
+        "support": [[0.0, "inf"]], "n": 16}
+# Gaussian with charges 1/2 at +-1: even, with two singularities
+TWO_CHARGE_GUE = {"reg": [0.0, 1.0],
+                  "singularities": [{"b": [1.0, 0.0], "alpha": 0.5},
+                                    {"b": [-1.0, 0.0], "alpha": 0.5}],
+                  "support": [["-inf", "inf"]], "n": 16}
 # V = x^4/4 - x^2: max log w = n, past log(float max) = 709.78 at n = 720
 QUARTIC = {"reg": [0.0, -2.0, 0.0, 1.0], "singularities": [],
            "support": [["-inf", "inf"]], "n": 720}
@@ -223,6 +232,36 @@ def test_kernel_at_must_be_finite(outdir, capsys, at):
     assert run(outdir, "kernel", cfg, f"--at={at}") == 2
     assert f"--at must be finite, got {at!r}" in capsys.readouterr().err
     assert not (outdir / "kernel.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["equilibrium"],
+    ["classify"],
+    ["sample", "--steps", "20"],
+    ["kernel", "--at", "0.0", "--grid=0.5:2:3"],
+], ids=["equilibrium", "classify", "sample", "kernel-at"])
+def test_pole_terms_refused_by_equilibrium_commands(outdir, capsys, argv):
+    # without the refusal, hard_edge_one_cut returned Marchenko-Pastur's
+    # [0, 4], the measure of V without its pole term
+    cfg = write_cfg(outdir, POLE)
+    cmd, *rest = argv
+    assert run(outdir, cmd, cfg, "--structure", "hard_edge_one_cut", *rest) == 2
+    assert "singularities[0] has pole coefficient t_1 != 0" in capsys.readouterr().err
+    assert not [f for f in outdir.iterdir() if f.suffix == ".csv"]
+
+
+def test_pole_terms_still_fit_for_raw_kernel(outdir):
+    cfg = write_cfg(outdir, POLE)
+    assert run(outdir, "kernel", cfg, "--grid=0.5:4:4") == 0
+    _, _, meta = read_csv(outdir / "kernel.csv")
+    assert float(meta["trace"]) == pytest.approx(16.0, rel=1e-8)
+
+
+def test_kernel_on_even_model_with_two_charges(outdir):
+    cfg = write_cfg(outdir, TWO_CHARGE_GUE)
+    assert run(outdir, "kernel", cfg, "--at", "2.0", "--grid=-1:1:3") == 0
+    _, _, meta = read_csv(outdir / "kernel.csv")
+    assert float(meta["trace"]) == pytest.approx(16.0, rel=1e-8)
 
 
 def test_converge_scan_json(outdir):

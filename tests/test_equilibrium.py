@@ -13,6 +13,7 @@ from rmtlab import (
     NumericalError,
     Potential,
     Singularity,
+    ValidationError,
     check_variational,
     curve_eval,
     density,
@@ -220,6 +221,23 @@ def test_solver_refusals_keep_their_messages():
                        r"did not converge \(near a merge point, one_cut may be the right "
                        r"structure\)$"):
         solve_support(gaussian(200), "symmetric_two_cut")
+
+
+@pytest.mark.parametrize("structure", equilibrium.STRUCTURES)
+def test_pole_terms_refused(structure):
+    # V = -x - 1/x^2 on (-inf, 0]: the solvers would balance -x alone
+    p = Potential(n=40, reg=(-1.0,), singularities=(
+        Singularity(b=0.0, alpha=0.5, t=(0.0, -1.0)),), support=NEG)
+    with pytest.raises(ValidationError,
+                       match=r"^singularities\[0\] has pole coefficient t_2 != 0"):
+        solve_support(p, structure)
+
+
+def test_zero_pole_coefficients_solve_as_before():
+    p = Potential(n=40, reg=(-1.0,), singularities=(
+        Singularity(b=0.0, alpha=0.5, t=(0.0, 0.0)),), support=NEG)
+    em = solve_support(p, "hard_edge_one_cut")
+    assert em.support == solve_support(mp_charge(40), "hard_edge_one_cut").support
 
 
 def test_newton_converges_and_reports_failure_quietly():

@@ -80,6 +80,15 @@ def test_csv_rows_print_as_fmt_number(tmp_path):
         (10 ** 20, np.int64(2 ** 62), 2.0),
         ("ok", -0.0, np.float32(0.1)),
         (np.float32(2.5), np.float64(3.0), np.uint8(4)),
+        # one type per row: float, np.float64, int, np.int64, bool,
+        # np.bool_, str
+        (0.1, -0.0, 1e300),
+        (np.float64(0.1), np.float64(-0.0), np.float64(1e300)),
+        (3, -4, 10 ** 20),
+        (np.int64(3), np.int64(-4), np.int64(2 ** 62)),
+        (True, False, True),
+        (np.bool_(True), np.bool_(False), np.bool_(True)),
+        ("a", "b", "c"),
     ]
     path = tmp_path / "mixed.csv"
     write_csv(path, ["a", "b", "c"], rows)
@@ -87,6 +96,16 @@ def test_csv_rows_print_as_fmt_number(tmp_path):
     assert body == [",".join(fmt_number(v) for v in row) for row in rows]
     assert body[0] == "0.10000000000000001,-0,0"
     assert body[1] == "inf,-inf,nan"
+    assert body[4] == "1.5,7,-7"
+    assert body[-7:] == [
+        "0.10000000000000001,-0,1.0000000000000001e+300",
+        "0.10000000000000001,-0,1.0000000000000001e+300",
+        "3,-4,100000000000000000000",
+        "3,-4,4611686018427387904",
+        "true,false,true",
+        "true,false,true",
+        "a,b,c",
+    ]
 
 
 def test_csv_rejects_ragged_rows():

@@ -1,6 +1,7 @@
 """Quadrature discretization and the Stieltjes recurrence."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -410,6 +411,93 @@ def test_recurrence_refuses_as_reference(rule, m_max, match):
     with pytest.raises(NumericalError) as got:
         stieltjes_recurrence(rule(), m_max)
     assert str(got.value) == str(ref.value)
+
+
+def reference_gram_defect(r, q, m):
+    """gram_check on the whole (m+1) x N matrix, nothing cleared."""
+    psi = np.empty((m + 1, q.nodes.size))
+    for j, row in enumerate(orthonormal_rows(r, q.nodes, q.log_w, m)):
+        psi[j] = row
+    psi *= np.sqrt(q.base)
+    return float(np.abs(psi @ psi.T - np.eye(m + 1)).max())
+
+
+@pytest.mark.parametrize("p", [
+    gaussian(60),
+    gaussian(240),
+    critical_quartic(120),
+    critical_quartic(240),
+    mp_hard_edge(100, 0.0),
+    mp_hard_edge(100, 0.5),
+    get_scenario("mp-two-charge").make_potential(40),
+], ids=["gue60", "gue240", "quartic120", "quartic240", "mp0", "mp-half",
+        "mp-two-charge"])
+def test_gram_check_matches_reference(p):
+    # the blocks change only the order of the sums, and the cleared
+    # entries are below sqrt(tiny)
+    r, q = default_fit(p)
+    assert gram_check(r, q, p.n) == pytest.approx(
+        reference_gram_defect(r, q, p.n), rel=0, abs=1e-15)
+
+
+@pytest.mark.parametrize("block", [1, 13 * 11 + 5, 1 << 18])
+def test_gram_check_any_block_width(monkeypatch, block):
+    # one node per block, a ragged last block, and a single block
+    q = build_quadrature(gaussian(10), 400, degree_hint=24)
+    r = stieltjes_recurrence(q, 10)
+    monkeypatch.setattr(orthopoly, "_GRAM_BLOCK", block)
+    assert gram_check(r, q, 10) == pytest.approx(
+        reference_gram_defect(r, q, 10), rel=0, abs=1e-15)
+
+
+def traced_peak(f, *args):
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_gram_check_memory_is_bounded():
+    # the whole 241 x 6912 matrix would take 13.3 MB
+    r, q = default_fit(critical_quartic(240))
+    assert traced_peak(gram_check, r, q, 240) < 6e6
+
+
+def test_gram_check_degree_checked_before_allocating():
+    r, q = default_fit(gaussian(20))
+
+    def refused():
+        with pytest.raises(ValidationError, match="degree"):
+            gram_check(r, q, 10 ** 9)
+
+    assert traced_peak(refused) < 1e5
+
+
+# ---------------------------------------------------------------------------
+# even models
+
+
+def test_even_model_with_two_charges_is_mirrored():
+    p = Potential(n=40, reg=(0.0, 1.0),
+                  singularities=(Singularity(b=1.0, alpha=0.5),
+                                 Singularity(b=-1.0, alpha=0.5)), support=LINE)
+    assert orthopoly._is_even_model(p)
+    q = build_quadrature(p, 900)
+    assert np.array_equal(q.nodes, -q.nodes[::-1])
+    assert np.array_equal(q.base, q.base[::-1])
+
+
+def test_conjugate_pair_fits_as_non_even_model():
+    p = Potential(n=40, reg=(0.0, 1.0),
+                  singularities=(Singularity(b=1 + 1j, alpha=0.5),
+                                 Singularity(b=1 - 1j, alpha=0.5)), support=LINE)
+    assert not orthopoly._is_even_model(p)
+    r, q = default_fit(p)
+    assert gram_check(r, q, p.n) < 1e-12
+    # |x - 1 - i| |x - 1 + i| = (x - 1)^2 + 1 weights mass away from x = 1
+    assert r.a[0] < 0.0
 
 
 # ---------------------------------------------------------------------------
