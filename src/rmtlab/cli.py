@@ -175,14 +175,16 @@ def cmd_kernel(args, man: RunManifest, outdir: str) -> int:
         raise ValidationError(f"--at must be 'raw' or a number, got {args.at!r}")
     if target is not None and not math.isfinite(target):
         raise ValidationError(f"--at must be finite, got {args.at!r}")
+    # the equilibrium layer may refuse the config; it does so before the fit
+    cp = None if target is None else nearest_critical_point(
+        solve_support(p, args.structure), target)
     r, q = default_fit(p)
-    if target is None:
+    if cp is None:
         values = kernel_grid(r, p, grid)
         outside = 2 * int(np.count_nonzero(~p.support.contains(grid)))  # once per axis
         meta = {"n": p.n, "x_star": None, "delta": None, "scaled": False,
                 "outside_points": outside}
     else:
-        cp = nearest_critical_point(solve_support(p, args.structure), target)
         values = scaled_kernel_grid(r, p, cp, grid)
         meta = {"n": p.n, "x_star": cp.x_star, "delta": cp.delta, "scaled": True,
                 "kind": cp.kind, "order_k": cp.order_k}

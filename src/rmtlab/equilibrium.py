@@ -15,22 +15,27 @@ normalization at infinity is y(z) ~ V'_reg(z) - 2/z.
 Endpoint equations.  Writing sqrt(R) ~ z^D at infinity and expanding
 V'_reg / sqrt(R) = h + sum_{j>=1} c_j z^{-j}, the normalization is
 equivalent to c_1 = ... = c_D = 0 and c_{D+1} = 2, which is what the
-structure solvers below enforce.  The expansion coefficients come from
+endpoint solver below enforces.  The expansion coefficients come from
 exact binomial-series convolution, so h is obtained without any
 polynomial division.
 
-Solvers.  one_cut and symmetric_two_cut solve their two endpoint
-equations with _newton_2x2, a damped Newton iteration with a
-forward-difference Jacobian, from a fixed list of starts.
-hard_edge_one_cut has one equation in the soft endpoint: it scans a grid
-for the first sign change and bisects it to adjacent doubles (_bisect).
-Both run on numpy and the standard library alone.
+Solver.  Each support structure is a list of layouts (_layouts): a map
+from k unknowns to the zeros and poles of R, the c_j it pins, a box for
+the unknowns, starts and refusal messages.  one_cut takes (centre, log
+half-width) with c_1 = 0 and c_2 = 2; symmetric_two_cut takes (log a,
+log(b - a)) with c_1 = 0 and c_3 = 2, c_2 vanishing by symmetry;
+hard_edge_one_cut has one layout per finite domain endpoint, with the
+soft endpoint s as its unknown and c_1 = 2.  One damped Newton iteration
+(_newton, a forward-difference Jacobian on Python floats) solves every
+layout; the first curve that stays in the domain with a nonnegative
+density wins.  It runs on numpy and the standard library alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -163,7 +168,7 @@ def _laurent_split(vc: np.ndarray, zeros, poles, jmax: int):
     if (nz - npo) % 2 != 0:
         raise NumericalError("sqrt(R) needs an even count of zeros minus poles")
     # V'_reg / sqrt(R) = z^-D V'_reg(z) prod (1 - r/z)^-1/2 prod (1 - q/z)^1/2,
-    # so e_l multiplies z^(top - l); every solver has top >= -1
+    # so e_l multiplies z^(top - l); _layouts' degree checks keep top >= -1
     top = len(vc) - 1 - (nz - npo) // 2
     e = _expansion_at_infinity(vc, zeros, poles, len(vc) + jmax + 1)
     h = e[top::-1] if top >= 0 else np.zeros(1)
@@ -346,7 +351,7 @@ def mass_right_of(em: EquilibriumMeasure, x: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# structure solvers
+# endpoint solver
 
 
 def _component_intervals(curve: SpectralCurve) -> IntervalSet:
@@ -370,8 +375,23 @@ def _density_floor(curve: SpectralCurve, support: IntervalSet):
     return worst
 
 
-def _check_density(curve: SpectralCurve, support: IntervalSet, verdict: str) -> None:
-    """Refuse a curve whose density dips below -1e-9 of its largest value."""
+def _check_curve(p: Potential, curve: SpectralCurve, verdict: str) -> None:
+    """Refuse a curve whose support leaves a domain interval, or whose
+    density dips below -1e-9 of its largest value."""
+    support = _component_intervals(curve)
+    for lo, hi in support.intervals:
+        if any(dlo - 1e-8 <= lo and hi <= dhi + 1e-8 for dlo, dhi in p.support.intervals):
+            continue
+        if p.support.contains(lo, tol=1e-8) and p.support.contains(hi, tol=1e-8):
+            glo, ghi = max(p.support.gaps(), key=lambda g: min(hi, g[1]) - max(lo, g[0]))
+            raise NumericalError(
+                f"support component [{lo:.6g}, {hi:.6g}] crosses the domain gap "
+                f"({glo:.6g}, {ghi:.6g}), where the weight vanishes"
+            )
+        raise NumericalError(
+            f"support component [{lo:.6g}, {hi:.6g}] escapes the domain; "
+            "a hard-edge structure fits this configuration"
+        )
     floor, where = _density_floor(curve, support)
     rho_scale = max(1e-300, float(np.max(np.abs(_rho(
         curve, np.linspace(support.lo + 1e-6, support.hi - 1e-6, 101))))))
@@ -379,20 +399,8 @@ def _check_density(curve: SpectralCurve, support: IntervalSet, verdict: str) -> 
         raise NumericalError(f"negative density near x={where:.6g}: {verdict}")
 
 
-def _finish(
-    p: Potential,
-    curve: SpectralCurve,
-    check_density: bool = True,
-) -> EquilibriumMeasure:
+def _finish(p: Potential, curve: SpectralCurve) -> EquilibriumMeasure:
     support = _component_intervals(curve)
-    for lo, hi in support.intervals:
-        if not (p.support.contains(lo, tol=1e-8) and p.support.contains(hi, tol=1e-8)):
-            raise NumericalError(
-                f"support component [{lo:.6g}, {hi:.6g}] escapes the domain; "
-                "a hard-edge structure fits this configuration"
-            )
-    if check_density:
-        _check_density(curve, support, "requested structure infeasible")
     em = EquilibriumMeasure(potential=p, curve=curve, support=support)
     masses = tuple(float(np.sum(w)) for _, w in em.component_rules())
     em.masses = masses
@@ -426,8 +434,32 @@ def _find_exterior_points(em: EquilibriumMeasure) -> tuple[float, ...]:
     return tuple(sorted(pts))
 
 
-def _newton_2x2(resid, u0):
-    """Damped Newton on a 2x2 system F(u) = 0; returns (u, max|F(u)|).
+def _solve_linear(a, b):
+    """x with a x = b by Gaussian elimination with partial pivoting.
+
+    Python floats throughout; None when a pivot is zero or not finite, or
+    when x is not finite.
+    """
+    k = len(b)
+    rows = [list(row) + [v] for row, v in zip(a, b)]
+    for i in range(k):
+        top = max(range(i, k), key=lambda r: abs(rows[r][i]))
+        rows[i], rows[top] = rows[top], rows[i]
+        piv = rows[i][i]
+        if not (math.isfinite(piv) and piv != 0.0):
+            return None
+        for row in rows[i + 1:]:
+            m = row[i] / piv
+            for c in range(i, k + 1):
+                row[c] -= m * rows[i][c]
+    x = [0.0] * k
+    for i in reversed(range(k)):
+        x[i] = (rows[i][k] - sum(rows[i][c] * x[c] for c in range(i + 1, k))) / rows[i][i]
+    return x if all(map(math.isfinite, x)) else None
+
+
+def _newton(resid, u0):
+    """Damped Newton on a system F(u) = 0 in k unknowns; returns (u, max|F(u)|).
 
     The Jacobian is a forward difference with step sqrt(eps)*max(|u_j|, 1),
     rebuilt at every step.  Each Newton step is halved until |F| (2-norm)
@@ -443,21 +475,18 @@ def _newton_2x2(resid, u0):
     for _ in range(_NEWTON_ITER):
         if not norm > 0.0:  # solved, or a non-finite residual
             break
-        jac = []
-        for j in range(2):
+        cols = []
+        for j in range(len(u)):
             hj = _FD_STEP * max(abs(u[j]), 1.0)
             up = list(u)
             up[j] += hj
-            fj = [float(v) for v in resid(up)]
-            jac.append(((fj[0] - f[0]) / hj, (fj[1] - f[1]) / hj))
-        (j00, j10), (j01, j11) = jac
-        det = j00 * j11 - j01 * j10
-        if not (math.isfinite(det) and det != 0.0):
+            cols.append([(float(v) - fv) / hj for v, fv in zip(resid(up), f)])
+        step = _solve_linear(list(zip(*cols)), [-fv for fv in f])
+        if step is None:
             break
-        step = ((j01 * f[1] - j11 * f[0]) / det, (j10 * f[0] - j00 * f[1]) / det)
         lam = 1.0
         for _ in range(_NEWTON_HALVINGS + 1):
-            trial = [u[0] + lam * step[0], u[1] + lam * step[1]]
+            trial = [v + lam * d for v, d in zip(u, step)]
             ft = [float(v) for v in resid(trial)]
             if math.hypot(*ft) < norm:
                 break
@@ -465,30 +494,9 @@ def _newton_2x2(resid, u0):
         else:
             break
         u, f, norm = trial, ft, math.hypot(*ft)
-        if lam * max(abs(step[0]), abs(step[1])) <= 1e-14 * max(abs(u[0]), abs(u[1])):
+        if lam * max(map(abs, step)) <= 1e-14 * max(map(abs, u)):
             break
-    return tuple(u), max(abs(f[0]), abs(f[1]))
-
-
-def _bisect(func, lo: float, hi: float) -> float:
-    """Root of func in [lo, hi], where func changes sign, to adjacent doubles.
-
-    Returns the midpoint where func vanishes exactly, otherwise the end of
-    the final bracket with the smaller |func|.
-    """
-    flo, fhi = func(lo), func(hi)
-    while True:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        fmid = func(mid)
-        if fmid == 0.0:
-            return mid
-        if (fmid < 0.0) == (flo < 0.0):
-            lo, flo = mid, fmid
-        else:
-            hi, fhi = mid, fmid
-    return lo if abs(flo) <= abs(fhi) else hi
+    return tuple(u), max(map(abs, f))
 
 
 def _center_guess(p: Potential) -> float:
@@ -498,121 +506,100 @@ def _center_guess(p: Potential) -> float:
     return float(x[int(np.argmin(v_reg(p, x)))])
 
 
-def _solve_one_cut(p: Potential) -> SpectralCurve:
-    vc = np.asarray(p.reg, dtype=float)  # V'_reg = sum t_j z^(j-1)
-    if not len(vc) or not np.any(vc):
-        raise NumericalError("one_cut needs a nonconstant V_reg")
-    x0 = _center_guess(p)
+@dataclass(frozen=True)
+class _Layout:
+    """Branch points as a function of k unknowns, and what pins them.
 
-    def resid(u):
-        c0, s = u
-        if abs(s) > 40.0 or abs(c0) > 1e8:
-            return [1e8 * (1 + abs(s)), 1e8 * (1 + abs(c0))]
-        a, b = c0 - math.exp(s), c0 + math.exp(s)
-        _, c = _laurent_split(vc, [a, b], [], 2)
-        return [c[0], c[1] - 2.0]
+    ends(u) gives the curve's (zeros, poles).  pins[j - 1] is the value
+    c_j must take, or None for a free c_j; each unknown stays inside its
+    open box interval.  failure refuses a layout no start solves, verdict
+    a solution whose density goes negative.
+    """
 
-    best = None
-    for s0 in (0.0, 0.7, -0.7, 1.4):
-        sol, fmax = _newton_2x2(resid, (x0, s0))
-        if fmax < 1e-10:
-            best = sol
-            break
-    if best is None:
-        raise NumericalError("one_cut endpoint equations did not converge")
-    c0, s = best
-    a, b = c0 - math.exp(s), c0 + math.exp(s)
-    h, _ = _laurent_split(vc, [a, b], [], 2)
-    return SpectralCurve(h=tuple(h), zeros=(min(a, b), max(a, b)), poles=())
+    ends: Callable
+    pins: tuple[float | None, ...]
+    box: tuple[tuple[float, float], ...]
+    starts: tuple[tuple[float, ...], ...]
+    failure: str
+    verdict: str = "requested structure infeasible"
 
 
-def _solve_symmetric_two_cut(p: Potential) -> SpectralCurve:
-    vc = np.asarray(p.reg, dtype=float)  # V'_reg = sum t_j z^(j-1)
-    if len(vc) < 2:
-        raise NumericalError("symmetric_two_cut needs degree >= 4 in V_reg")
-    even = vc[0::2]
-    if np.max(np.abs(even)) > 1e-12 * max(1.0, np.max(np.abs(vc))):
-        raise NumericalError("symmetric_two_cut requires an even potential")
+def _one_cut_ends(u):
+    c0, w = u[0], math.exp(u[1])
+    return [c0 - w, c0 + w], []
 
-    def resid(u):
-        ga, gs = u
-        if abs(ga) > 40.0 or abs(gs) > 40.0:
-            return [1e8 * (1 + abs(ga)), 1e8 * (1 + abs(gs))]
-        a = math.exp(ga)
-        b = a + math.exp(gs)
-        _, c = _laurent_split(vc, [-b, -a, a, b], [], 3)
-        return [c[0], c[2] - 2.0]
 
+def _symmetric_two_cut_ends(u):
+    a = math.exp(u[0])
+    b = a + math.exp(u[1])
+    return [-b, -a, a, b], []
+
+
+def _layouts(p: Potential, structure: str, vc: np.ndarray) -> list[_Layout]:
+    """The layouts a structure tries, in order."""
     sc = p.scale()
-    best = None
-    for ga0, gs0 in ((math.log(0.5 * sc), math.log(sc)),
-                     (math.log(0.1 * sc), math.log(2 * sc)),
-                     (0.0, 0.5)):
-        sol, fmax = _newton_2x2(resid, (ga0, gs0))
-        if fmax < 1e-10:
-            best = sol
-            break
-    if best is None:
-        raise NumericalError(
+    if structure == "symmetric_two_cut":
+        # unknowns (log a, log(b - a)); c_2 vanishes by symmetry, so it is free
+        if len(vc) < 2:
+            raise NumericalError("symmetric_two_cut needs degree >= 4 in V_reg")
+        even = vc[0::2]
+        if np.max(np.abs(even)) > 1e-12 * max(1.0, np.max(np.abs(vc))):
+            raise NumericalError("symmetric_two_cut requires an even potential")
+        return [_Layout(
+            _symmetric_two_cut_ends, (0.0, None, 2.0), ((-40.0, 40.0), (-40.0, 40.0)),
+            ((math.log(0.5 * sc), math.log(sc)), (math.log(0.1 * sc), math.log(2 * sc)),
+             (0.0, 0.5)),
             "symmetric_two_cut endpoint equations did not converge "
-            "(near a merge point, one_cut may be the right structure)"
-        )
-    a = math.exp(best[0])
-    b = a + math.exp(best[1])
-    h, _ = _laurent_split(vc, [-b, -a, a, b], [], 3)
-    return SpectralCurve(h=tuple(h), zeros=(-b, -a, a, b), poles=())
-
-
-def _solve_hard_edge(p: Potential) -> SpectralCurve:
-    vc = np.asarray(p.reg, dtype=float)  # V'_reg = sum t_j z^(j-1)
+            "(near a merge point, one_cut may be the right structure)")]
     if not len(vc) or not np.any(vc):
-        raise NumericalError("hard_edge_one_cut needs a nonconstant V_reg")
-    sc = p.scale()
-    attempts = []
+        raise NumericalError(f"{structure} needs a nonconstant V_reg")
+    if structure == "one_cut":
+        # unknowns (centre, log half-width)
+        x0 = _center_guess(p)
+        return [_Layout(
+            _one_cut_ends, (0.0, 2.0), ((-1e8, 1e8), (-40.0, 40.0)),
+            tuple((x0, s0) for s0 in (0.0, 0.7, -0.7, 1.4)),
+            "one_cut endpoint equations did not converge")]
+    # hard_edge_one_cut: the soft endpoint s, with the hard edge pinned at
+    # each finite domain endpoint in turn and s between it and the far end
+    # (50 model scales out on a half-line); the starts lie 1/50 and 1/2 of
+    # the way there, so a root close to the edge is tried first
+    out = []
     for lo, hi in p.support.intervals:
-        if math.isfinite(hi):
-            attempts.append((hi, lo, -1))  # support [s, hi]
-        if math.isfinite(lo):
-            attempts.append((lo, hi, +1))  # support [lo, s]
-    if not attempts:
+        for edge, far in ((hi, lo), (lo, hi)):
+            if not math.isfinite(edge):
+                continue
+            if not math.isfinite(far):
+                far = edge + math.copysign(50.0 * sc, far)
+            out.append(_Layout(
+                lambda u, edge=edge: ([u[0]], [edge]), (2.0,),
+                ((min(edge, far), max(edge, far)),),
+                tuple((edge + t * (far - edge),) for t in (0.02, 0.5)),
+                "hard_edge_one_cut: no soft endpoint balances the mass condition",
+                f"hard edge at {edge:.6g} infeasible"))
+    if not out:
         raise NumericalError("hard_edge_one_cut needs a finite domain endpoint")
+    return out
 
-    last_err = None
-    for edge, far, direction in attempts:
-        far_lim = far if math.isfinite(far) else edge + direction * 50.0 * sc
-        a0 = edge + direction * 1e-6 * sc
-        a1 = far_lim - direction * 1e-9 * sc if math.isfinite(far) else far_lim
 
-        def cond(s):
-            _, c = _laurent_split(vc, [s], [edge], 1)
-            return c[0] - 2.0
+def _solve_layout(vc: np.ndarray, layout: _Layout) -> SpectralCurve:
+    """The curve of the first start whose endpoint equations hold to 1e-10."""
+    jmax = len(layout.pins)
 
-        # first sign change along the grid, evaluating cond only up to it
-        grid = np.linspace(a0, a1, 400)
-        hit = None
-        prev = cond(grid[0])
-        for i in range(len(grid) - 1):
-            val = cond(grid[i + 1])
-            if np.isfinite(prev) and np.isfinite(val) and prev * val < 0:
-                blo, bhi = sorted((grid[i], grid[i + 1]))
-                hit = _bisect(cond, float(blo), float(bhi))
-                break
-            prev = val
-        if hit is None:
-            last_err = NumericalError(
-                "hard_edge_one_cut: no soft endpoint balances the mass condition"
-            )
-            continue
-        h, _ = _laurent_split(vc, [hit], [edge], 1)
-        curve = SpectralCurve(h=tuple(h), zeros=(hit,), poles=(edge,))
-        try:
-            _check_density(curve, _component_intervals(curve),
-                           f"hard edge at {edge:.6g} infeasible")
-        except NumericalError as e:
-            last_err = e
-            continue
-        return curve
-    raise last_err
+    def resid(u):
+        if not all(lo < v < hi for v, (lo, hi) in zip(u, layout.box)):
+            return [1e8 * (1 + abs(v)) for v in u]
+        _, c = _laurent_split(vc, *layout.ends(u), jmax)
+        return [cj - pin for cj, pin in zip(c, layout.pins) if pin is not None]
+
+    for u0 in layout.starts:
+        u, fmax = _newton(resid, u0)
+        if fmax < 1e-10:
+            zeros, poles = layout.ends(u)
+            h, _ = _laurent_split(vc, zeros, poles, jmax)
+            return SpectralCurve(h=tuple(h), zeros=tuple(sorted(zeros)),
+                                 poles=tuple(sorted(poles)))
+    raise NumericalError(layout.failure)
 
 
 def solve_support(p: Potential, structure: str = "one_cut") -> EquilibriumMeasure:
@@ -620,10 +607,13 @@ def solve_support(p: Potential, structure: str = "one_cut") -> EquilibriumMeasur
 
     structure: "one_cut" (two soft edges), "symmetric_two_cut" (even
     potential, mirror-image cuts), or "hard_edge_one_cut" (one support
-    endpoint pinned at a finite domain endpoint).  A potential with a
-    nonzero pole coefficient is refused with ValidationError: the
-    solvers balance V_reg alone, and the measure they returned for it
-    would be that of V without V_sing.
+    endpoint pinned at a finite domain endpoint).  Each layout of the
+    structure is solved in turn (_layouts); the first curve whose support
+    components each lie in one domain interval and whose density is
+    nonnegative gives the measure, and the last refusal is raised when
+    none does.  A potential with a nonzero pole coefficient is refused
+    with ValidationError: the solver balances V_reg alone, and the
+    measure it returned for it would be that of V without V_sing.
     """
     if structure not in STRUCTURES:
         raise ValidationError(f"unknown structure {structure!r}; pick from {STRUCTURES}")
@@ -634,12 +624,16 @@ def solve_support(p: Potential, structure: str = "one_cut") -> EquilibriumMeasur
         raise ValidationError(
             f"singularities[{i}] has pole coefficient t_{j} != 0: the equilibrium "
             f"solve covers V_reg and log charges only, not pole terms")
-    if structure == "one_cut":
-        return _finish(p, _solve_one_cut(p))
-    if structure == "symmetric_two_cut":
-        return _finish(p, _solve_symmetric_two_cut(p))
-    # _solve_hard_edge has judged the density of the curve it returns
-    return _finish(p, _solve_hard_edge(p), check_density=False)
+    vc = np.asarray(p.reg, dtype=float)  # V'_reg = sum t_j z^(j-1)
+    for layout in _layouts(p, structure, vc):
+        try:
+            curve = _solve_layout(vc, layout)
+            _check_curve(p, curve, layout.verdict)
+        except NumericalError as e:
+            err = e
+            continue
+        return _finish(p, curve)
+    raise err
 
 
 # ---------------------------------------------------------------------------
@@ -698,7 +692,9 @@ def example_curve(
             support=IntervalSet(((-math.inf, math.inf),)),
         )
         curve = SpectralCurve(h=(2.0 * c, 0.0, 1.0), zeros=(-a, a), poles=())
-        return _finish(p, curve, check_density=one_cut)
+        if one_cut:
+            _check_curve(p, curve, "requested structure infeasible")
+        return _finish(p, curve)
     if name == "marchenko_pastur":
         sings = []
         if alpha1 > 0:

@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from rmtlab import cli
 from rmtlab.cli import main
 from rmtlab.io import read_csv, read_json
 
@@ -248,6 +249,17 @@ def test_pole_terms_refused_by_equilibrium_commands(outdir, capsys, argv):
     assert run(outdir, cmd, cfg, "--structure", "hard_edge_one_cut", *rest) == 2
     assert "singularities[0] has pole coefficient t_1 != 0" in capsys.readouterr().err
     assert not [f for f in outdir.iterdir() if f.suffix == ".csv"]
+
+
+def test_kernel_at_refuses_before_fitting(outdir, capsys, monkeypatch):
+    def no_fit(p):
+        raise AssertionError("kernel --at fitted a config the equilibrium layer refuses")
+
+    monkeypatch.setattr(cli, "default_fit", no_fit)
+    cfg = write_cfg(outdir, POLE)
+    assert run(outdir, "kernel", cfg, "--at", "0.0", "--grid=0.5:2:3",
+               "--structure", "hard_edge_one_cut") == 2
+    assert "singularities[0] has pole coefficient t_1 != 0" in capsys.readouterr().err
 
 
 def test_pole_terms_still_fit_for_raw_kernel(outdir):

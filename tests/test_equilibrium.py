@@ -25,9 +25,8 @@ from rmtlab import (
 )
 from rmtlab import equilibrium
 from rmtlab.equilibrium import (
-    _bisect,
     _expansion_at_infinity,
-    _newton_2x2,
+    _newton,
     mass_right_of,
 )
 from rmtlab.potential import v_reg
@@ -35,6 +34,7 @@ from rmtlab.quad import clustered_rule
 
 LINE = IntervalSet(((-math.inf, math.inf),))
 NEG = IntervalSet(((-math.inf, 0.0),))
+POS = IntervalSet(((0.0, math.inf),))
 
 
 def gaussian(n=40):
@@ -155,6 +155,17 @@ def test_one_cut_refuses_domain_escape():
         solve_support(p, "one_cut")
 
 
+def test_one_cut_refuses_support_across_domain_gap():
+    # the semicircle [-2, 2] has both ends in the domain but crosses the gap
+    # (-0.5, 0.5), where the weight vanishes
+    p = Potential(n=10, reg=(0.0, 1.0), singularities=(),
+                  support=IntervalSet(((-3.0, -0.5), (0.5, 3.0))))
+    with pytest.raises(NumericalError,
+                       match=r"^support component \[-2, 2\] crosses the domain gap "
+                       r"\(-0.5, 0.5\)"):
+        solve_support(p, "one_cut")
+
+
 def test_hard_edge_solver_finds_mp():
     p = Potential(n=30, reg=(-1.0,), singularities=(),
                   support=IntervalSet(((-math.inf, 0.0),)))
@@ -177,6 +188,22 @@ def test_hard_edge_judges_density_once(monkeypatch):
     assert len(scans) == 1
 
 
+@pytest.mark.parametrize("p", [
+    Potential(n=200, reg=(-1.0,), singularities=(Singularity(b=0j, alpha=0.5),),
+              support=NEG),
+    Potential(n=40, reg=(3.0, 1.0), singularities=(), support=IntervalSet(((-1.0, 1.0),))),
+], ids=["mp-charge", "box"])
+def test_hard_edge_residual_budget(monkeypatch, p):
+    # each endpoint residual is one _laurent_split call; a grid scan and
+    # bisection took 80 (mp-charge) and 714 (box, both edges tried)
+    calls = []
+    split = equilibrium._laurent_split
+    monkeypatch.setattr(equilibrium, "_laurent_split",
+                        lambda *args: calls.append(args) or split(*args))
+    solve_support(p, "hard_edge_one_cut")
+    assert len(calls) <= 40
+
+
 def test_hard_edge_refuses_negative_density():
     # V = x^2/2 - 5x on [0, inf) pulls the charge off the wall at 0
     p = Potential(n=40, reg=(-5.0, 1.0), singularities=(),
@@ -195,14 +222,17 @@ def mp_charge(n=200):
                      support=NEG)
 
 
-@pytest.mark.parametrize("reg, structure, support", [
-    ((0.0, 1.0), "one_cut", ((-2.0, 2.0),)),
-    ((0.0, -2.0, 0.0, 1.0), "one_cut", ((-2.0, 2.0),)),
-    ((0.0, -3.0, 0.0, 1.0), "symmetric_two_cut",
+@pytest.mark.parametrize("reg, domain, structure, support", [
+    ((0.0, 1.0), LINE, "one_cut", ((-2.0, 2.0),)),
+    ((0.0, -2.0, 0.0, 1.0), LINE, "one_cut", ((-2.0, 2.0),)),
+    ((0.0, -3.0, 0.0, 1.0), LINE, "symmetric_two_cut",
      ((-math.sqrt(5.0), -1.0), (1.0, math.sqrt(5.0)))),
-], ids=["gue", "critical-quartic", "two-cut"])
-def test_solver_closed_form_supports(reg, structure, support):
-    p = Potential(n=200, reg=reg, singularities=(), support=LINE)
+    # left hard edges: V = x and V = x^2/2 on [0, inf)
+    ((1.0,), POS, "hard_edge_one_cut", ((0.0, 4.0),)),
+    ((0.0, 1.0), POS, "hard_edge_one_cut", ((0.0, 4.0 / math.sqrt(3.0)),)),
+], ids=["gue", "critical-quartic", "two-cut", "left-hard-linear", "left-hard-gaussian"])
+def test_solver_closed_form_supports(reg, domain, structure, support):
+    p = Potential(n=200, reg=reg, singularities=(), support=domain)
     em = solve_support(p, structure)
     np.testing.assert_allclose(em.support.intervals, support, rtol=1e-14, atol=1e-14)
 
@@ -241,9 +271,12 @@ def test_zero_pole_coefficients_solve_as_before():
 
 
 def test_newton_converges_and_reports_failure_quietly():
-    u, fmax = _newton_2x2(lambda u: (u[0] * u[0] - 2.0, u[1] - u[0]), (1.0, 0.0))
+    u, fmax = _newton(lambda u: (u[0] * u[0] - 2.0, u[1] - u[0]), (1.0, 0.0))
     assert fmax < 1e-15
     assert u == pytest.approx((math.sqrt(2.0), math.sqrt(2.0)), rel=1e-15)
+    (x,), fmax = _newton(lambda u: (u[0] ** 3 - 2.0,), (1.0,))
+    assert fmax < 1e-15
+    assert x == pytest.approx(2.0 ** (1.0 / 3.0), rel=1e-15)
     calls = []
 
     def no_root(u):
@@ -254,18 +287,10 @@ def test_newton_converges_and_reports_failure_quietly():
         warnings.simplefilter("error")
         for u0 in ((0.0, 0.0), (3.0, 1.0), (0.5, -2.0), (-1e200, 1e10)):
             calls.clear()
-            _, fmax = _newton_2x2(no_root, u0)
+            _, fmax = _newton(no_root, u0)
             assert fmax >= 1.0
             # a failing start gives up after a few dozen evaluations
             assert len(calls) < 60
-
-
-def test_bisect_stops_at_adjacent_doubles():
-    root = _bisect(lambda x: x * x - 2.0, 1.0, 2.0)
-    assert type(root) is float
-    below, above = math.nextafter(root, 0.0), math.nextafter(root, 3.0)
-    assert (below * below - 2.0) * (above * above - 2.0) < 0.0
-    assert _bisect(lambda x: x - 0.5, 0.0, 1.0) == 0.5
 
 
 # ---------------------------------------------------------------------------
