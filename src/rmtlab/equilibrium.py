@@ -25,10 +25,11 @@ the unknowns, starts and refusal messages.  one_cut takes (centre, log
 half-width) with c_1 = 0 and c_2 = 2; symmetric_two_cut takes (log a,
 log(b - a)) with c_1 = 0 and c_3 = 2, c_2 vanishing by symmetry;
 hard_edge_one_cut has one layout per finite domain endpoint, with the
-soft endpoint s as its unknown and c_1 = 2.  One damped Newton iteration
-(_newton, a forward-difference Jacobian on Python floats) solves every
-layout; the first curve that stays in the domain with a nonnegative
-density wins.  It runs on numpy and the standard library alone.
+soft endpoint s as its unknown, c_1 = 2, and starts that climb away from
+the edge.  One damped Newton iteration (_newton, a forward-difference
+Jacobian on Python floats) solves every layout from each of its starts;
+the first curve that stays in the domain with a nonnegative density
+wins.  It runs on numpy and the standard library alone.
 """
 
 from __future__ import annotations
@@ -54,6 +55,9 @@ _EXTERIOR_TOL = 1e-7  # relative variational tightness of an equality point
 _NEWTON_ITER = 30  # Newton steps per start of an endpoint solve
 _NEWTON_HALVINGS = 4  # step halvings before a start is abandoned
 _FD_STEP = math.sqrt(np.finfo(float).eps)  # relative forward-difference step
+# soft-endpoint starts of a hard-edge solve, as fractions of the way from the
+# edge to the far end; on a half-line the first lies 1e-6 model scales out
+_HARD_EDGE_STARTS = (2e-8, 2e-5, 0.02, 0.2, 0.5, 0.8, 0.98)
 
 STRUCTURES = ("one_cut", "symmetric_two_cut", "hard_edge_one_cut")
 
@@ -434,32 +438,8 @@ def _find_exterior_points(em: EquilibriumMeasure) -> tuple[float, ...]:
     return tuple(sorted(pts))
 
 
-def _solve_linear(a, b):
-    """x with a x = b by Gaussian elimination with partial pivoting.
-
-    Python floats throughout; None when a pivot is zero or not finite, or
-    when x is not finite.
-    """
-    k = len(b)
-    rows = [list(row) + [v] for row, v in zip(a, b)]
-    for i in range(k):
-        top = max(range(i, k), key=lambda r: abs(rows[r][i]))
-        rows[i], rows[top] = rows[top], rows[i]
-        piv = rows[i][i]
-        if not (math.isfinite(piv) and piv != 0.0):
-            return None
-        for row in rows[i + 1:]:
-            m = row[i] / piv
-            for c in range(i, k + 1):
-                row[c] -= m * rows[i][c]
-    x = [0.0] * k
-    for i in reversed(range(k)):
-        x[i] = (rows[i][k] - sum(rows[i][c] * x[c] for c in range(i + 1, k))) / rows[i][i]
-    return x if all(map(math.isfinite, x)) else None
-
-
 def _newton(resid, u0):
-    """Damped Newton on a system F(u) = 0 in k unknowns; returns (u, max|F(u)|).
+    """Damped Newton on F(u) = 0 in k = 1 or 2 unknowns; returns (u, max|F(u)|).
 
     The Jacobian is a forward difference with step sqrt(eps)*max(|u_j|, 1),
     rebuilt at every step.  Each Newton step is halved until |F| (2-norm)
@@ -475,15 +455,23 @@ def _newton(resid, u0):
     for _ in range(_NEWTON_ITER):
         if not norm > 0.0:  # solved, or a non-finite residual
             break
-        cols = []
+        jac = []  # jac[j][i] = dF_i/du_j
         for j in range(len(u)):
             hj = _FD_STEP * max(abs(u[j]), 1.0)
             up = list(u)
             up[j] += hj
-            cols.append([(float(v) - fv) / hj for v, fv in zip(resid(up), f)])
-        step = _solve_linear(list(zip(*cols)), [-fv for fv in f])
-        if step is None:
+            jac.append([(float(v) - fv) / hj for v, fv in zip(resid(up), f)])
+        if len(u) == 1:
+            det = jac[0][0]
+        else:
+            (j00, j10), (j01, j11) = jac
+            det = j00 * j11 - j01 * j10
+        if not (math.isfinite(det) and det != 0.0):
             break
+        if len(u) == 1:
+            step = [-f[0] / det]
+        else:  # Cramer's rule
+            step = [(j01 * f[1] - j11 * f[0]) / det, (j10 * f[0] - j00 * f[1]) / det]
         lam = 1.0
         for _ in range(_NEWTON_HALVINGS + 1):
             trial = [v + lam * d for v, d in zip(u, step)]
@@ -562,8 +550,8 @@ def _layouts(p: Potential, structure: str, vc: np.ndarray) -> list[_Layout]:
             "one_cut endpoint equations did not converge")]
     # hard_edge_one_cut: the soft endpoint s, with the hard edge pinned at
     # each finite domain endpoint in turn and s between it and the far end
-    # (50 model scales out on a half-line); the starts lie 1/50 and 1/2 of
-    # the way there, so a root close to the edge is tried first
+    # (50 model scales out on a half-line).  c_1 - 2 is -2 at the edge; the
+    # starts climb away from it, so a root near the edge is tried first
     out = []
     for lo, hi in p.support.intervals:
         for edge, far in ((hi, lo), (lo, hi)):
@@ -574,7 +562,7 @@ def _layouts(p: Potential, structure: str, vc: np.ndarray) -> list[_Layout]:
             out.append(_Layout(
                 lambda u, edge=edge: ([u[0]], [edge]), (2.0,),
                 ((min(edge, far), max(edge, far)),),
-                tuple((edge + t * (far - edge),) for t in (0.02, 0.5)),
+                tuple((edge + t * (far - edge),) for t in _HARD_EDGE_STARTS),
                 "hard_edge_one_cut: no soft endpoint balances the mass condition",
                 f"hard edge at {edge:.6g} infeasible"))
     if not out:
@@ -582,8 +570,10 @@ def _layouts(p: Potential, structure: str, vc: np.ndarray) -> list[_Layout]:
     return out
 
 
-def _solve_layout(vc: np.ndarray, layout: _Layout) -> SpectralCurve:
-    """The curve of the first start whose endpoint equations hold to 1e-10."""
+def _solve_layout(p: Potential, vc: np.ndarray, layout: _Layout) -> SpectralCurve:
+    """The curve of the first start whose endpoint equations hold to 1e-10
+    and which _check_curve accepts; else the first curve's refusal, or the
+    layout's failure when no start converges."""
     jmax = len(layout.pins)
 
     def resid(u):
@@ -592,14 +582,22 @@ def _solve_layout(vc: np.ndarray, layout: _Layout) -> SpectralCurve:
         _, c = _laurent_split(vc, *layout.ends(u), jmax)
         return [cj - pin for cj, pin in zip(c, layout.pins) if pin is not None]
 
+    err = None
     for u0 in layout.starts:
         u, fmax = _newton(resid, u0)
-        if fmax < 1e-10:
-            zeros, poles = layout.ends(u)
-            h, _ = _laurent_split(vc, zeros, poles, jmax)
-            return SpectralCurve(h=tuple(h), zeros=tuple(sorted(zeros)),
-                                 poles=tuple(sorted(poles)))
-    raise NumericalError(layout.failure)
+        if not fmax < 1e-10:
+            continue
+        zeros, poles = layout.ends(u)
+        h, _ = _laurent_split(vc, zeros, poles, jmax)
+        curve = SpectralCurve(h=tuple(h), zeros=tuple(sorted(zeros)),
+                              poles=tuple(sorted(poles)))
+        try:
+            _check_curve(p, curve, layout.verdict)
+        except NumericalError as e:
+            err = err or e
+            continue
+        return curve
+    raise err or NumericalError(layout.failure)
 
 
 def solve_support(p: Potential, structure: str = "one_cut") -> EquilibriumMeasure:
@@ -608,12 +606,13 @@ def solve_support(p: Potential, structure: str = "one_cut") -> EquilibriumMeasur
     structure: "one_cut" (two soft edges), "symmetric_two_cut" (even
     potential, mirror-image cuts), or "hard_edge_one_cut" (one support
     endpoint pinned at a finite domain endpoint).  Each layout of the
-    structure is solved in turn (_layouts); the first curve whose support
-    components each lie in one domain interval and whose density is
-    nonnegative gives the measure, and the last refusal is raised when
-    none does.  A potential with a nonzero pole coefficient is refused
-    with ValidationError: the solver balances V_reg alone, and the
-    measure it returned for it would be that of V without V_sing.
+    structure (_layouts) is solved in turn, from each of its starts in
+    turn; the first curve whose support components each lie in one
+    domain interval and whose density is nonnegative gives the measure,
+    and the last layout's refusal is raised when none does.  A potential
+    with a nonzero pole coefficient is refused with ValidationError: the
+    solver balances V_reg alone, and the measure it returned for it
+    would be that of V without V_sing.
     """
     if structure not in STRUCTURES:
         raise ValidationError(f"unknown structure {structure!r}; pick from {STRUCTURES}")
@@ -627,8 +626,7 @@ def solve_support(p: Potential, structure: str = "one_cut") -> EquilibriumMeasur
     vc = np.asarray(p.reg, dtype=float)  # V'_reg = sum t_j z^(j-1)
     for layout in _layouts(p, structure, vc):
         try:
-            curve = _solve_layout(vc, layout)
-            _check_curve(p, curve, layout.verdict)
+            curve = _solve_layout(p, vc, layout)
         except NumericalError as e:
             err = e
             continue

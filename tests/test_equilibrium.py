@@ -201,7 +201,16 @@ def test_hard_edge_residual_budget(monkeypatch, p):
     monkeypatch.setattr(equilibrium, "_laurent_split",
                         lambda *args: calls.append(args) or split(*args))
     solve_support(p, "hard_edge_one_cut")
-    assert len(calls) <= 40
+    assert len(calls) <= 60
+
+
+def test_hard_edge_takes_the_root_nearest_the_edge():
+    # c_1(s) - 2 = (40/9)(s - 0.1)(s - 1.5)(s - 3) for a hard edge at 0: the
+    # density is nonnegative on [0, 0.1] and not on [0, 1.5]
+    p = Potential(n=40, reg=(44.0, -1472.0 / 27.0, 128.0 / 9.0), singularities=(),
+                  support=POS)
+    em = solve_support(p, "hard_edge_one_cut")
+    np.testing.assert_allclose(em.support.intervals, ((0.0, 0.1),), rtol=1e-13, atol=1e-15)
 
 
 def test_hard_edge_refuses_negative_density():
