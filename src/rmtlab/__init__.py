@@ -58,10 +58,9 @@ from .orthopoly import (
 from .kernel import (
     airy_kernel,
     bessel_kernel,
-    cd_kernel,
     convergence_scan,
     kernel_diag,
-    kernel_grid,
+    kernel_matrix,
     projection_residual,
     scaled_kernel_grid,
     sine_kernel,

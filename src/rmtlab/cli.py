@@ -35,7 +35,7 @@ from .io import RunManifest, read_json, write_csv, write_json
 from .kernel import (
     convergence_scan,
     kernel_diag,
-    kernel_grid,
+    kernel_matrix,
     scaled_kernel_grid,
 )
 from .potential import parse_potential, validate
@@ -180,7 +180,7 @@ def cmd_kernel(args, man: RunManifest, outdir: str) -> int:
         solve_support(p, args.structure), target)
     r, q = default_fit(p)
     if cp is None:
-        values = kernel_grid(r, p, grid)
+        values = kernel_matrix(r, p, grid, grid)
         outside = 2 * int(np.count_nonzero(~p.support.contains(grid)))  # once per axis
         meta = {"n": p.n, "x_star": None, "delta": None, "scaled": False,
                 "outside_points": outside}

@@ -8,10 +8,10 @@ The projection kernel onto polynomials of degree < n under the weight,
 is evaluated through the weighted orthonormal functions
 psi_j = sqrt(w) p_j / sqrt(h_j) (orthopoly.orthonormal_rows), which stay
 of order one where p_j and w separately overflow and underflow; on the
-diagonal it is the sum of squares sum_{j<n} psi_j(x)^2.  Closed-form
-sine, Airy and Bessel kernels serve as references for the double-scaling
-checks.  Grids come back as bare value matrices: the caller already
-holds the grid and the critical point, so no metadata is copied.
+diagonal it is the sum of squares sum_{j<n} psi_j(x)^2.  Only
+kernel_matrix (any x * y grid) and kernel_diag evaluate it at points,
+and nothing here imports the equilibrium side.  Sine, Airy and Bessel
+kernels are the double-scaling references; grids are bare matrices.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import math
 
 import numpy as np
 
-from .classify import CriticalPoint
 from .errors import NumericalError, ValidationError
 from .orthopoly import QuadratureRule, Recurrence, orthonormal_rows
 from .potential import Potential, log_weight
@@ -87,44 +86,17 @@ def kernel_matrix(r: Recurrence, p: Potential, xs, ys) -> np.ndarray:
     return out
 
 
-def cd_kernel(r: Recurrence, p: Potential, x: float, y: float) -> float:
-    """K_n(x, y); points off the domain contribute 0.
-
-    Within 1e-8 * scale of the diagonal the sum-of-squares diagonal
-    replaces the difference quotient.
-    """
-    return float(kernel_matrix(r, p, [float(x)], [float(y)])[0, 0])
-
-
-def scaled_kernel_grid(r: Recurrence, p: Potential, cp: CriticalPoint,
-                       u_grid) -> np.ndarray:
+def scaled_kernel_grid(r: Recurrence, p: Potential, cp, u_grid) -> np.ndarray:
     """n^{-delta} K_n(x_* + n^{-delta} u, x_* + n^{-delta} v) on the grid u x u.
 
-    Returns the value matrix; every grid point must stay in the domain.
+    cp gives x_star and delta; every grid point must stay in the domain.
     """
     s = float(p.n) ** (-cp.delta)
     xs = cp.x_star + s * np.asarray(u_grid, dtype=float)
     bad = 2 * int(np.count_nonzero(~p.support.contains(xs)))  # once per axis
     if bad:
         raise ValidationError(f"{bad} scaled grid points leave the domain at n={p.n}")
-    return s * kernel_grid(r, p, xs)
-
-
-def kernel_grid(r: Recurrence, p: Potential, x_grid) -> np.ndarray:
-    """Unscaled K_n on the square grid x x x; off-domain points give 0."""
-    values = kernel_matrix(r, p, x_grid, x_grid)
-    _check_grid_invariants(values)
-    return values
-
-
-def _check_grid_invariants(vals: np.ndarray) -> None:
-    scale = max(1.0, float(np.max(np.abs(vals)))) if vals.size else 1.0
-    asym = float(np.max(np.abs(vals - vals.T))) if vals.size else 0.0
-    if asym > 1e-10 * scale:
-        raise NumericalError(f"kernel grid asymmetry {asym:.3g} exceeds tolerance")
-    dmin = float(np.min(np.diag(vals))) if vals.size else 0.0
-    if dmin < -1e-12 * scale:
-        raise NumericalError(f"kernel diagonal dips to {dmin:.3g}; not a density")
+    return s * kernel_matrix(r, p, xs, xs)
 
 
 # ---------------------------------------------------------------------------
@@ -198,23 +170,9 @@ def bessel_kernel(alpha: float, u: float, v: float) -> float:
         jm = bessel_j(alpha - 1.0, x)[0]
         jp = bessel_j(alpha + 1.0, x)[0]
         return 0.25 * (ja * ja - jm * jp)
-    ju = bessel_j(alpha, math.sqrt(u))[0] if u > 0.0 else bessel_j(alpha, 0.0)[0]
-    jv = bessel_j(alpha, math.sqrt(v))[0] if v > 0.0 else bessel_j(alpha, 0.0)[0]
+    ju = bessel_j(alpha, math.sqrt(u))[0]
+    jv = bessel_j(alpha, math.sqrt(v))[0]
     return (ju * _sqrt_jprime(alpha, v) - jv * _sqrt_jprime(alpha, u)) / (2.0 * (u - v))
-
-
-def reference_grid(kind: str, u_grid, alpha: float = 0.0) -> np.ndarray:
-    """sine/airy/bessel reference kernel tabulated on the square grid u x u."""
-    funcs = {
-        "sine": sine_kernel,
-        "airy": airy_kernel,
-        "bessel": lambda a, b: bessel_kernel(alpha, a, b),
-    }
-    if kind not in funcs:
-        raise ValidationError(f"unknown reference kernel {kind!r}")
-    f = funcs[kind]
-    u = np.asarray(u_grid, dtype=float)
-    return np.array([[f(float(a), float(b)) for b in u] for a in u])
 
 
 # ---------------------------------------------------------------------------

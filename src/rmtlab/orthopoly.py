@@ -80,8 +80,11 @@ class Recurrence:
     b: tuple[float, ...]
     h0: float
     log_shift: float
-    m_max: int
     omega_max: float
+
+    @property
+    def m_max(self) -> int:
+        return len(self.b)
 
 
 # ---------------------------------------------------------------------------
@@ -289,9 +292,10 @@ def build_quadrature(p: Potential, resolution: int, *, order: int | None = None,
         else:
             sub, c_lo, c_hi = _component_panels(p, lo, hi, depth, width)
             panels += sub
-            if c_lo is not None and lo == p.support.intervals[0][0]:
+            # only the first component can start at -inf, only the last end at +inf
+            if c_lo is not None:
                 cut_lo = c_lo
-            if c_hi is not None and hi == p.support.intervals[-1][1]:
+            if c_hi is not None:
                 cut_hi = c_hi
     panels = sorted((a, b) for a, b in panels if b > a)
 
@@ -464,7 +468,7 @@ def stieltjes_recurrence(q: QuadratureRule, m_max: int) -> Recurrence:
         omega_prev, omega, nxt = omega, nxt, omega_prev
     _clip_guard(q, cur, m_max, faint)
     return Recurrence(a=tuple(a.tolist()), b=tuple(b_list), h0=h0, log_shift=s,
-                      m_max=m_max, omega_max=omega_max)
+                      omega_max=omega_max)
 
 
 def orthonormal_rows(r: Recurrence, x, log_w, m: int):

@@ -212,7 +212,6 @@ def mcmc_chain(p: Potential, steps: int, burn_in: int, thin: int = 1,
             window_acc = window_prop = 0
         if sweep >= burn_in and (sweep - burn_in) % thin == 0:
             kept.append(xs.copy())
-    state.positions = xs
     return kept, state
 
 

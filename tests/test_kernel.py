@@ -15,13 +15,10 @@ from rmtlab.scenarios import default_fit, get_scenario
 from rmtlab.kernel import (
     airy_kernel,
     bessel_kernel,
-    cd_kernel,
     convergence_scan,
     kernel_diag,
-    kernel_grid,
     kernel_matrix,
     projection_residual,
-    reference_grid,
     scaled_kernel_grid,
     sine_kernel,
     trace_check,
@@ -58,8 +55,8 @@ def fit(p, resolution=None):
 def test_k1_gaussian_closed_form():
     p = gaussian(1)
     r, q = fit(p, 400)
-    assert cd_kernel(r, p, 0.0, 0.0) == pytest.approx(1.0 / math.sqrt(2.0 * math.pi),
-                                                      abs=1e-12)
+    assert kernel_matrix(r, p, [0.0], [0.0])[0, 0] == pytest.approx(
+        1.0 / math.sqrt(2.0 * math.pi), abs=1e-12)
 
 
 @pytest.mark.parametrize("make", [gaussian, quartic_critical])
@@ -79,11 +76,16 @@ def test_projection_identity(make):
 
 
 def test_kernel_matrix_symmetric_to_roundoff():
-    p = gaussian(20)
-    r, q = fit(p)
-    xs = np.linspace(-1.8, 1.8, 13)
-    K = kernel_matrix(r, p, xs, xs)
-    assert np.array_equal(K, K.T)
+    # exact symmetry and a nonnegative diagonal: the critical quartic and
+    # the MP charge on the raw grids the cli benchmark evaluates at n=200
+    cases = [(gaussian(20), np.linspace(-1.8, 1.8, 13)),
+             (quartic_critical(200), np.linspace(-2.5, 2.5, 41)),
+             (mp_potential(200, 0.5), np.linspace(-4.5, -0.05, 41))]
+    for p, xs in cases:
+        r, _ = default_fit(p)
+        K = kernel_matrix(r, p, xs, xs)
+        assert np.array_equal(K, K.T)
+        assert np.all(np.diag(K) >= 0.0)
 
 
 def test_kernel_matrix_matches_pointwise():
@@ -108,7 +110,8 @@ def test_projection_residual_matches_probe_loop():
     for x, z in probes:
         kxy = kernel_matrix(r, p, [x], q.nodes)[0]
         kyz = kernel_matrix(r, p, q.nodes, [z])[:, 0]
-        worst = max(worst, abs(np.sum(q.base * kxy * kyz) - cd_kernel(r, p, x, z)))
+        direct = kernel_matrix(r, p, [x], [z])[0, 0]
+        worst = max(worst, abs(np.sum(q.base * kxy * kyz) - direct))
     assert projection_residual(r, p, q, probes) == worst
 
 
@@ -157,10 +160,11 @@ def test_diagonal_approaches_density():
 def test_off_domain_points_give_zero():
     p = mp_potential(12)
     r, q = fit(p, 700)
-    assert cd_kernel(r, p, 0.5, -1.0) == 0.0
-    assert cd_kernel(r, p, 1.0, 2.0) == 0.0
-    assert cd_kernel(r, p, 1e-12, -1e-12) == 0.0   # confluent pair across the edge
-    g = kernel_grid(r, p, np.array([-1.0, 0.5]))
+    assert kernel_matrix(r, p, [0.5], [-1.0])[0, 0] == 0.0
+    assert kernel_matrix(r, p, [1.0], [2.0])[0, 0] == 0.0
+    # confluent pair across the edge
+    assert kernel_matrix(r, p, [1e-12], [-1e-12])[0, 0] == 0.0
+    g = kernel_matrix(r, p, [-1.0, 0.5], [-1.0, 0.5])
     assert np.all(g[1] == 0.0) and np.all(g[:, 1] == 0.0) and g[0, 0] > 0.0
 
 
@@ -178,7 +182,6 @@ def test_real_pole_point_gives_zero():
     assert kernel_diag(r, p, 0.0) == 0.0
     diag = kernel_diag(r, p, x)
     assert diag[0] == 0.0 and diag[1] > 0.0
-    assert cd_kernel(r, p, 0.0, 0.5) == 0.0
     k = kernel_matrix(r, p, x, x)
     assert np.all(k[0] == 0.0) and np.all(k[:, 0] == 0.0) and k[1, 1] > 0.0
     assert kernel_matrix(r, p, [0.0], [0.5])[0, 0] == 0.0
@@ -188,9 +191,9 @@ def test_confluent_branch_continuous():
     p = gaussian(15)
     r, q = fit(p)
     x = 0.3
-    near = cd_kernel(r, p, x, x + 5e-9)   # confluent evaluation
-    far = cd_kernel(r, p, x, x + 5e-7)    # difference quotient
-    assert near == pytest.approx(cd_kernel(r, p, x, x), rel=1e-7)
+    near = kernel_matrix(r, p, [x], [x + 5e-9])[0, 0]   # confluent evaluation
+    far = kernel_matrix(r, p, [x], [x + 5e-7])[0, 0]    # difference quotient
+    assert near == pytest.approx(kernel_matrix(r, p, [x], [x])[0, 0], rel=1e-7)
     assert far == pytest.approx(near, rel=1e-5)
 
 
@@ -199,7 +202,7 @@ def test_recurrence_must_reach_degree_n():
     q = build_quadrature(p, 600, degree_hint=22)
     r = stieltjes_recurrence(q, 5)
     with pytest.raises(ValidationError, match="degree"):
-        cd_kernel(r, p, 0.0, 0.0)
+        kernel_matrix(r, p, [0.0], [0.0])
 
 
 def test_scaled_points_must_stay_in_domain():
@@ -330,15 +333,6 @@ def test_bessel_kernel_input_validation():
         bessel_kernel(-1.5, 1.0, 2.0)
     with pytest.raises(ValidationError):
         bessel_kernel(0.0, -1.0, 2.0)
-
-
-def test_reference_grid_shapes_and_kinds():
-    u = np.linspace(0.1, 2.0, 4)
-    g = reference_grid("bessel", u, alpha=1.0)
-    assert g.shape == (4, 4)
-    assert g[1, 2] == bessel_kernel(1.0, u[1], u[2])
-    with pytest.raises(ValidationError, match="unknown"):
-        reference_grid("gamma", u)
 
 
 # ---------------------------------------------------------------------------
