@@ -17,7 +17,6 @@ from .potential import (
     log_weight,
     parse_potential,
     v_reg,
-    validate,
 )
 from .equilibrium import (
     EquilibriumMeasure,

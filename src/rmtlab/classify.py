@@ -42,7 +42,7 @@ from .equilibrium import (
     xi_eval,
 )
 
-_KINDS = ("edge", "interior", "exterior")
+_LOWEST_K = {"edge": -1, "interior": 0, "exterior": 1}  # edge k >= 0 is even
 _SERIES_EXTRA = 6  # series_at_infinity keeps 2 max(k, 0) + 6 coefficients
 _DISC_FRACTION = 0.05  # charge-collection disc radius floor, in model scales
 _Z_REF = 8.0  # |zeta| where xihat is matched to its series
@@ -53,9 +53,7 @@ def _delta_frac(kind: str, k: int) -> Fraction:
         return Fraction(2, 2 * k + 3)
     if kind == "interior":
         return Fraction(1, 2 * k + 1)
-    if kind == "exterior":
-        return Fraction(1, 2 * k)
-    raise ValidationError(f"unknown critical point kind {kind!r}")
+    return Fraction(1, 2 * k)  # exterior
 
 
 def _unit_phase(e: int) -> complex:
@@ -70,6 +68,7 @@ class CriticalPoint:
     m_h, m_r, m_p record how many h-roots, R-zeros and R-poles sit within
     radius of x_star; radius is the clustering tolerance used to find the
     point and later delimits the local window of the scaled curve.
+    (kind, order_k) must be a row of the module docstring's table.
     """
 
     x_star: float
@@ -80,6 +79,13 @@ class CriticalPoint:
     m_r: int = 0
     m_p: int = 0
     radius: float = 0.0
+
+    def __post_init__(self):
+        if self.kind not in _LOWEST_K:
+            raise ValidationError(f"unknown critical point kind {self.kind!r}")
+        k = self.order_k
+        if k < _LOWEST_K[self.kind] or (self.kind == "edge" and k > 0 and k % 2):
+            raise ValidationError(f"{self.kind} point cannot have order k={k}")
 
     @property
     def delta(self) -> float:

@@ -38,7 +38,7 @@ from .kernel import (
     kernel_matrix,
     scaled_kernel_grid,
 )
-from .potential import parse_potential, validate
+from .potential import parse_potential
 from .sampler import check_chain_args, compare_density, histogram_density, mcmc_chain
 from .scenarios import default_fit, get_scenario, scenario_names
 
@@ -50,7 +50,9 @@ def _load_potential(path: str, n_override=None):
         doc = read_json(path)
     except FileNotFoundError:
         raise ValidationError(f"config file not found: {path}")
-    except json.JSONDecodeError as e:
+    except OSError as e:
+        raise ValidationError(f"config file {path} cannot be read: {e.strerror}")
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:  # JSON text is UTF-8
         raise FormatError(f"config {path} is not valid JSON: {e}")
     if not isinstance(doc, dict):
         raise FormatError(f"config {path} must hold a JSON object")
@@ -64,11 +66,14 @@ def _parse_grid(text: str) -> np.ndarray:
     try:
         if ":" in text:
             lo, hi, count = text.split(":")
-            grid = np.linspace(float(lo), float(hi), int(count))
+            with np.errstate(invalid="ignore", over="ignore"):  # non-finite: refused below
+                grid = np.linspace(float(lo), float(hi), int(count))
         else:
             grid = np.array([float(v) for v in text.split(",")], dtype=float)
     except ValueError as e:
         raise ValidationError(f"bad grid spec {text!r}: {e}")
+    if not np.all(np.isfinite(grid)):
+        raise ValidationError(f"grid {text!r} must have finite points")
     if grid.size < 2 or not np.all(np.diff(grid) > 0):
         raise ValidationError(f"grid {text!r} must be increasing with >= 2 points")
     return grid
@@ -107,7 +112,6 @@ def cmd_validate(args, man: RunManifest, outdir: str) -> int:
     report = {"config": args.config, "ok": False, "error": None}
     try:
         p = _load_potential(args.config)
-        validate(p)
     except (ValidationError, FormatError) as e:
         report["error"] = str(e)
         write_json(man.record(os.path.join(outdir, "validate_report.json")), report)

@@ -107,7 +107,7 @@ def write_json(path, obj) -> None:
 
 
 def read_json(path):
-    with open(path) as f:
+    with open(path, encoding="utf-8") as f:
         return json.load(f)
 
 

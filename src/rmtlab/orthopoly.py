@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .potential import Potential, log_weight, v_reg, validate
+from .potential import Potential, log_weight, v_reg
 from .quad import gauss_legendre
 
 # sqrt(w) = e^{log w / 2} reaches 690 either way: nodes are kept while
@@ -266,7 +266,6 @@ def build_quadrature(p: Potential, resolution: int, *, order: int | None = None,
     at 12.  A doubled-order rule on the same panels must reproduce the
     total mass to 1e-9 relative (both carry the factor e^{-s}).
     """
-    validate(p)
     if resolution < 8:
         raise ValidationError("resolution must be at least 8")
     depth = math.ceil(math.log2(resolution))
@@ -527,7 +526,7 @@ def gram_check(r: Recurrence, q: QuadratureRule, m: int) -> float:
     for lo in range(0, npts, width):
         hi = min(npts, lo + width)
         part = blk[:, :hi - lo]
-        for j, row in enumerate(orthonormal_rows(r, q.nodes[lo:hi], q.log_w[lo:hi], m)):
+        for j, row in enumerate(_scaled_rows(r, q.nodes[lo:hi], q.log_w[lo:hi], m)):
             part[j] = row
         part *= np.sqrt(q.base[lo:hi])
         part[(part < _SQRT_TINY) & (part > -_SQRT_TINY)] = 0.0

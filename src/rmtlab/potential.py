@@ -13,7 +13,8 @@ so the weight factors as
     w(x) = prod_b |x-b|^{2 alpha_b} * exp(-n (V_reg + V_sing)(x))
 
 on the domain and vanishes off it.  Singular points b come in
-conjugate-closed sets so that V is real on the real axis.
+conjugate-closed sets so that V is real on the real axis.  Every
+Potential checks such constraints on construction (ValidationError).
 """
 
 from __future__ import annotations
@@ -115,6 +116,9 @@ class Potential:
         ends += [1.0]
         return max(ends)
 
+    def __post_init__(self):
+        _validate(self)
+
 
 # ---------------------------------------------------------------------------
 # parsing
@@ -155,8 +159,9 @@ def parse_potential(doc) -> Potential:
          "n": 100}
 
     Unbounded support ends use the sentinels "-inf" / "inf".  Pole
-    coefficients in "t" may be numbers or [re, im] pairs.  The parsed
-    potential is validated before being returned.
+    coefficients in "t" may be numbers or [re, im] pairs.  Schema faults
+    raise FormatError; a well-formed document whose model breaks a
+    structural constraint raises ValidationError from the Potential itself.
     """
     if isinstance(doc, (str, bytes)):
         try:
@@ -215,9 +220,7 @@ def parse_potential(doc) -> Potential:
     except ValidationError as e:
         raise FormatError(str(e)) from None
 
-    p = Potential(n=n, reg=reg, singularities=tuple(sings), support=support)
-    validate(p)
-    return p
+    return Potential(n=n, reg=reg, singularities=tuple(sings), support=support)
 
 
 def to_document(p: Potential) -> dict:
@@ -250,14 +253,14 @@ def to_document(p: Potential) -> dict:
 
 
 def _trimmed_top(t: tuple[complex, ...]) -> int:
-    """Index (1-based) of the last nonzero pole coefficient, 0 if none."""
+    """Index (1-based) of the last nonzero coefficient, 0 if none."""
     for j in range(len(t), 0, -1):
         if t[j - 1] != 0:
             return j
     return 0
 
 
-def validate(p: Potential) -> None:
+def _validate(p: Potential) -> None:
     """Check structural constraints; raise ValidationError on the first hit."""
     if p.n < 1:
         raise ValidationError(f"n must be >= 1, got {p.n}")
@@ -271,38 +274,28 @@ def validate(p: Potential) -> None:
         if not (math.isfinite(v.real) and math.isfinite(v.imag)):
             raise ValidationError(f"{what} must be finite, got {v}")
 
-    # growth: the weight must decay along every unbounded direction
-    lo, hi = p.support.lo, p.support.hi
-    deg = 0
-    lead = 0.0
-    for j in range(len(p.reg), 0, -1):
-        if p.reg[j - 1] != 0.0:
-            deg, lead = j, p.reg[j - 1]
-            break
-    if hi == math.inf:
-        if deg == 0 or lead <= 0:
-            raise ValidationError(
-                "support is unbounded above but V_reg does not grow there "
-                "(leading coefficient must be positive)"
-            )
-    if lo == -math.inf:
-        if deg == 0 or lead * (-1.0) ** deg <= 0:
-            raise ValidationError(
-                "support is unbounded below but V_reg does not grow there "
-                "(leading term must be even with positive coefficient, or odd negative)"
-            )
+    # growth: the weight must decay along every unbounded end (V_reg = 0 has lead 0)
+    deg = _trimmed_top(p.reg)
+    lead = p.reg[deg - 1] if deg else 0.0
+    if p.support.hi == math.inf and lead <= 0:
+        raise ValidationError(
+            "support is unbounded above but V_reg does not grow there "
+            "(leading coefficient must be positive)"
+        )
+    if p.support.lo == -math.inf and lead * (-1.0) ** deg <= 0:
+        raise ValidationError(
+            "support is unbounded below but V_reg does not grow there "
+            "(leading term must be even with positive coefficient, or odd negative)"
+        )
 
-    scale = p.scale()
-    tol = 1e-12 * scale
+    tol = 1e-12 * p.scale()
 
-    seen: list[Singularity] = []
-    for s in p.singularities:
+    for i, s in enumerate(p.singularities):
         if s.alpha <= 0:
             raise ValidationError(f"charge alpha at b={s.b} must be > 0, got {s.alpha}")
-        for prev in seen:
+        for prev in p.singularities[:i]:
             if abs(prev.b - s.b) <= tol:
                 raise ValidationError(f"duplicate singular point b={s.b}")
-        seen.append(s)
 
     # conjugate closure
     for s in p.singularities:
@@ -390,11 +383,11 @@ def log_weight(p: Potential, x):
     V_reg runs in real arithmetic and charges enter exactly as
     2 alpha_b log|x-b|.  Pole terms use complex arithmetic because their
     points may come in conjugate pairs; at a real pole point w is 0,
-    since validate makes it decay into b along the domain.  Points where
-    a power of 1/(x-b) overflows (within 1e-154 of a real pole with two
-    coefficients, 1e-77 with four) are -inf as well: w underflows to 0
-    there.  The exponential part stays factored so nothing overflows
-    before the final exp."""
+    since a Potential's own check makes it decay into b along the
+    domain.  Points where a power of 1/(x-b) overflows (within 1e-154 of
+    a real pole with two coefficients, 1e-77 with four) are -inf as
+    well: w underflows to 0 there.  The exponential part stays factored
+    so nothing overflows before the final exp."""
     xa = np.asarray(x, dtype=float)
     keep = p.support.contains(xa)
     v_sing = 0.0

@@ -39,7 +39,7 @@ import numpy as np
 
 from .equilibrium import EquilibriumMeasure, mass_right_of
 from .errors import NumericalError, ValidationError
-from .potential import Potential, log_weight, v_reg, validate
+from .potential import Potential, log_weight, v_reg
 
 _RECHECK_EVERY = 10_000   # proposals between cache-vs-recompute audits
 _TUNE_WINDOW = 50         # sweeps per burn-in tuning decision
@@ -147,7 +147,6 @@ def mcmc_chain(p: Potential, steps: int, burn_in: int, thin: int = 1,
     proposals; drift beyond 1e-9 (relative) aborts the run, and the
     largest drift seen is kept in ChainState.max_drift.
     """
-    validate(p)
     check_chain_args(steps, burn_in, thin, seed)
     n = p.n
     xs = _initial_positions(p, n)

@@ -23,6 +23,7 @@ from rmtlab import (
     nearest_critical_point,
     scaled_curve,
     scaled_eval,
+    scenario_names,
     series_at_infinity,
     solve_support,
 )
@@ -63,6 +64,31 @@ def test_critical_point_delta_follows_kind_and_order(kind, k, delta):
     assert cp.delta == delta
     with pytest.raises(TypeError):
         CriticalPoint(x_star=0.0, kind=kind, order_k=k, delta=delta)
+
+
+@pytest.mark.parametrize("kind,k,cause", [
+    ("saddle", 0, "unknown critical point kind 'saddle'"),
+    ("exterior", 0, "exterior point cannot have order k=0"),
+    ("interior", -1, "interior point cannot have order k=-1"),
+    ("edge", 1, "edge point cannot have order k=1"),
+])
+def test_critical_point_refuses_order_outside_table(kind, k, cause):
+    # once these built: exterior k = 0 then failed in delta with
+    # ZeroDivisionError, interior k = -1 gave delta = -1, edge k = 1 0.4
+    with pytest.raises(ValidationError, match=cause):
+        CriticalPoint(x_star=0.0, kind=kind, order_k=k)
+
+
+def test_produced_orders_are_in_the_table():
+    # every point the classifier, bulk_point and the scenario presets
+    # (QuarticMerge among them) build passes the construction check
+    found = set()
+    for name in scenario_names():
+        sc = get_scenario(name)
+        em = sc.equilibrium(sc.make_potential(40))
+        for cp in [sc.critical_point(em), *find_critical_points(em)]:
+            found.add((cp.kind, cp.order_k))
+    assert found == {("edge", -1), ("edge", 0), ("interior", 0), ("interior", 1)}
 
 
 def test_quartic_merge_point_delta_is_one_third():

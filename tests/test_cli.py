@@ -114,6 +114,17 @@ def test_validate_malformed_json(outdir):
     assert run(outdir, "validate", str(path)) == 2
 
 
+@pytest.mark.parametrize("name", ["configs", "latin1.json"], ids=["directory", "not-utf8"])
+def test_validate_unreadable_config(outdir, capsys, name):
+    (outdir / "configs").mkdir()
+    (outdir / "latin1.json").write_bytes(b'{"n": 4, "reg": [0.0, 1.0], "note": "\xe9"}')
+    assert run(outdir, "validate", str(outdir / name)) == 2
+    rep = read_json(outdir / "validate_report.json")
+    assert rep["ok"] is False
+    assert rep["error"] in capsys.readouterr().err
+    assert (outdir / "manifest_validate.json").exists()
+
+
 def test_usage_errors_exit_one(outdir):
     assert main(["no-such-command"]) == 1
     assert main([]) == 1
@@ -381,6 +392,21 @@ def test_sample_bins_grid_checked_before_solve(outdir, capsys):
     assert run(outdir, "sample", cfg, "--steps", "10", "--bins-grid", "bad") == 2
     assert "bad grid spec" in capsys.readouterr().err
     assert not (outdir / "samples.csv").exists()
+
+
+@pytest.mark.parametrize("argv,product", [
+    (["kernel", "CFG", "--grid=0,inf"], "kernel.csv"),
+    (["kernel", "CFG", "--grid=-1e308:1e308:3"], "kernel.csv"),
+    (["kernel", "CFG", "--at", "2.0", "--grid=0,inf"], "kernel.csv"),
+    (["converge", "gue-bulk", "--grid=0,inf"], "scan_gue-bulk.json"),
+    (["sample", "CFG", "--steps", "10", "--bins-grid=-3,0,inf"], "samples.csv"),
+], ids=["kernel-raw", "kernel-span", "kernel-at", "converge", "sample-bins"])
+def test_non_finite_grid_points_exit_two(outdir, capsys, argv, product):
+    # kernel once wrote NaN into kernel.csv and converge crashed in sine_kernel
+    cfg = write_cfg(outdir, GUE)
+    assert run(outdir, *[cfg if a == "CFG" else a for a in argv]) == 2
+    assert "must have finite points" in capsys.readouterr().err
+    assert not (outdir / product).exists()
 
 
 def test_console_script_entry_point(outdir):

@@ -169,7 +169,7 @@ def test_off_domain_points_give_zero():
 
 
 def test_real_pole_point_gives_zero():
-    # validate makes w decay into the pole at b = 0 along [0, inf): w(0) = 0
+    # a valid Potential has w decaying into the pole at b = 0 along [0, inf): w(0) = 0
     p = Potential(n=20, reg=(0.0, 1.0),
                   singularities=(Singularity(b=0.0, alpha=1.0, t=(-1.0,)),),
                   support=IntervalSet(((0.0, math.inf),)))

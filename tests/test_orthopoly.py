@@ -378,7 +378,8 @@ def test_fit_layers_match_reference_exactly(monkeypatch, p, order):
 @pytest.mark.parametrize("reg", [(-1.0,), (0.0, 1.0), (0.0, -2.0, 0.0, 1.0),
                                  (0.3, -1.7, 0.25, 1.1, -0.05, 0.4)])
 def test_width_rule_matches_reference_exactly(reg):
-    p = Potential(n=37, reg=reg, singularities=(), support=LINE)
+    # the rule reads only n and reg; a bounded support keeps V = -x valid
+    p = Potential(n=37, reg=reg, singularities=(), support=IntervalSet(((-10.0, 10.0),)))
     width, ref = orthopoly._width_rule(p, 75), reference_width_rule(p, 75)
     xs = np.linspace(-7.0, 7.0, 2001).tolist()
     for anchors in ((), (-1.0, 0.0)):

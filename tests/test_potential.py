@@ -19,7 +19,6 @@ from rmtlab import (
     log_weight,
     parse_potential,
     v_reg,
-    validate,
 )
 from rmtlab.potential import to_document
 
@@ -89,33 +88,28 @@ def test_parse_rejects_bad_interval():
 
 
 # ---------------------------------------------------------------------------
-# validation
+# validation: a Potential checks itself on construction
+
+LINE = IntervalSet(((-math.inf, math.inf),))
 
 
 def test_validate_needs_growth():
-    p = Potential(n=4, reg=(0.0, -1.0), singularities=(),
-                  support=IntervalSet(((-math.inf, math.inf),)))
     with pytest.raises(ValidationError):
-        validate(p)
+        Potential(n=4, reg=(0.0, -1.0), singularities=(), support=LINE)
 
 
 def test_validate_odd_degree_one_sided():
     # V ~ x^3/3 grows at +inf only; fine on [0, inf), bad on the line
-    up = Potential(n=4, reg=(0.0, 0.0, 1.0), singularities=(),
-                   support=IntervalSet(((0.0, math.inf),)))
-    validate(up)
-    both = Potential(n=4, reg=(0.0, 0.0, 1.0), singularities=(),
-                     support=IntervalSet(((-math.inf, math.inf),)))
+    Potential(n=4, reg=(0.0, 0.0, 1.0), singularities=(),
+              support=IntervalSet(((0.0, math.inf),)))
     with pytest.raises(ValidationError):
-        validate(both)
+        Potential(n=4, reg=(0.0, 0.0, 1.0), singularities=(), support=LINE)
 
 
 def test_validate_alpha_positive():
-    p = Potential(n=4, reg=(0.0, 1.0),
-                  singularities=(Singularity(b=0.0, alpha=0.0),),
-                  support=IntervalSet(((-math.inf, math.inf),)))
     with pytest.raises(ValidationError):
-        validate(p)
+        Potential(n=4, reg=(0.0, 1.0),
+                  singularities=(Singularity(b=0.0, alpha=0.0),), support=LINE)
 
 
 @pytest.mark.parametrize("reg,sing,what", [
@@ -127,81 +121,83 @@ def test_validate_alpha_positive():
      "singularities[0].t[1]"),
 ])
 def test_validate_rejects_non_finite_numbers(reg, sing, what):
-    p = Potential(n=10, reg=reg, singularities=(sing,) if sing else (),
-                  support=IntervalSet(((-math.inf, math.inf),)))
     with pytest.raises(ValidationError, match=re.escape(f"{what} must be finite")):
-        validate(p)
+        Potential(n=10, reg=reg, singularities=(sing,) if sing else (), support=LINE)
 
 
 def test_validate_conjugate_closure():
-    lone = Potential(n=4, reg=(0.0, 1.0),
-                     singularities=(Singularity(b=1 + 1j, alpha=0.5),),
-                     support=IntervalSet(((-math.inf, math.inf),)))
     with pytest.raises(ValidationError):
-        validate(lone)
-    pair = Potential(n=4, reg=(0.0, 1.0),
-                     singularities=(Singularity(b=1 + 1j, alpha=0.5, t=(1j,)),
-                                    Singularity(b=1 - 1j, alpha=0.5, t=(-1j,))),
-                     support=IntervalSet(((-math.inf, math.inf),)))
-    validate(pair)
+        Potential(n=4, reg=(0.0, 1.0),
+                  singularities=(Singularity(b=1 + 1j, alpha=0.5),), support=LINE)
+    Potential(n=4, reg=(0.0, 1.0),
+              singularities=(Singularity(b=1 + 1j, alpha=0.5, t=(1j,)),
+                             Singularity(b=1 - 1j, alpha=0.5, t=(-1j,))),
+              support=LINE)
     # conjugate locations but mismatched pole coefficients
-    bad = Potential(n=4, reg=(0.0, 1.0),
-                    singularities=(Singularity(b=1 + 1j, alpha=0.5, t=(1j,)),
-                                   Singularity(b=1 - 1j, alpha=0.5, t=(1j,))),
-                    support=IntervalSet(((-math.inf, math.inf),)))
     with pytest.raises(ValidationError):
-        validate(bad)
+        Potential(n=4, reg=(0.0, 1.0),
+                  singularities=(Singularity(b=1 + 1j, alpha=0.5, t=(1j,)),
+                                 Singularity(b=1 - 1j, alpha=0.5, t=(1j,))),
+                  support=LINE)
 
 
 def test_validate_real_pole_decay():
-    line = IntervalSet(((-math.inf, math.inf),))
     # interior real pole: top order must be even with negative coefficient
-    good = Potential(n=4, reg=(0.0, 1.0),
-                     singularities=(Singularity(b=0.0, alpha=0.5, t=(0.0, -1.0)),),
-                     support=line)
-    validate(good)
-    odd_top = Potential(n=4, reg=(0.0, 1.0),
-                        singularities=(Singularity(b=0.0, alpha=0.5, t=(1.0,)),),
-                        support=line)
-    with pytest.raises(ValidationError):
-        validate(odd_top)
-    wrong_sign = Potential(n=4, reg=(0.0, 1.0),
-                           singularities=(Singularity(b=0.0, alpha=0.5, t=(0.0, 1.0)),),
-                           support=line)
-    with pytest.raises(ValidationError):
-        validate(wrong_sign)
+    Potential(n=4, reg=(0.0, 1.0),
+              singularities=(Singularity(b=0.0, alpha=0.5, t=(0.0, -1.0)),),
+              support=LINE)
+    with pytest.raises(ValidationError):  # odd top index
+        Potential(n=4, reg=(0.0, 1.0),
+                  singularities=(Singularity(b=0.0, alpha=0.5, t=(1.0,)),),
+                  support=LINE)
+    with pytest.raises(ValidationError):  # wrong sign
+        Potential(n=4, reg=(0.0, 1.0),
+                  singularities=(Singularity(b=0.0, alpha=0.5, t=(0.0, 1.0)),),
+                  support=LINE)
 
 
 def test_validate_pole_at_left_domain_endpoint():
     # weight must vanish as x decreases to the endpoint from the right:
     # V_sing ~ -(1/m) t_m (x-b)^{-m} -> need t_m (x-b)^{-m} -> -inf
     half = IntervalSet(((0.0, math.inf),))
-    good = Potential(n=4, reg=(0.0, 1.0),
-                     singularities=(Singularity(b=0.0, alpha=0.5, t=(-1.0,)),),
-                     support=half)
-    validate(good)
-    bad = Potential(n=4, reg=(0.0, 1.0),
-                    singularities=(Singularity(b=0.0, alpha=0.5, t=(1.0,)),),
-                    support=half)
+    Potential(n=4, reg=(0.0, 1.0),
+              singularities=(Singularity(b=0.0, alpha=0.5, t=(-1.0,)),),
+              support=half)
     with pytest.raises(ValidationError):
-        validate(bad)
+        Potential(n=4, reg=(0.0, 1.0),
+                  singularities=(Singularity(b=0.0, alpha=0.5, t=(1.0,)),),
+                  support=half)
 
 
 def test_validate_outside_pole_free():
     # a real pole strictly outside the domain needs no sign condition
-    p = Potential(n=4, reg=(0.0, 1.0),
-                  singularities=(Singularity(b=-1.0, alpha=0.5, t=(1.0,)),),
-                  support=IntervalSet(((0.0, math.inf),)))
-    validate(p)
+    Potential(n=4, reg=(0.0, 1.0),
+              singularities=(Singularity(b=-1.0, alpha=0.5, t=(1.0,)),),
+              support=IntervalSet(((0.0, math.inf),)))
 
 
 def test_validate_duplicate_singularity():
-    p = Potential(n=4, reg=(0.0, 1.0),
+    with pytest.raises(ValidationError):
+        Potential(n=4, reg=(0.0, 1.0),
                   singularities=(Singularity(b=0.0, alpha=0.5),
                                  Singularity(b=0.0, alpha=0.25)),
-                  support=IntervalSet(((-math.inf, math.inf),)))
-    with pytest.raises(ValidationError):
-        validate(p)
+                  support=LINE)
+
+
+@pytest.mark.parametrize("n,reg,sings,cause", [
+    (0, (0.0, 1.0), (), "n must be >= 1, got 0"),
+    (10, (0.0, 1.0), (Singularity(b=0.0, alpha=-0.5),),
+     "charge alpha at b=0.0 must be > 0, got -0.5"),
+    (10, (0.0, 1.0), (Singularity(b=1j, alpha=0.5),),
+     "complex singular point b=1j has no conjugate partner"),
+    (10, (0.0, math.nan), (), "reg[1] must be finite, got nan"),
+    (10, (0.0, -1.0), (), "support is unbounded above but V_reg does not grow there"),
+], ids=["n0", "negative-alpha", "unpaired-b", "nan-reg", "no-growth"])
+def test_invalid_potential_cannot_be_built(n, reg, sings, cause):
+    # each of these once reached solve_support and find_critical_points
+    # unchecked, which returned a semicircle or a convergence failure
+    with pytest.raises(ValidationError, match=re.escape(cause)):
+        Potential(n=n, reg=reg, singularities=sings, support=LINE)
 
 
 # ---------------------------------------------------------------------------
@@ -209,8 +205,9 @@ def test_validate_duplicate_singularity():
 
 
 def test_v_reg_values():
+    # V_reg grows only at +inf, so the support is bounded below
     p = Potential(n=3, reg=(1.0, 2.0, 3.0), singularities=(),
-                  support=IntervalSet(((-math.inf, math.inf),)))
+                  support=IntervalSet(((-10.0, 10.0),)))
     # V = x + x^2 + x^3
     x = np.array([-1.5, 0.0, 0.3, 2.0])
     np.testing.assert_allclose(v_reg(p, x), x + x**2 + x**3, rtol=1e-14)
@@ -245,7 +242,6 @@ def test_log_weight_conjugate_pole_pair():
                   singularities=(Singularity(b=1 + 1j, alpha=0.5, t=(1j,)),
                                  Singularity(b=1 - 1j, alpha=0.5, t=(-1j,))),
                   support=IntervalSet(((-math.inf, math.inf),)))
-    validate(p)
     x = np.linspace(-3.0, 4.0, 29)
     q = (x - 1.0) ** 2 + 1.0
     expect = -p.n * (x**2 / 2 + 2.0 / q) + 2.0 * 0.5 * np.log(np.sqrt(q)) * 2
@@ -262,7 +258,6 @@ def test_log_weight_next_to_real_pole(t):
     # there, so log w is -inf with no NaN and no RuntimeWarning
     p = Potential(n=4, reg=(0.0, 1.0), singularities=(Singularity(b=0.0, alpha=0.5, t=t),),
                   support=IntervalSet(((-math.inf, math.inf),)))
-    validate(p)
 
     def closed_form(x):
         try:
@@ -305,8 +300,9 @@ def test_weight_vanishes_off_domain():
     x=st.floats(-2, 2, allow_nan=False),
 )
 def test_reg_eval_matches_direct_sum(coeffs, x):
+    # a bounded support keeps every coefficient list a valid potential
     p = Potential(n=2, reg=tuple(coeffs), singularities=(),
-                  support=IntervalSet(((-math.inf, math.inf),)))
+                  support=IntervalSet(((-10.0, 10.0),)))
     direct = sum(c / (j + 1) * x ** (j + 1) for j, c in enumerate(coeffs))
     got = v_reg(p, x)
     assert isinstance(got, float)
