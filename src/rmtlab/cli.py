@@ -349,7 +349,12 @@ def main(argv=None) -> int:
         return 0 if code == 0 else 1
 
     outdir = args.outdir or os.environ.get("RMTLAB_OUTDIR") or "."
-    os.makedirs(outdir, exist_ok=True)
+    try:
+        os.makedirs(outdir, exist_ok=True)
+    except OSError as e:   # no directory, so no manifest either
+        print(f"error: output directory {outdir} cannot be made: {e.strerror}",
+              file=sys.stderr)
+        return 2
     overrides = {k: v for k, v in vars(args).items()
                  if k not in ("command", "func", "config", "outdir") and v not in (None, [])}
     man = RunManifest(command=args.command, config=getattr(args, "config", None),

@@ -29,7 +29,8 @@ soft endpoint s as its unknown, c_1 = 2, and starts that climb away from
 the edge.  One damped Newton iteration (_newton, a forward-difference
 Jacobian on Python floats) solves every layout from each of its starts;
 the first curve that stays in the domain with a nonnegative density
-wins.  It runs on numpy and the standard library alone.
+wins and alone fixes the frozen EquilibriumMeasure(potential, curve).
+It runs on numpy and the standard library alone.
 """
 
 from __future__ import annotations
@@ -183,29 +184,45 @@ def _laurent_split(vc: np.ndarray, zeros, poles, jmax: int):
 # equilibrium measure container
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class EquilibriumMeasure:
+    """Equilibrium measure built from its potential and spectral curve alone.
+
+    support, rules (per component: nodes, rho-weighted weights), ell and
+    exterior_points derive from the curve; a mass != 1 is NumericalError."""
+
     potential: Potential
     curve: SpectralCurve
-    support: IntervalSet
-    ell: float = 0.0
-    masses: tuple[float, ...] = ()
-    exterior_points: tuple[float, ...] = ()
-    _rules: list = field(default_factory=list, repr=False)
+    support: IntervalSet = field(init=False)
+    rules: tuple[tuple[np.ndarray, np.ndarray], ...] = field(init=False, repr=False)
+    ell: float = field(init=False)
+    exterior_points: tuple[float, ...] = field(init=False)
+
+    def __post_init__(self):
+        support = _component_intervals(self.curve)
+        object.__setattr__(self, "support", support)
+        rules = []
+        for lo, hi in support.intervals:
+            x, w = clustered_rule(lo, hi, _M_RULE)
+            rules.append((x, w * density(self, x)))
+        object.__setattr__(self, "rules", tuple(rules))
+        if abs(sum(self.masses) - 1.0) > 1e-6:
+            raise NumericalError(f"equilibrium mass {sum(self.masses):.12g} != 1; "
+                                 "endpoint solve is inconsistent")
+        # ell makes the variational value vanish at the middle of the widest component
+        lo, hi = max(support.intervals, key=lambda iv: iv[1] - iv[0])
+        object.__setattr__(self, "ell", float(_variational_values(self, [0.5 * (lo + hi)])[0]))
+        object.__setattr__(self, "exterior_points", _find_exterior_points(self))
+
+    @property
+    def masses(self) -> tuple[float, ...]:
+        return tuple(float(np.sum(w)) for _, w in self.rules)
 
     @property
     def p_sup(self) -> float:
         """Rightmost point of support plus equality points."""
         pts = [self.support.hi, *self.exterior_points]
         return max(pts)
-
-    def component_rules(self):
-        """Per-component quadrature (nodes, rho-weighted weights)."""
-        if not self._rules:
-            for lo, hi in self.support.intervals:
-                x, w = clustered_rule(lo, hi, _M_RULE)
-                self._rules.append((x, w * density(self, x)))
-        return self._rules
 
 
 def density(em: EquilibriumMeasure, x):
@@ -224,7 +241,7 @@ def _log_integrals(em: EquilibriumMeasure, x: np.ndarray) -> np.ndarray:
     """int log|x - y| rho(y) dy at each point of x, splitting at a point
     on the support; row k of every (points, nodes) array is point k."""
     total = np.zeros(x.size)
-    for (lo, hi), (xs, ws) in zip(em.support.intervals, em.component_rules()):
+    for (lo, hi), (xs, ws) in zip(em.support.intervals, em.rules):
         on = (lo < x) & (x < hi)
         with np.errstate(divide="ignore"):
             total[~on] += np.sum(ws * np.log(np.abs(x[~on, None] - xs)), axis=1)
@@ -244,7 +261,7 @@ def g_eval(em: EquilibriumMeasure, z):
     on_axis = zc.imag == 0.0
     zc[on_axis] = _on_axis(zc[on_axis].real, +1)
     out = np.zeros(zc.shape, dtype=complex)
-    for xs, ws in em.component_rules():
+    for xs, ws in em.rules:
         out += np.sum(ws[None, :] * np.log(zc.reshape(-1, 1) - xs[None, :]), axis=1).reshape(zc.shape)
     return out[0] if scalar else out
 
@@ -274,13 +291,13 @@ def xi_eval(em: EquilibriumMeasure, z, side: int = +1):
 
 
 def _variational_values(em: EquilibriumMeasure, x) -> np.ndarray:
-    """2 int log|x-y| dmu(y) - V_reg(x) - ell at each point of x."""
+    """2 int log|x-y| dmu(y) - V_reg(x) at each point of x."""
     x = np.asarray(x, dtype=float)
     total = np.empty(x.size)
     # blocks of _BLOCK points keep the (points, nodes) temporaries small
     for i in range(0, x.size, _BLOCK):
         total[i:i + _BLOCK] = _log_integrals(em, x[i:i + _BLOCK])
-    return 2.0 * total - v_reg(em.potential, x) - em.ell
+    return 2.0 * total - v_reg(em.potential, x)
 
 
 def check_variational(em: EquilibriumMeasure, grid_points: int = 200):
@@ -321,8 +338,8 @@ def check_variational(em: EquilibriumMeasure, grid_points: int = 200):
                 continue
             off_x.append(x)
 
-    sup_r = np.abs(_variational_values(em, sup_x))
-    off_q = _variational_values(em, off_x)
+    sup_r = np.abs(_variational_values(em, sup_x) - em.ell)
+    off_q = _variational_values(em, off_x) - em.ell
     return {
         "support_x": np.array(sup_x),
         "support_residual": sup_r,
@@ -403,23 +420,6 @@ def _check_curve(p: Potential, curve: SpectralCurve, verdict: str) -> None:
         raise NumericalError(f"negative density near x={where:.6g}: {verdict}")
 
 
-def _finish(p: Potential, curve: SpectralCurve) -> EquilibriumMeasure:
-    support = _component_intervals(curve)
-    em = EquilibriumMeasure(potential=p, curve=curve, support=support)
-    masses = tuple(float(np.sum(w)) for _, w in em.component_rules())
-    em.masses = masses
-    if abs(sum(masses) - 1.0) > 1e-6:
-        raise NumericalError(
-            f"equilibrium mass {sum(masses):.12g} != 1; endpoint solve is inconsistent"
-        )
-    # ell makes the variational value vanish at the middle of the widest
-    # component; it is read while em.ell is still 0
-    lo, hi = max(support.intervals, key=lambda iv: iv[1] - iv[0])
-    em.ell = float(_variational_values(em, [0.5 * (lo + hi)])[0])
-    em.exterior_points = _find_exterior_points(em)
-    return em
-
-
 def _find_exterior_points(em: EquilibriumMeasure) -> tuple[float, ...]:
     """Real zeros of h off the support where the variational bound is tight."""
     pts = []
@@ -432,7 +432,7 @@ def _find_exterior_points(em: EquilibriumMeasure) -> tuple[float, ...]:
             continue
         if not em.potential.support.contains(x):
             continue
-        q = float(_variational_values(em, [x])[0])
+        q = float(_variational_values(em, [x])[0] - em.ell)
         if abs(q) < _EXTERIOR_TOL * max(1.0, abs(em.ell)):
             pts.append(x)
     return tuple(sorted(pts))
@@ -630,7 +630,7 @@ def solve_support(p: Potential, structure: str = "one_cut") -> EquilibriumMeasur
         except NumericalError as e:
             err = e
             continue
-        return _finish(p, curve)
+        return EquilibriumMeasure(p, curve)
     raise err
 
 
@@ -692,7 +692,7 @@ def example_curve(
         curve = SpectralCurve(h=(2.0 * c, 0.0, 1.0), zeros=(-a, a), poles=())
         if one_cut:
             _check_curve(p, curve, "requested structure infeasible")
-        return _finish(p, curve)
+        return EquilibriumMeasure(p, curve)
     if name == "marchenko_pastur":
         sings = []
         if alpha1 > 0:
@@ -706,7 +706,7 @@ def example_curve(
             support=IntervalSet(((-math.inf, 0.0),)),
         )
         curve = SpectralCurve(h=(-1.0,), zeros=(-4.0,), poles=(0.0,))
-        return _finish(p, curve)
+        return EquilibriumMeasure(p, curve)
     raise ValidationError(f"unknown example family {name!r}")
 
 

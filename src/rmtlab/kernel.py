@@ -193,7 +193,8 @@ def convergence_scan(sc, n_list, grid, progress=None) -> dict:
     sc is a scenario (see rmtlab.scenarios): per n it builds the
     potential, solves the equilibrium problem, marks the critical point
     and fits the recurrence; the last stage alone names the law, and
-    None compares successive n instead (scaling collapse).  Errors
+    None compares successive n instead (scaling collapse), which a
+    single n cannot do (ValidationError).  Errors
     are on |kernel| when sc.compare_abs is set.  A failing stage
     re-raises its ValidationError or NumericalError with the n named.
     """
@@ -218,6 +219,9 @@ def convergence_scan(sc, n_list, grid, progress=None) -> dict:
             progress(n)
 
     if law is None:
+        if len(stages) < 2:
+            raise ValidationError(f"{sc.name} has no reference law: its scaling-collapse "
+                                  f"scan compares successive n and needs two, got {ns}")
         rows = [{"n": n2, "against": n1, "sup_error": float(np.max(np.abs(a - b)))}
                 for (n1, a), (n2, b) in zip(stages, stages[1:])]
         ref_meta = {"kind": "self"}

@@ -96,7 +96,9 @@ def _initial_positions(p: Potential, n: int) -> np.ndarray:
         take = left if i == len(spots) - 1 else max(1, round(n * (b - a) / total))
         take = min(take, left)
         pad = 0.01 * (b - a)
-        out.append(np.linspace(a + pad, b - pad, take))
+        # a lone point sits mid-window; linspace would put it at the left end
+        out.append(np.linspace(a + pad, b - pad, take) if take > 1
+                   else np.array([0.5 * (a + b)]))
         left -= take
         if left == 0:
             break

@@ -125,6 +125,17 @@ def test_validate_unreadable_config(outdir, capsys, name):
     assert (outdir / "manifest_validate.json").exists()
 
 
+def test_unusable_outdir_exits_two(outdir, capsys):
+    cfg = write_cfg(outdir, GUE)
+    blocker = outdir / "taken"
+    blocker.write_text("")
+    assert run(blocker, "validate", cfg) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: output directory {blocker} cannot be made: ")
+    assert err.count("\n") == 1
+    assert sorted(f.name for f in outdir.iterdir()) == ["cfg.json", "taken"]
+
+
 def test_usage_errors_exit_one(outdir):
     assert main(["no-such-command"]) == 1
     assert main([]) == 1
@@ -300,6 +311,13 @@ def test_converge_unknown_scenario(outdir):
     assert run(outdir, "converge", "unknown-name") == 2
 
 
+def test_converge_single_n_collapse_exits_two(outdir, capsys):
+    # quartic-merge has no reference law: it compares successive n
+    assert run(outdir, "converge", "quartic-merge", "--n-list", "30") == 2
+    assert "needs two, got [30]" in capsys.readouterr().err
+    assert not (outdir / "scan_quartic-merge.json").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ("--n-list", "20,40", "--grid", "0.5:1:3"),   # grid leaves R-
     ("--param", "alpha=-3"),                       # charge must be > 0
@@ -345,6 +363,12 @@ def test_sample_outputs_and_determinism(outdir, tmp_path):
                "--seed", "11", "--thin", "2") == 0
     _, arr2, _ = read_csv(other / "samples.csv")
     assert np.array_equal(arr, arr2)
+
+
+def test_sample_single_eigenvalue(outdir):
+    # the lone chain point starts mid-window, inside the bins
+    cfg = write_cfg(outdir, {**GUE, "n": 1})
+    assert run(outdir, "sample", cfg, "--steps", "20") == 0
 
 
 def test_sample_infeasible_structure_exits_before_chain(outdir):

@@ -1,5 +1,6 @@
 """Equilibrium solver against closed-form curves and exact identities."""
 
+import dataclasses
 import math
 import warnings
 
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rmtlab import (
+    EquilibriumMeasure,
     IntervalSet,
     NumericalError,
     Potential,
@@ -43,6 +45,15 @@ def gaussian(n=40):
 
 def quartic(t, n=40):
     return Potential(n=n, reg=(0.0, float(t), 0.0, 1.0), singularities=(), support=LINE)
+
+
+# one fit per support structure
+FITS = [
+    (gaussian(), "one_cut"),
+    (quartic(-3.0), "symmetric_two_cut"),
+    (Potential(n=30, reg=(-1.0,), singularities=(Singularity(b=0.0, alpha=0.5),),
+               support=NEG), "hard_edge_one_cut"),
+]
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +378,7 @@ def test_variational_conditions_two_cut():
 def reference_log_integral(em, x):
     """int log|x - y| rho(y) dy one point at a time, summed as Python floats."""
     total = 0.0
-    for (lo, hi), (xs, ws) in zip(em.support.intervals, em.component_rules()):
+    for (lo, hi), (xs, ws) in zip(em.support.intervals, em.rules):
         if lo < x < hi:
             for a, b in ((lo, x), (x, hi)):
                 t, wt = clustered_rule(a, b, equilibrium._M_PATH)
@@ -378,12 +389,7 @@ def reference_log_integral(em, x):
     return total
 
 
-@pytest.mark.parametrize("p, structure", [
-    (gaussian(), "one_cut"),
-    (quartic(-3.0), "symmetric_two_cut"),
-    (Potential(n=30, reg=(-1.0,), singularities=(Singularity(b=0.0, alpha=0.5),),
-               support=NEG), "hard_edge_one_cut"),
-])
+@pytest.mark.parametrize("p, structure", FITS)
 def test_variational_values_match_pointwise_reference_exactly(p, structure):
     em = solve_support(p, structure)
     rep = check_variational(em, grid_points=90)
@@ -396,6 +402,35 @@ def test_variational_values_match_pointwise_reference_exactly(p, structure):
     # ell is the value at the middle of the widest component, taken at ell = 0
     mid = 0.5 * sum(max(em.support.intervals, key=lambda iv: iv[1] - iv[0]))
     assert 2.0 * reference_log_integral(em, mid) - v_reg(p, mid) - 0.0 == em.ell
+
+
+# ---------------------------------------------------------------------------
+# construction
+
+
+@pytest.mark.parametrize("p, structure", FITS)
+def test_measure_is_fixed_by_potential_and_curve(p, structure):
+    em = solve_support(p, structure)
+    again = EquilibriumMeasure(p, em.curve)
+    for name in ("support", "masses", "ell", "exterior_points"):
+        assert getattr(again, name) == getattr(em, name), name
+
+
+def test_measure_takes_only_potential_and_curve_and_is_frozen():
+    em = solve_support(gaussian(), "one_cut")
+    with pytest.raises(TypeError):
+        EquilibriumMeasure(em.potential, em.curve, support=IntervalSet(((-1.0, 1.0),)))
+    with pytest.raises(TypeError):
+        EquilibriumMeasure(em.potential, em.curve, ell=5.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        em.ell = 5.0
+
+
+def test_measure_refuses_a_curve_of_the_wrong_mass():
+    em = solve_support(gaussian(), "one_cut")
+    doubled = dataclasses.replace(em.curve, h=tuple(2.0 * c for c in em.curve.h))
+    with pytest.raises(NumericalError, match="^equilibrium mass 2 != 1"):
+        EquilibriumMeasure(em.potential, doubled)
 
 
 def test_mass_right_interpolates():

@@ -371,11 +371,17 @@ def test_convergence_scan_reports_decay():
     assert errs[0] > errs[1] > errs[2]
     assert out["fitted_decay"] == pytest.approx(-1.0, abs=0.2)
     assert out["reference"]["kind"] == "sine"
+    assert len(convergence_scan(sc, [20], np.linspace(-1.5, 1.5, 5))["rows"]) == 1
 
 
 class _LostFit(_BulkScenario):
     def recurrence(self, p):
         raise NumericalError("lost orthogonality")
+
+
+class _Collapse(_BulkScenario):
+    def reference_law(self, em, cp):
+        return None
 
 
 def test_convergence_scan_stage_failure_keeps_its_type():
@@ -386,3 +392,5 @@ def test_convergence_scan_stage_failure_keeps_its_type():
         convergence_scan(get_scenario("mp-hard-edge"), [20, 40], grid)
     with pytest.raises(ValidationError, match="at least one n"):
         convergence_scan(_BulkScenario(), [], grid)
+    with pytest.raises(ValidationError, match=r"needs two, got \[20\]"):
+        convergence_scan(_Collapse(), [20], grid)

@@ -128,6 +128,15 @@ def test_charge_position_never_occupied():
     assert all(np.all(cfg != 0.0) for cfg in kept)
 
 
+def test_lone_component_point_sits_mid_window():
+    # GUE at n = 1 searches the window [-8, 8]
+    assert sampler._initial_positions(gaussian(1), 1).tolist() == [0.0]
+    gapped = Potential(n=3, reg=(0.0, 1.0), singularities=(),
+                       support=IntervalSet(((-5.0, -0.5), (0.5, 5.0))))
+    xs = sampler._initial_positions(gapped, 3)
+    assert xs.tolist() == [-5.0 + 0.045, -0.5 - 0.045, 2.75]
+
+
 def test_incremental_log_density_consistent():
     p = gaussian(10)
     _, st = mcmc_chain(p, steps=250, burn_in=50, seed=11)
