@@ -25,7 +25,6 @@ from .equilibrium import (
     curve_eval,
     density,
     example_curve,
-    filling_fractions,
     g_eval,
     solve_support,
     xi_eval,
@@ -36,7 +35,6 @@ from .classify import (
     ScaledCharge,
     ScaledCurve,
     bulk_point,
-    check_scaling,
     extract_model_data,
     find_critical_points,
     nearest_critical_point,
@@ -51,7 +49,6 @@ from .orthopoly import (
     cached_recurrence,
     gram_check,
     orthonormal_rows,
-    poly_zeros,
     stieltjes_recurrence,
 )
 from .kernel import (

@@ -371,37 +371,6 @@ def series_at_infinity(sc: ScaledCurve) -> np.ndarray:
     return _expansion_at_infinity(sc.h, sc.poles, sc.zeros, order)
 
 
-def check_scaling(em_a, cp_a: CriticalPoint, n_a: int,
-                  em_b, cp_b: CriticalPoint, n_b: int) -> dict:
-    """Empirical check that near features shrink like n^{-delta}.
-
-    Solves nothing itself: give it the same critical point located at two
-    values of n and it compares the scaled feature distances.  Distances
-    within a factor 2 of each other count as scaling appropriately.
-    """
-
-    def spread(em, cp):
-        d = [abs(r - cp.x_star) for r in h_roots(em.curve)
-             if abs(r - cp.x_star) <= cp.radius]
-        d += [abs(z - cp.x_star) for z in em.curve.zeros
-              if 0 < abs(z - cp.x_star) <= cp.radius]
-        d += [abs(q - cp.x_star) for q in em.curve.poles
-              if 0 < abs(q - cp.x_star) <= cp.radius]
-        return max(d) if d else 0.0
-
-    r_a, r_b = spread(em_a, cp_a), spread(em_b, cp_b)
-    sa = r_a * float(n_a) ** cp_a.delta
-    sb = r_b * float(n_b) ** cp_b.delta
-    if sa == 0.0 and sb == 0.0:
-        ratio = 1.0
-    elif sb == 0.0 or sa == 0.0:
-        ratio = math.inf
-    else:
-        ratio = sa / sb
-    return {"ok": 0.5 <= ratio <= 2.0, "ratio": ratio,
-            "scaled_spread": (sa, sb), "spread": (r_a, r_b)}
-
-
 # ---------------------------------------------------------------------------
 # model data extraction
 

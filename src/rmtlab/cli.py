@@ -105,28 +105,29 @@ def _parse_params(pairs) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# subcommands; each takes (args, manifest, outdir) and returns an exit code
+# subcommands; each takes (args, manifest), writes only to man.path(name)
+# and returns an exit code
 
 
-def cmd_validate(args, man: RunManifest, outdir: str) -> int:
+def cmd_validate(args, man: RunManifest) -> int:
     report = {"config": args.config, "ok": False, "error": None}
     try:
         p = _load_potential(args.config)
     except (ValidationError, FormatError) as e:
         report["error"] = str(e)
-        write_json(man.record(os.path.join(outdir, "validate_report.json")), report)
+        write_json(man.path("validate_report.json"), report)
         print(f"invalid: {e}", file=sys.stderr)
         return 2
     report["ok"] = True
     report["n"] = p.n
     report["support"] = [list(iv) for iv in p.support.intervals]
     report["singularities"] = len(p.singularities)
-    write_json(man.record(os.path.join(outdir, "validate_report.json")), report)
+    write_json(man.path("validate_report.json"), report)
     print(f"ok: {args.config}")
     return 0
 
 
-def cmd_equilibrium(args, man: RunManifest, outdir: str) -> int:
+def cmd_equilibrium(args, man: RunManifest) -> int:
     if args.grid < 1:
         raise ValidationError(f"--grid must be at least 1, got {args.grid}")
     p = _load_potential(args.config)
@@ -137,16 +138,14 @@ def cmd_equilibrium(args, man: RunManifest, outdir: str) -> int:
         "support": " ".join(f"[{lo:.17g},{hi:.17g}]" for lo, hi in em.support.intervals),
         "ell": f"{em.ell:.17g}",
     }
-    write_csv(man.record(os.path.join(outdir, "density.csv")),
-              ["x", "rho"], zip(xs, rho), meta)
+    write_csv(man.path("density.csv"), ["x", "rho"], zip(xs, rho), meta)
 
     rep = check_variational(em)
     rows = [(x, r, "ok" if r < _EQ_TOL else "fail")
             for x, r in zip(rep["support_x"], rep["support_residual"])]
     rows += [(x, v, "ok" if v < 0.0 else "fail")
              for x, v in zip(rep["off_x"], rep["off_value"])]
-    write_csv(man.record(os.path.join(outdir, "variational.csv")),
-              ["x", "residual", "verdict"], rows,
+    write_csv(man.path("variational.csv"), ["x", "residual", "verdict"], rows,
               {"eq_max": f"{rep['eq_max']:.17g}",
                "ineq_max": f"{rep['ineq_max']:.17g}"})
     print(f"support {meta['support']}  eq_max {rep['eq_max']:.3g}  "
@@ -154,7 +153,7 @@ def cmd_equilibrium(args, man: RunManifest, outdir: str) -> int:
     return 0
 
 
-def cmd_classify(args, man: RunManifest, outdir: str) -> int:
+def cmd_classify(args, man: RunManifest) -> int:
     p = _load_potential(args.config, n_override=args.n)
     em = solve_support(p, args.structure)
     cps = find_critical_points(em)
@@ -164,13 +163,13 @@ def cmd_classify(args, man: RunManifest, outdir: str) -> int:
         out["critical_points"].append(critical_point_dict(cp))
         md = extract_model_data(em, cp, p.n)
         out["model_data"].append(model_data_dict(md))
-    write_json(man.record(os.path.join(outdir, "classify_report.json")), out)
+    write_json(man.path("classify_report.json"), out)
     kinds = ", ".join(f"{c.kind}@{c.x_star:.6g}" for c in cps)
     print(f"{len(cps)} critical points: {kinds}")
     return 0
 
 
-def cmd_kernel(args, man: RunManifest, outdir: str) -> int:
+def cmd_kernel(args, man: RunManifest) -> int:
     p = _load_potential(args.config, n_override=args.n)
     grid = _parse_grid(args.grid)
     try:
@@ -197,29 +196,27 @@ def cmd_kernel(args, man: RunManifest, outdir: str) -> int:
     diag = kernel_diag(r, p, q.nodes)
     trace = f"{float(np.sum(q.base * diag)):.17g}"
     meta["trace"] = trace
-    write_csv(man.record(os.path.join(outdir, "kernel.csv")),
-              ["u", "v", "value"], rows, meta)
-    write_csv(man.record(os.path.join(outdir, "kernel_diag.csv")),
-              ["x", "weight", "k_diag"],
+    write_csv(man.path("kernel.csv"), ["u", "v", "value"], rows, meta)
+    write_csv(man.path("kernel_diag.csv"), ["x", "weight", "k_diag"],
               zip(q.nodes.tolist(), q.base.tolist(), diag.tolist()),
               {"n": p.n, "trace": trace})
     print(f"kernel {values.shape[0]}x{values.shape[1]} grid, trace {trace}")
     return 0
 
 
-def cmd_converge(args, man: RunManifest, outdir: str) -> int:
+def cmd_converge(args, man: RunManifest) -> int:
     sc = get_scenario(args.scenario, **_parse_params(args.param))
     ns = _parse_n_list(args.n_list) if args.n_list else list(sc.default_n_list)
     grid = _parse_grid(args.grid) if args.grid else np.asarray(sc.default_grid)
     out = convergence_scan(sc, ns, grid,
                            progress=lambda n: print(f"  n={n} done", flush=True))
-    write_json(man.record(os.path.join(outdir, f"scan_{sc.name}.json")), out)
+    write_json(man.path(f"scan_{sc.name}.json"), out)
     errs = ", ".join(f"{row['sup_error']:.3g}" for row in out["rows"])
     print(f"{sc.name}: sup errors [{errs}], decay {out['fitted_decay']:.3g}")
     return 0
 
 
-def cmd_sample(args, man: RunManifest, outdir: str) -> int:
+def cmd_sample(args, man: RunManifest) -> int:
     if args.bins < 1:
         raise ValidationError(f"--bins must be at least 1, got {args.bins}")
     p = _load_potential(args.config)
@@ -234,10 +231,10 @@ def cmd_sample(args, man: RunManifest, outdir: str) -> int:
                              thin=args.thin, seed=args.seed)
     cols = ["sweep"] + [f"x{i}" for i in range(p.n)]
     rows = ((args.burn_in + k * args.thin, *xs) for k, xs in enumerate(kept))
-    write_csv(man.record(os.path.join(outdir, "samples.csv")), cols, rows,
+    write_csv(man.path("samples.csv"), cols, rows,
               {"seed": args.seed, "steps": args.steps, "burn_in": args.burn_in,
                "thin": args.thin})
-    write_json(man.record(os.path.join(outdir, "chain_meta.json")), {
+    write_json(man.path("chain_meta.json"), {
         "seed": args.seed,
         "rng_stream": f"pcg64:{state.rng_seed}",
         "acceptance_rate": state.acceptance_rate(),
@@ -250,7 +247,7 @@ def cmd_sample(args, man: RunManifest, outdir: str) -> int:
     })
     emp = histogram_density(kept, edges)
     dev = compare_density(emp, em)
-    write_json(man.record(os.path.join(outdir, "density_comparison.json")), {
+    write_json(man.path("density_comparison.json"), {
         "bin_edges": [float(e) for e in edges],
         "values": [float(v) for v in emp.values],
         "sup_dev": dev["sup_dev"],
@@ -361,7 +358,7 @@ def main(argv=None) -> int:
                       overrides=overrides, outdir=outdir, version=__version__)
     start = time.monotonic()
     try:
-        code = args.func(args, man, outdir)
+        code = args.func(args, man)
     except (ValidationError, FormatError) as e:
         print(f"error: {e}", file=sys.stderr)
         code = 2

@@ -189,7 +189,8 @@ class EquilibriumMeasure:
     """Equilibrium measure built from its potential and spectral curve alone.
 
     support, rules (per component: nodes, rho-weighted weights), ell and
-    exterior_points derive from the curve; a mass != 1 is NumericalError."""
+    exterior_points derive from the curve; a mass != 1, or a variational
+    value above ell off the support, is NumericalError."""
 
     potential: Potential
     curve: SpectralCurve
@@ -350,15 +351,6 @@ def check_variational(em: EquilibriumMeasure, grid_points: int = 200):
     }
 
 
-def filling_fractions(em: EquilibriumMeasure):
-    """Constant value of eps(x) = mu([x, infty)) on each open gap."""
-    out = []
-    mass_right = list(np.cumsum(em.masses[::-1])[::-1]) + [0.0]
-    for i, gap in enumerate(em.support.gaps()):
-        out.append((gap, float(mass_right[i + 1])))
-    return out
-
-
 def mass_right_of(em: EquilibriumMeasure, x: float) -> float:
     """mu([x, infty))."""
     total = 0.0
@@ -421,19 +413,28 @@ def _check_curve(p: Potential, curve: SpectralCurve, verdict: str) -> None:
 
 
 def _find_exterior_points(em: EquilibriumMeasure) -> tuple[float, ...]:
-    """Real zeros of h off the support where the variational bound is tight."""
+    """Real zeros of h off the support where the variational bound is tight.
+
+    Off the support q = 2 int log|x-y| dmu - V_reg - ell has q' = -y, so
+    its maxima there sit at real zeros of h or at finite domain endpoints;
+    q > 0 at any of them refuses the measure."""
     pts = []
     scale = em.potential.scale()
-    for r in h_roots(em.curve):
-        if abs(r.imag) > 1e-8 * scale:
-            continue
-        x = float(r.real)
+    tol = _EXTERIOR_TOL * max(1.0, abs(em.ell))
+    cands = [(float(r.real), True) for r in h_roots(em.curve) if abs(r.imag) <= 1e-8 * scale]
+    cands += [(e, False) for e in em.potential.support.finite_endpoints()]
+    for x, is_zero in cands:
         if em.support.contains(x, tol=1e-8 * scale):
             continue
         if not em.potential.support.contains(x):
             continue
         q = float(_variational_values(em, [x])[0] - em.ell)
-        if abs(q) < _EXTERIOR_TOL * max(1.0, abs(em.ell)):
+        if q > tol:
+            raise NumericalError(
+                f"the equilibrium measure violates the variational inequality at "
+                f"x={x:.6g} ({q:+.3g}): the support needs "
+                + ("another cut" if is_zero else "to reach this domain end"))
+        if is_zero and abs(q) < tol:
             pts.append(x)
     return tuple(sorted(pts))
 

@@ -3,13 +3,15 @@
 CSV files carry '#'-prefixed metadata lines before the header row, with
 numbers printed at 17 significant digits so values round-trip exactly.
 Output is byte-identical across runs except for the timestamp line.
-JSON serializes complex numbers as [re, im] pairs and numpy types as
-plain Python scalars and lists.
+JSON is standard JSON: complex numbers are [re, im] pairs, numpy types
+plain Python scalars and lists, infinities the strings "inf" and "-inf"
+(the spelling potential configs use) and NaN null.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -84,25 +86,34 @@ def read_csv(path):
     return columns, arr, meta
 
 
-def _json_default(obj):
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
-    if isinstance(obj, np.complexfloating):
-        return [float(obj.real), float(obj.imag)]
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
+def _plain(obj):
+    """obj as plain JSON values: complex as [re, im], numpy as Python
+    values, +-inf as "inf"/"-inf" and NaN as null."""
+    if isinstance(obj, dict):
+        return {k: _plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        return obj.tolist()
+        return _plain(obj.tolist())
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
+    if isinstance(obj, (int, np.integer)):
+        return int(obj)
+    if isinstance(obj, (float, np.floating)):
+        x = float(obj)
+        if math.isnan(x):
+            return None
+        return x if math.isfinite(x) else ("inf" if x > 0 else "-inf")
+    if isinstance(obj, (complex, np.complexfloating)):
+        return [_plain(obj.real), _plain(obj.imag)]
+    if obj is None or isinstance(obj, str):
+        return obj
     raise TypeError(f"not JSON serializable: {type(obj).__name__}")
 
 
 def write_json(path, obj) -> None:
     with open(path, "w") as f:
-        json.dump(obj, f, indent=2, sort_keys=True, default=_json_default)
+        json.dump(_plain(obj), f, indent=2, sort_keys=True, allow_nan=False)
         f.write("\n")
 
 
@@ -123,11 +134,11 @@ class RunManifest:
     wall_time_s: float = 0.0
     outputs: list = field(default_factory=list)
 
-    def record(self, path: str) -> str:
-        name = os.path.basename(path)
+    def path(self, name: str) -> str:
+        """The path of output `name` in outdir, listed among the outputs."""
         if name not in self.outputs:
             self.outputs.append(name)
-        return path
+        return os.path.join(self.outdir, name)
 
     def write(self, path) -> None:
         write_json(path, {

@@ -535,15 +535,6 @@ def gram_check(r: Recurrence, q: QuadratureRule, m: int) -> float:
     return float(defect.max())
 
 
-def poly_zeros(r: Recurrence, m: int) -> np.ndarray:
-    """Zeros of p_m: eigenvalues of the m x m Jacobi matrix of the recurrence."""
-    if not 1 <= m <= r.m_max:
-        raise ValidationError(f"degree {m} outside recurrence range 1..{r.m_max}")
-    off = np.sqrt(np.asarray(r.b[: m - 1]))
-    jac = np.diag(np.asarray(r.a[:m])) + np.diag(off, 1) + np.diag(off, -1)
-    return np.linalg.eigvalsh(jac)
-
-
 # ---------------------------------------------------------------------------
 # fitting
 

@@ -90,7 +90,7 @@ def _initial_positions(p: Potential, n: int) -> np.ndarray:
     total = sum(b - a for a, b in spots)
     if not (total > 0.0 and math.isfinite(total)):
         raise NumericalError("cannot place chain points inside the domain")
-    out = []
+    out, nudge = [], []
     left = n
     for i, (a, b) in enumerate(spots):
         take = left if i == len(spots) - 1 else max(1, round(n * (b - a) / total))
@@ -99,20 +99,28 @@ def _initial_positions(p: Potential, n: int) -> np.ndarray:
         # a lone point sits mid-window; linspace would put it at the left end
         out.append(np.linspace(a + pad, b - pad, take) if take > 1
                    else np.array([0.5 * (a + b)]))
+        # a point on a zero of the weight (a charge) steps right by half
+        # the pad or half the spacing, whichever is smaller
+        spacing = (b - a - 2.0 * pad) / (take - 1) if take > 1 else pad
+        nudge.append(np.full(take, 0.5 * min(pad, spacing)))
         left -= take
         if left == 0:
             break
     xs = np.concatenate(out)
     if xs.size != n:
         raise NumericalError("cannot place chain points inside the domain")
-    lw = log_weight(p, xs)
-    if not np.all(np.isfinite(lw)):
-        raise NumericalError("initial chain points landed on a zero of the weight")
+    off = ~np.isfinite(log_weight(p, xs))
+    if np.any(off):
+        xs[off] += np.concatenate(nudge)[off]
+        if not np.all(np.isfinite(log_weight(p, xs[off]))):
+            raise NumericalError("initial chain points landed on a zero of the weight")
     return xs
 
 
 def check_chain_args(steps: int, burn_in: int, thin: int, seed: int) -> None:
     """Reject a sweep count, burn-in, thinning or seed no chain can run with."""
+    if burn_in < 0:
+        raise ValidationError(f"burn_in must be non-negative, got {burn_in}")
     if steps <= burn_in:
         raise ValidationError("steps must exceed burn_in")
     if thin < 1:

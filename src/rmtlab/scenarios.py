@@ -110,7 +110,6 @@ class QuarticMerge(_Scenario):
     """
 
     name = "quartic-merge"
-    structure = "one_cut"
     default_n_list = (30, 60, 120)
     default_grid = tuple(np.linspace(-2.0, 2.0, 9))
 

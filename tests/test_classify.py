@@ -14,7 +14,6 @@ from rmtlab import (
     Singularity,
     ValidationError,
     bulk_point,
-    check_scaling,
     curve_eval,
     example_curve,
     extract_model_data,
@@ -366,25 +365,6 @@ def test_model_reports_serialize():
     assert "hard" not in blob  # kinds are the enum names
     blob2 = json.dumps(model_data_dict(md))
     assert "tau_inf" in blob2
-
-
-def test_check_scaling_reports_ok():
-    em = solve_support(gaussian(), "one_cut")
-    cp = find_critical_points(em)[1]
-    rep = check_scaling(em, cp, 100, em, cp, 200)
-    assert rep["ok"] and rep["ratio"] == 1.0
-
-    def merge(n):
-        e = example_curve("quartic_merge", tau=1.0, n=n)
-        c = [q for q in find_critical_points(e, proximity_tol=0.1)
-             if q.kind == "interior"][0]
-        return e, c
-
-    em1, c1 = merge(1000)
-    em2, c2 = merge(2000)
-    rep2 = check_scaling(em1, c1, 1000, em2, c2, 2000)
-    assert rep2["ok"]
-    assert rep2["ratio"] == pytest.approx(1.0, abs=0.1)
 
 
 def test_exponent_balance_guard():

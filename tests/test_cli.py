@@ -172,6 +172,31 @@ def test_equilibrium_grid_below_one_exits_two(outdir, capsys, grid):
     assert not (outdir / "density.csv").exists()
 
 
+# V' = -3x + 1.2x^2 + x^3: the one-cut solve leaves a real zero of h at
+# x = 1.341 where the variational inequality fails by +0.72
+LOPSIDED = {"reg": [0.0, -3.0, 1.2, 1.0], "singularities": [],
+            "support": [["-inf", "inf"]], "n": 100}
+# V' = x - 0.08x^3 on [-3.5, 3.5]: it fails at the domain end x = -3.5
+# (+0.083), which is no zero of h
+WALLED = {"reg": [0.0, 1.0, 0.0, -0.08], "singularities": [],
+          "support": [[-3.5, 3.5]], "n": 50}
+
+
+@pytest.mark.parametrize("doc,where", [(LOPSIDED, "x=1.34139 (+0.724)"),
+                                       (WALLED, "x=-3.5 (+0.0826)")],
+                         ids=["zero-of-h", "domain-end"])
+@pytest.mark.parametrize("argv", [["equilibrium"], ["classify"],
+                                  ["sample", "--steps", "5"],
+                                  ["kernel", "--at", "-1.473"]],
+                         ids=lambda a: a[0])
+def test_variational_inequality_violation_exits_three(outdir, capsys, doc, where, argv):
+    cfg = write_cfg(outdir, doc)
+    assert run(outdir, argv[0], cfg, *argv[1:]) == 3
+    err = capsys.readouterr().err
+    assert f"violates the variational inequality at {where}" in err
+    assert read_json(outdir / f"manifest_{argv[0]}.json")["outputs"] == []
+
+
 def test_classify_gue_reports_two_soft_edges(outdir):
     cfg = write_cfg(outdir, GUE)
     assert run(outdir, "classify", cfg) == 0
@@ -396,6 +421,23 @@ def test_sample_negative_seed_exits_two(outdir, capsys):
     assert read_json(outdir / "manifest_sample.json")["outputs"] == []
 
 
+def test_sample_negative_burn_in_exits_two(outdir, capsys):
+    # the chain once ran with no burn-in and labelled sweep 0 as -3
+    cfg = write_cfg(outdir, GUE)
+    assert run(outdir, "sample", cfg, "--steps", "5", "--burn-in", "-3") == 2
+    assert "burn_in must be non-negative, got -3" in capsys.readouterr().err
+    assert not (outdir / "samples.csv").exists()
+
+
+def test_sample_starts_next_to_a_charge(outdir):
+    # three points centred on the charge at 0: the middle one steps off it
+    doc = {**GUE, "n": 3, "singularities": [{"b": [0.0, 0.0], "alpha": 0.5}]}
+    cfg = write_cfg(outdir, doc)
+    assert run(outdir, "sample", cfg, "--steps", "20") == 0
+    _, arr, _ = read_csv(outdir / "samples.csv")
+    assert np.all(arr[:, 1:] != 0.0)
+
+
 def test_sample_zero_steps_errors(outdir):
     cfg = write_cfg(outdir, GUE)
     assert run(outdir, "sample", cfg, "--steps", "0") == 2
@@ -449,3 +491,28 @@ def test_outdir_env_var(outdir, monkeypatch):
     monkeypatch.setenv("RMTLAB_OUTDIR", str(target))
     assert main(["validate", cfg]) == 0
     assert (target / "validate_report.json").exists()
+
+
+def _refuse_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "CFG"],
+    ["equilibrium", "CFG"],
+    ["classify", "CFG"],
+    ["kernel", "CFG"],
+    ["sample", "CFG", "--steps", "20"],
+    ["converge", "gue-edge", "--n-list", "20,40"],
+], ids=lambda a: a[0])
+def test_outputs_are_the_manifest_and_standard_json(tmp_path, argv):
+    # every file a command writes is listed in its manifest, and every
+    # JSON file parses without Infinity, -Infinity or NaN
+    cfg = write_cfg(tmp_path, GUE)
+    out = tmp_path / "out"
+    assert run(out, *[cfg if a == "CFG" else a for a in argv]) == 0
+    manifest = f"manifest_{argv[0]}.json"
+    listed = read_json(out / manifest)["outputs"]
+    assert listed and sorted(f.name for f in out.iterdir()) == sorted(listed + [manifest])
+    for path in out.glob("*.json"):
+        json.loads(path.read_text(), parse_constant=_refuse_constant)

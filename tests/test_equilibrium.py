@@ -20,7 +20,7 @@ from rmtlab import (
     curve_eval,
     density,
     example_curve,
-    filling_fractions,
+    find_critical_points,
     g_eval,
     solve_support,
     xi_eval,
@@ -124,9 +124,29 @@ def test_symmetric_two_cut_closed_form():
     h = np.asarray(em.curve.h)
     np.testing.assert_allclose(h, [0.0, 1.0], atol=1e-9)
     assert em.masses == pytest.approx((0.5, 0.5), abs=1e-10)
-    (gap, eps), = filling_fractions(em)
+    (gap,) = em.support.gaps()
     assert gap == pytest.approx((-a, a), abs=1e-9)
-    assert eps == pytest.approx(0.5, abs=1e-10)
+    assert mass_right_of(em, 0.0) == pytest.approx(0.5, abs=1e-10)
+
+
+def cubic_tilt(t3):
+    # V' = -3x + t3 x^2 + x^3; at t3c the one-cut measure is tight at a
+    # real zero of h right of the cut, where a new cut is born
+    return Potential(n=100, reg=(0.0, -3.0, t3, 1.0), singularities=(), support=LINE)
+
+
+def test_birth_of_a_cut_keeps_its_exterior_point():
+    em = solve_support(cubic_tilt(1.3449373838204057))
+    assert em.exterior_points == pytest.approx((1.294458,), abs=1e-6)
+    ext = [cp for cp in find_critical_points(em) if cp.kind == "exterior"]
+    assert [(round(cp.x_star, 6), cp.order_k) for cp in ext] == [(1.294458, 1)]
+    assert solve_support(cubic_tilt(1.5)).exterior_points == ()
+
+
+def test_variational_inequality_violation_is_refused():
+    # past the birth of the cut the zero of h at 1.309 sits above ell
+    with pytest.raises(NumericalError, match=r"inequality at x=1\.30876 \(\+0\.233\)"):
+        solve_support(cubic_tilt(1.3))
 
 
 def test_marchenko_pastur_curve():

@@ -52,8 +52,8 @@ def test_fmt_number_strings_per_type():
         assert fmt_number(x) == want, (x, type(x))
 
 
-def test_csv_round_trip_exact():
-    path = "/tmp/rmtlab_io_rt.csv"
+def test_csv_round_trip_exact(tmp_path):
+    path = tmp_path / "rt.csv"
     xs = [math.pi, 1.0 / 3.0, 2.0 ** -40, -1.2345678901234567e150]
     write_csv(path, ["x", "y"], [(x, x * x) for x in xs], {"label": "round trip"})
     cols, arr, meta = read_csv(path)
@@ -108,21 +108,21 @@ def test_csv_rows_print_as_fmt_number(tmp_path):
     ]
 
 
-def test_csv_rejects_ragged_rows():
+def test_csv_rejects_ragged_rows(tmp_path):
     with pytest.raises(FormatError, match="width"):
-        write_csv("/tmp/rmtlab_io_bad.csv", ["a", "b"], [(1.0,)])
+        write_csv(tmp_path / "bad.csv", ["a", "b"], [(1.0,)])
 
 
-def test_csv_read_requires_header():
-    path = "/tmp/rmtlab_io_nohdr.csv"
+def test_csv_read_requires_header(tmp_path):
+    path = tmp_path / "nohdr.csv"
     with open(path, "w") as f:
         f.write("# only: meta\n")
     with pytest.raises(FormatError, match="header"):
         read_csv(path)
 
 
-def test_json_complex_as_pairs():
-    path = "/tmp/rmtlab_io.json"
+def test_json_complex_as_pairs(tmp_path):
+    path = tmp_path / "io.json"
     write_json(path, {"z": 1.5 - 2.0j, "v": np.array([1.0, 2.0]),
                       "k": np.int32(3), "f": np.float64(0.25)})
     out = read_json(path)
@@ -131,19 +131,19 @@ def test_json_complex_as_pairs():
     assert out["k"] == 3 and out["f"] == 0.25
 
 
-def test_json_rejects_unknown_types():
+def test_json_rejects_unknown_types(tmp_path):
     with pytest.raises(TypeError):
-        write_json("/tmp/rmtlab_io_badj.json", {"s": {1, 2}})
+        write_json(tmp_path / "badj.json", {"s": {1, 2}})
 
 
-def test_manifest_records_and_writes():
+def test_manifest_records_and_writes(tmp_path):
     man = RunManifest(command="kernel", config="cfg.json", overrides={"n": 5},
-                      outdir="/tmp", version="0.1.0")
-    man.record("/tmp/a.csv")
-    man.record("/tmp/a.csv")   # no duplicates
-    man.record("/tmp/b.json")
+                      outdir=str(tmp_path), version="0.1.0")
+    assert man.path("b.json") == str(tmp_path / "b.json")
+    assert man.path("a.csv") == str(tmp_path / "a.csv")
+    man.path("a.csv")   # no duplicates
     man.wall_time_s = 1.25
-    path = "/tmp/rmtlab_manifest.json"
+    path = tmp_path / "manifest.json"
     man.write(path)
     doc = json.load(open(path))
     assert doc["outputs"] == ["a.csv", "b.json"]

@@ -19,7 +19,6 @@ from rmtlab.orthopoly import (
     build_quadrature,
     gram_check,
     orthonormal_rows,
-    poly_zeros,
     stieltjes_recurrence,
 )
 from rmtlab.kernel import kernel_diag, trace_check
@@ -263,16 +262,6 @@ def test_omega_max_recorded():
     assert 0.0 < r.omega_max <= _OMEGA_TOL
 
 
-def test_zeros_inside_node_hull():
-    p = Potential(n=25, reg=(-1.0,), singularities=(Singularity(b=0.0, alpha=0.25),),
-                  support=NEG)
-    q = build_quadrature(p, 600, degree_hint=60)
-    r = stieltjes_recurrence(q, 25)
-    z = poly_zeros(r, 25)
-    assert z.min() > q.nodes.min() and z.max() < q.nodes.max()
-    assert np.all(np.diff(z) > 0)
-
-
 # ---------------------------------------------------------------------------
 # the fit layers against their straightforward forms: a width rule on
 # npp.polyval, one Gauss-Legendre rule per panel, and a recurrence that
@@ -512,8 +501,6 @@ def test_precondition_errors():
     r = stieltjes_recurrence(q, 10)
     with pytest.raises(ValidationError, match="degree"):
         orthonormal_rows(r, q.nodes, q.log_w, 11)
-    with pytest.raises(ValidationError):
-        poly_zeros(r, 11)
 
 
 @settings(max_examples=12, deadline=None)

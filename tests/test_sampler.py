@@ -1,5 +1,6 @@
 """Coulomb-gas Metropolis chain and histogram comparisons."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -112,6 +113,8 @@ def test_parameter_validation():
         mcmc_chain(p, steps=10, burn_in=2, thin=0)
     with pytest.raises(ValidationError, match="seed must be non-negative"):
         mcmc_chain(p, steps=10, burn_in=2, seed=-1)
+    with pytest.raises(ValidationError, match="burn_in must be non-negative, got -3"):
+        mcmc_chain(p, steps=5, burn_in=-3)
 
 
 def test_domain_restriction_holds():
@@ -135,6 +138,29 @@ def test_lone_component_point_sits_mid_window():
                        support=IntervalSet(((-5.0, -0.5), (0.5, 5.0))))
     xs = sampler._initial_positions(gapped, 3)
     assert xs.tolist() == [-5.0 + 0.045, -0.5 - 0.045, 2.75]
+
+
+@pytest.mark.parametrize("n", [1, 3, 5])
+def test_start_on_a_charge_steps_off_it(n):
+    # an odd count centred on a charge at 0 puts one point on it; only
+    # that point moves, half a pad (window [-8, 8] at n = 1) or half a
+    # spacing to its right
+    p = Potential(n=n, reg=(0.0, 1.0), singularities=(Singularity(b=0.0, alpha=0.5),),
+                  support=LINE)
+    xs = sampler._initial_positions(p, n)
+    plain = sampler._initial_positions(gaussian(n), n)
+    moved = plain == 0.0
+    assert moved.sum() == 1
+    assert np.array_equal(xs[~moved], plain[~moved])
+    assert 0.0 < xs[moved][0] <= 0.08
+    assert np.all(np.isfinite(log_weight(p, xs)))
+    kept, _ = mcmc_chain(p, steps=20, burn_in=5, seed=1)
+    assert all(np.all(cfg != 0.0) for cfg in kept)
+    # a second charge where the step lands: refused as before
+    twice = dataclasses.replace(
+        p, singularities=p.singularities + (Singularity(b=float(xs[moved][0]), alpha=0.5),))
+    with pytest.raises(NumericalError, match="landed on a zero of the weight"):
+        sampler._initial_positions(twice, n)
 
 
 def test_incremental_log_density_consistent():

@@ -1,7 +1,7 @@
 """rmtlab runs without loading scipy.
 
-Quadrature, recurrence, K_n, the equilibrium solves, poly_zeros and
-every command built on them need numpy alone; scipy is a test
+Quadrature, recurrence, K_n, the equilibrium solves and every
+command built on them need numpy alone; scipy is a test
 dependency only.  On a 2-vCPU Xeon host scipy.optimize alone cost
 0.35-0.41 s of cold start and scipy.linalg about 0.3 s, which a
 module-level import charges to every `import rmtlab`.  scipy.special
@@ -64,12 +64,11 @@ def test_kernel_side_and_cli_load_no_scipy(tmp_path):
     code = GAUSSIAN + f"""
 import numpy as np
 import rmtlab.cli
-from rmtlab import gram_check, poly_zeros, projection_residual, trace_check
+from rmtlab import gram_check, projection_residual, trace_check
 from rmtlab.kernel import kernel_matrix
 from rmtlab.scenarios import default_fit
 r, q = default_fit(p)
 assert abs(trace_check(r, p, q) - 60) < 1e-6
-assert poly_zeros(r, 10).shape == (10,)
 assert projection_residual(r, p, q, [(-1.3, 0.7), (0.0, 0.0)]) < 1e-7
 xs = np.linspace(-1.5, 1.5, 7)
 assert kernel_matrix(r, p, xs, xs).shape == (7, 7)
