@@ -13,6 +13,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -31,7 +32,7 @@ from .classify import (
 )
 from .equilibrium import STRUCTURES, check_variational, density_table, solve_support
 from .errors import FormatError, NumericalError, ValidationError
-from .io import RunManifest, read_json, write_csv, write_json
+from .io import RunManifest, column_rows, read_json, write_csv, write_json
 from .kernel import (
     convergence_scan,
     kernel_diag,
@@ -138,13 +139,14 @@ def cmd_equilibrium(args, man: RunManifest) -> int:
         "support": " ".join(f"[{lo:.17g},{hi:.17g}]" for lo, hi in em.support.intervals),
         "ell": f"{em.ell:.17g}",
     }
-    write_csv(man.path("density.csv"), ["x", "rho"], zip(xs, rho), meta)
+    write_csv(man.path("density.csv"), ["x", "rho"], column_rows(xs, rho), meta)
 
     rep = check_variational(em)
-    rows = [(x, r, "ok" if r < _EQ_TOL else "fail")
-            for x, r in zip(rep["support_x"], rep["support_residual"])]
-    rows += [(x, v, "ok" if v < 0.0 else "fail")
-             for x, v in zip(rep["off_x"], rep["off_value"])]
+    rows = itertools.chain(
+        ((x, r, "ok" if r < _EQ_TOL else "fail")
+         for x, r in zip(rep["support_x"], rep["support_residual"])),
+        ((x, v, "ok" if v < 0.0 else "fail")
+         for x, v in zip(rep["off_x"], rep["off_value"])))
     write_csv(man.path("variational.csv"), ["x", "residual", "verdict"], rows,
               {"eq_max": f"{rep['eq_max']:.17g}",
                "ineq_max": f"{rep['ineq_max']:.17g}"})
@@ -192,14 +194,14 @@ def cmd_kernel(args, man: RunManifest) -> int:
         meta = {"n": p.n, "x_star": cp.x_star, "delta": cp.delta, "scaled": True,
                 "kind": cp.kind, "order_k": cp.order_k}
     us = grid.tolist()
-    rows = [(u, v, value) for u, row in zip(us, values.tolist()) for v, value in zip(us, row)]
+    # one matrix row of Python floats at a time
+    rows = ((u, v, value) for u, row in zip(us, values) for v, value in zip(us, row.tolist()))
     diag = kernel_diag(r, p, q.nodes)
     trace = f"{float(np.sum(q.base * diag)):.17g}"
     meta["trace"] = trace
     write_csv(man.path("kernel.csv"), ["u", "v", "value"], rows, meta)
     write_csv(man.path("kernel_diag.csv"), ["x", "weight", "k_diag"],
-              zip(q.nodes.tolist(), q.base.tolist(), diag.tolist()),
-              {"n": p.n, "trace": trace})
+              column_rows(q.nodes, q.base, diag), {"n": p.n, "trace": trace})
     print(f"kernel {values.shape[0]}x{values.shape[1]} grid, trace {trace}")
     return 0
 

@@ -3,6 +3,9 @@
 CSV files carry '#'-prefixed metadata lines before the header row, with
 numbers printed at 17 significant digits so values round-trip exactly.
 Output is byte-identical across runs except for the timestamp line.
+Rows are written in fixed chunks through a temporary file that replaces
+the artifact only when complete, so memory does not grow with the row
+count and a failed write leaves no partial file.
 JSON is standard JSON: complex numbers are [re, im] pairs, numpy types
 plain Python scalars and lists, infinities the strings "inf" and "-inf"
 (the spelling potential configs use) and NaN null.
@@ -10,6 +13,8 @@ plain Python scalars and lists, infinities the strings "inf" and "-inf"
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import json
 import math
 import os
@@ -22,6 +27,7 @@ from .errors import FormatError
 
 _FMT = "%.17g"
 _FLOAT_TYPES = frozenset((float, np.float64))
+_CHUNK = 1024   # rows formatted and written per write call
 
 
 def fmt_number(x) -> str:
@@ -37,26 +43,48 @@ def fmt_number(x) -> str:
 
 
 def write_csv(path, columns, rows, meta=None) -> None:
-    """Rows of numbers under a header line, '#' metadata on top."""
-    lines = []
-    for key, val in (meta or {}).items():
-        lines.append(f"# {key}: {val}")
-    lines.append(f"# timestamp: {time.strftime('%Y-%m-%dT%H:%M:%S')}")
-    lines.append(",".join(columns))
+    """Rows of numbers under a header line, '#' metadata on top.
+
+    Rows are formatted and written _CHUNK at a time into a temporary
+    file beside path, which replaces path once every row is written:
+    memory stays at one chunk whatever the row count, and a bad row
+    leaves path as it was.
+    """
+    head = [f"# {key}: {val}" for key, val in (meta or {}).items()]
+    head.append(f"# timestamp: {time.strftime('%Y-%m-%dT%H:%M:%S')}")
+    head.append(",".join(columns))
     # one % per row of floats; it formats each entry as fmt_number does.
     # The exact-type test runs in C; a row with any other type in it,
     # other float subclasses too, takes the per-value path (same bytes)
-    floats = ",".join([_FMT] * len(columns))
-    for row in rows:
-        if len(row) != len(columns):
-            raise FormatError(
-                f"row of width {len(row)} under {len(columns)} columns")
+    width = len(columns)
+    floats = ",".join([_FMT] * width)
+
+    def line(row):
+        if len(row) != width:
+            raise FormatError(f"row of width {len(row)} under {width} columns")
         if _FLOAT_TYPES.issuperset(map(type, row)):
-            lines.append(floats % tuple(row))
-        else:
-            lines.append(",".join(fmt_number(v) for v in row))
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+            return floats % tuple(row)
+        return ",".join(fmt_number(v) for v in row)
+
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as f:
+            f.write("\n".join(head) + "\n")
+            it = iter(rows)
+            while chunk := [line(row) for row in itertools.islice(it, _CHUNK)]:
+                f.write("\n".join(chunk) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
+def column_rows(*columns):
+    """Rows of Python floats from equal-length 1-d arrays, converted
+    _CHUNK rows at a time, for write_csv's one-template path."""
+    for lo in range(0, len(columns[0]), _CHUNK):
+        yield from zip(*(c[lo:lo + _CHUNK].tolist() for c in columns))
 
 
 def read_csv(path):

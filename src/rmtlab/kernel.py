@@ -69,13 +69,18 @@ def kernel_matrix(r: Recurrence, p: Potential, xs, ys) -> np.ndarray:
     ix, iy = inv[:xa.size], inv[xa.size:]
     psi_n, psi_m, diag = _psi_rows(r, p, pts)
     beta_n = math.sqrt(r.b[p.n - 1])
-    pnx, pmx, pny, pmy = psi_n[ix], psi_m[ix], psi_n[iy], psi_m[iy]
-    dx = xa[:, None] - ya[None, :]
-    num = beta_n * (pnx[:, None] * pmy[None, :] - pny[None, :] * pmx[:, None])
-    tol = _CONFLUENT_REL * p.scale()
-    close = np.abs(dx) < tol
+    # formed in place from dx, the numerator and one scratch array;
+    # products commute exactly, so each entry is the same double as
+    # beta_n (psi_n(x) psi_m(y) - psi_n(y) psi_m(x)) / (x - y)
+    dx = np.subtract.outer(xa, ya)
+    out = np.multiply.outer(psi_n[ix], psi_m[iy])
+    scratch = np.multiply.outer(psi_m[ix], psi_n[iy])
+    out -= scratch
+    out *= beta_n
+    close = np.less(np.abs(dx, out=scratch), _CONFLUENT_REL * p.scale())
+    np.copyto(dx, 1.0, where=close)
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(close, 0.0, num) / np.where(close, 1.0, dx)
+        out /= dx
     if np.any(close):
         ii, jj = np.nonzero(close)
         kx, ky = diag[ix[ii]], diag[iy[jj]]
@@ -96,7 +101,9 @@ def scaled_kernel_grid(r: Recurrence, p: Potential, cp, u_grid) -> np.ndarray:
     bad = 2 * int(np.count_nonzero(~p.support.contains(xs)))  # once per axis
     if bad:
         raise ValidationError(f"{bad} scaled grid points leave the domain at n={p.n}")
-    return s * kernel_matrix(r, p, xs, xs)
+    out = kernel_matrix(r, p, xs, xs)
+    out *= s
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +121,9 @@ def projection_residual(r: Recurrence, p: Potential, q: QuadratureRule,
     """max over probe pairs (x, z) of |int K(x,y) K(y,z) dy - K(x,z)|."""
     pairs = np.asarray(probes, dtype=float).reshape(-1, 2)
     rows = kernel_matrix(r, p, pairs.ravel(), q.nodes)
-    integral = np.sum(q.base * rows[0::2] * rows[1::2], axis=1)
+    integrand = q.base * rows[0::2]
+    integrand *= rows[1::2]
+    integral = np.sum(integrand, axis=1)
     direct = np.diag(kernel_matrix(r, p, pairs[:, 0], pairs[:, 1]))
     return float(np.max(np.abs(integral - direct), initial=0.0))
 

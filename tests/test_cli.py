@@ -158,6 +158,26 @@ def test_equilibrium_density_and_variational(outdir):
     assert verdicts == {"ok"}
 
 
+def test_symmetric_two_cut_equilibrium_and_classify(outdir):
+    # V = x^4/4 - 3x^2/2: support +-[1, sqrt(5)], four soft edges
+    cfg = write_cfg(outdir, TWO_CUT)
+    assert run(outdir, "equilibrium", cfg, "--structure", "symmetric_two_cut") == 0
+    _, _, meta = read_csv(outdir / "density.csv")
+    ends = [float(v) for v in meta["support"].replace("[", " ").replace("]", " ")
+            .replace(",", " ").split()]
+    r5 = math.sqrt(5.0)
+    np.testing.assert_allclose(ends, [-r5, -1.0, 1.0, r5], rtol=0, atol=1e-12)
+    with open(outdir / "variational.csv") as f:
+        body = [ln for ln in f if ln.strip() and not ln.startswith("#")]
+    assert len(body) > 100
+    assert {ln.strip().split(",")[2] for ln in body[1:]} == {"ok"}
+    assert run(outdir, "classify", cfg, "--structure", "symmetric_two_cut") == 0
+    cps = read_json(outdir / "classify_report.json")["critical_points"]
+    assert [(c["kind"], c["order_k"]) for c in cps] == [("edge", 0)] * 4
+    np.testing.assert_allclose([c["x_star"] for c in cps], [-r5, -1.0, 1.0, r5],
+                               rtol=0, atol=1e-12)
+
+
 def test_equilibrium_infeasible_structure_exits_three(outdir):
     cfg = write_cfg(outdir, GUE)
     assert run(outdir, "equilibrium", cfg, "--structure",

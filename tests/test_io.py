@@ -2,13 +2,16 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from rmtlab.errors import FormatError
 from rmtlab.io import (
+    _CHUNK,
     RunManifest,
+    column_rows,
     fmt_number,
     read_csv,
     read_json,
@@ -111,6 +114,72 @@ def test_csv_rows_print_as_fmt_number(tmp_path):
 def test_csv_rejects_ragged_rows(tmp_path):
     with pytest.raises(FormatError, match="width"):
         write_csv(tmp_path / "bad.csv", ["a", "b"], [(1.0,)])
+    assert list(tmp_path.iterdir()) == []
+
+
+def chunk_rows(count):
+    """count rows of three floats, with (int sweep, float, str verdict)
+    rows on both sides of every chunk boundary."""
+    for i in range(count):
+        if i % _CHUNK in (_CHUNK - 2, _CHUNK - 1, 0, 1):
+            yield (i, i / 7.0, "ok" if i % 2 else "fail")
+        else:
+            yield (i / 3.0, -i * 1e-300, math.pi * i)
+
+
+@pytest.mark.parametrize("count", [0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1,
+                                   3 * _CHUNK + 7])
+def test_streamed_csv_equals_one_shot(tmp_path, count):
+    # the chunked write must give the bytes of one "\n".join(lines) + "\n"
+    path = tmp_path / "chunks.csv"
+    write_csv(path, ["a", "b", "c"], chunk_rows(count), {"k": 1, "label": "x"})
+    data = path.read_bytes()
+    head = data.decode().split("\n")[:4]
+    assert head[0] == "# k: 1" and head[1] == "# label: x"
+    assert head[2].startswith("# timestamp: ") and head[3] == "a,b,c"
+    lines = head + [",".join(fmt_number(v) for v in row) for row in chunk_rows(count)]
+    assert data == ("\n".join(lines) + "\n").encode()
+    assert [f.name for f in tmp_path.iterdir()] == ["chunks.csv"]
+
+
+def ragged_after_first_chunk():
+    yield from chunk_rows(_CHUNK + 5)
+    yield (1.0, 2.0)
+
+
+def test_ragged_row_after_first_chunk_leaves_path_as_it_was(tmp_path):
+    path = tmp_path / "ragged.csv"
+    with pytest.raises(FormatError, match="width 2 under 3"):
+        write_csv(path, ["a", "b", "c"], ragged_after_first_chunk())
+    assert list(tmp_path.iterdir()) == []
+    write_csv(path, ["a", "b", "c"], chunk_rows(3))
+    old = path.read_bytes()
+    with pytest.raises(FormatError, match="width 2 under 3"):
+        write_csv(path, ["a", "b", "c"], ragged_after_first_chunk())
+    assert path.read_bytes() == old
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_csv_write_memory_is_bounded(tmp_path):
+    # the whole file (50 000 rows, 2.4 MB) held as lines, their join and
+    # a copy would peak near 10 MB
+    rows = ((i / 3.0, i / 7.0, i / 11.0) for i in range(50_000))
+    tracemalloc.start()
+    try:
+        write_csv(tmp_path / "big.csv", ["a", "b", "c"], rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "big.csv").stat().st_size > 2_400_000
+    assert peak < 1e6
+
+
+def test_column_rows_are_python_floats():
+    a = np.arange(2 * _CHUNK + 3, dtype=float)
+    rows = list(column_rows(a, -a, a / 3.0))
+    assert rows == list(zip(a.tolist(), (-a).tolist(), (a / 3.0).tolist()))
+    assert {type(v) for row in rows for v in row} == {float}
+    assert list(column_rows(np.empty(0), np.empty(0))) == []
 
 
 def test_csv_read_requires_header(tmp_path):

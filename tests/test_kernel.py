@@ -13,6 +13,7 @@ from rmtlab.classify import CriticalPoint, bulk_point, extract_model_data, find_
 from rmtlab.orthopoly import build_quadrature, stieltjes_recurrence
 from rmtlab.scenarios import default_fit, get_scenario
 from rmtlab.kernel import (
+    _psi_rows,
     airy_kernel,
     bessel_kernel,
     convergence_scan,
@@ -113,6 +114,65 @@ def test_projection_residual_matches_probe_loop():
         direct = kernel_matrix(r, p, [x], [z])[0, 0]
         worst = max(worst, abs(np.sum(q.base * kxy * kyz) - direct))
     assert projection_residual(r, p, q, probes) == worst
+
+
+def reference_kernel_matrix(r, p, xs, ys):
+    """kernel_matrix as one expression over P x Q temporaries."""
+    xa = np.asarray(xs, dtype=float)
+    ya = np.asarray(ys, dtype=float)
+    pts, inv = np.unique(np.concatenate((xa, ya)), return_inverse=True)
+    ix, iy = inv[:xa.size], inv[xa.size:]
+    psi_n, psi_m, diag = _psi_rows(r, p, pts)
+    beta_n = math.sqrt(r.b[p.n - 1])
+    pnx, pmx, pny, pmy = psi_n[ix], psi_m[ix], psi_n[iy], psi_m[iy]
+    dx = xa[:, None] - ya[None, :]
+    num = beta_n * (pnx[:, None] * pmy[None, :] - pny[None, :] * pmx[:, None])
+    tol = 1e-8 * p.scale()
+    close = np.abs(dx) < tol
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.where(close, 0.0, num) / np.where(close, 1.0, dx)
+    if np.any(close):
+        ii, jj = np.nonzero(close)
+        kx, ky = diag[ix[ii]], diag[iy[jj]]
+        out[ii, jj] = np.where((kx == 0.0) != (ky == 0.0), 0.0, 0.5 * (kx + ky))
+    return out
+
+
+def reference_projection_residual(r, p, q, probes):
+    pairs = np.asarray(probes, dtype=float).reshape(-1, 2)
+    rows = reference_kernel_matrix(r, p, pairs.ravel(), q.nodes)
+    integral = np.sum(q.base * rows[0::2] * rows[1::2], axis=1)
+    direct = np.diag(reference_kernel_matrix(r, p, pairs[:, 0], pairs[:, 1]))
+    return float(np.max(np.abs(integral - direct), initial=0.0))
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def test_kernel_matrix_matches_reference_exactly():
+    mp = mp_potential(12, 0.5)
+    r_mp, q_mp = fit(mp, 700)
+    quartic = quartic_critical(200)
+    r_q, q_q = default_fit(quartic)
+    # xs != ys with a duplicate, a confluent pair and an off-domain point
+    xs = np.array([-2.0, -1.0, -0.3, 0.5])
+    ys = np.array([-1.0 + 5e-9, -2.0, -0.7, -0.3, -2.0])
+    assert same_bits(kernel_matrix(r_mp, mp, xs, ys), reference_kernel_matrix(r_mp, mp, xs, ys))
+    # xs = ys with confluent pairs next to the diagonal, off-domain points
+    # (x > 0) and a point on the charge
+    grid = np.sort(np.concatenate((np.linspace(-4.5, 1.0, 31),
+                                   [-2.0, -2.0 + 3e-9, 0.0, 0.3, 0.3 + 1e-9])))
+    assert same_bits(kernel_matrix(r_mp, mp, grid, grid),
+                     reference_kernel_matrix(r_mp, mp, grid, grid))
+    assert same_bits(kernel_matrix(r_mp, mp, grid, q_mp.nodes),
+                     reference_kernel_matrix(r_mp, mp, grid, q_mp.nodes))
+    g = np.linspace(-2.5, 2.5, 41)
+    assert same_bits(kernel_matrix(r_q, quartic, g, g),
+                     reference_kernel_matrix(r_q, quartic, g, g))
+    probes = [(-1.3, 0.7), (0.0, 0.0), (0.5, -0.5), (1.2, 1.1)]
+    assert (projection_residual(r_q, quartic, q_q, probes)
+            == reference_projection_residual(r_q, quartic, q_q, probes))
 
 
 def test_projection_residual_detects_wrong_kernel():
