@@ -232,7 +232,8 @@ def cmd_sample(args, man: RunManifest) -> int:
     kept, state = mcmc_chain(p, steps=args.steps, burn_in=args.burn_in,
                              thin=args.thin, seed=args.seed)
     cols = ["sweep"] + [f"x{i}" for i in range(p.n)]
-    rows = ((args.burn_in + k * args.thin, *xs) for k, xs in enumerate(kept))
+    # all floats for write_csv's one-template path; %.17g prints a sweep as str(int)
+    rows = ((float(args.burn_in + k * args.thin), *xs.tolist()) for k, xs in enumerate(kept))
     write_csv(man.path("samples.csv"), cols, rows,
               {"seed": args.seed, "steps": args.steps, "burn_in": args.burn_in,
                "thin": args.thin})

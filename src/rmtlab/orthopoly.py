@@ -531,8 +531,8 @@ def gram_check(r: Recurrence, q: QuadratureRule, m: int) -> float:
         part *= np.sqrt(q.base[lo:hi])
         part[(part < _SQRT_TINY) & (part > -_SQRT_TINY)] = 0.0
         gram += part @ part.T
-    defect = np.abs(gram - np.eye(m + 1))
-    return float(defect.max())
+    gram.flat[::m + 2] -= 1.0
+    return float(np.abs(gram, out=gram).max())
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ import pytest
 
 from rmtlab import cli
 from rmtlab.cli import main
-from rmtlab.io import read_csv, read_json
+from rmtlab.io import fmt_number, read_csv, read_json
+from rmtlab.sampler import mcmc_chain
 
 GUE = {"reg": [0.0, 1.0], "singularities": [], "support": [["-inf", "inf"]],
        "n": 16}
@@ -408,6 +409,21 @@ def test_sample_outputs_and_determinism(outdir, tmp_path):
                "--seed", "11", "--thin", "2") == 0
     _, arr2, _ = read_csv(other / "samples.csv")
     assert np.array_equal(arr, arr2)
+
+
+def test_sample_rows_print_as_per_value_formatting(outdir):
+    # the rows go down write_csv's one-template path; the bytes are
+    # those of an int sweep and float entries formatted one by one
+    cfg = write_cfg(outdir, GUE)
+    assert run(outdir, "sample", cfg, "--steps", "60", "--burn-in", "7",
+               "--seed", "5", "--thin", "3") == 0
+    kept, _ = mcmc_chain(cli._load_potential(cfg), steps=60, burn_in=7, thin=3, seed=5)
+    expected = [",".join(fmt_number(v) for v in (7 + 3 * k, *xs))
+                for k, xs in enumerate(kept)]
+    lines = (outdir / "samples.csv").read_text().splitlines()
+    body = lines[lines.index(",".join(["sweep"] + [f"x{i}" for i in range(16)])) + 1:]
+    assert body == expected
+    assert [line.split(",", 1)[0] for line in body[:3]] == ["7", "10", "13"]
 
 
 def test_sample_single_eigenvalue(outdir):

@@ -13,6 +13,7 @@ from scipy.integrate import quad as scipy_quad
 from rmtlab import orthopoly
 from rmtlab.errors import NumericalError, ValidationError
 from rmtlab.potential import IntervalSet, Potential, Singularity, log_weight
+from rmtlab.quad import gauss_legendre
 from rmtlab.orthopoly import (
     _OMEGA_TOL,
     QuadratureRule,
@@ -283,7 +284,7 @@ def reference_width_rule(p, d_hint):
 
 
 def reference_panel_rules(panels, m):
-    t, wt = np.polynomial.legendre.leggauss(m)
+    t, wt = gauss_legendre(m)
     xs, ws = [], []
     for a, b in panels:
         mid, half = 0.5 * (a + b), 0.5 * (b - a)

@@ -7,6 +7,10 @@ dependency only.  On a 2-vCPU Xeon host scipy.optimize alone cost
 module-level import charges to every `import rmtlab`.  scipy.special
 alone measured 0.29-0.56 s cold on the same host.
 
+Fits and equilibrium solves do not load numpy.polynomial either: their
+Gauss-Legendre rules come from quad.gauss_legendre's Newton iteration,
+not from leggauss's dense eigensolve.
+
 Each case runs in a fresh interpreter, since the pytest process has
 loaded scipy long before it starts.  An import hook refuses every scipy
 import there and records the module that asked for it, so a regression
@@ -110,3 +114,23 @@ for argv in (["equilibrium", gue], ["classify", gue],
 """
     assert blocked_scipy_imports(code) == []
     assert (tmp_path / "samples.csv").exists()
+
+
+def test_fits_and_solves_load_no_numpy_polynomial():
+    code = GAUSSIAN + """
+import json, sys
+from rmtlab import Singularity, solve_support
+from rmtlab.equilibrium import mass_right_of
+from rmtlab.scenarios import default_fit
+mp = Potential(n=60, reg=(-1.0,), singularities=(Singularity(b=0.0, alpha=0.5),),
+               support=IntervalSet(((-math.inf, 0.0),)))
+for model, structure, x in ((p, "one_cut", 0.3), (mp, "hard_edge_one_cut", -1.0)):
+    default_fit(model)
+    em = solve_support(model, structure)
+    assert 0.0 < mass_right_of(em, x) < 1.0
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("numpy.polynomial"))))
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
