@@ -59,6 +59,9 @@ _FD_STEP = math.sqrt(np.finfo(float).eps)  # relative forward-difference step
 # soft-endpoint starts of a hard-edge solve, as fractions of the way from the
 # edge to the far end; on a half-line the first lies 1e-6 model scales out
 _HARD_EDGE_STARTS = (2e-8, 2e-5, 0.02, 0.2, 0.5, 0.8, 0.98)
+# fractions of the way from the edge to a soft endpoint s at which c_1 - 2
+# must keep one sign before s is taken as the root nearest the edge
+_BRACKET = (0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875)
 
 STRUCTURES = ("one_cut", "symmetric_two_cut", "hard_edge_one_cut")
 
@@ -502,7 +505,9 @@ class _Layout:
     ends(u) gives the curve's (zeros, poles).  pins[j - 1] is the value
     c_j must take, or None for a free c_j; each unknown stays inside its
     open box interval.  failure refuses a layout no start solves, verdict
-    a solution whose density goes negative.
+    a solution whose density goes negative.  edge is the hard edge a
+    single unknown s climbs from (None for soft layouts): a root s is
+    taken only if the residual keeps one sign between the edge and s.
     """
 
     ends: Callable
@@ -511,6 +516,7 @@ class _Layout:
     starts: tuple[tuple[float, ...], ...]
     failure: str
     verdict: str = "requested structure infeasible"
+    edge: float | None = None
 
 
 def _one_cut_ends(u):
@@ -565,16 +571,25 @@ def _layouts(p: Potential, structure: str, vc: np.ndarray) -> list[_Layout]:
                 ((min(edge, far), max(edge, far)),),
                 tuple((edge + t * (far - edge),) for t in _HARD_EDGE_STARTS),
                 "hard_edge_one_cut: no soft endpoint balances the mass condition",
-                f"hard edge at {edge:.6g} infeasible"))
+                f"hard edge at {edge:.6g} infeasible", edge))
     if not out:
         raise NumericalError("hard_edge_one_cut needs a finite domain endpoint")
     return out
 
 
+def _nearest_root(resid, edge: float, s: float) -> bool:
+    """The residual has one sign at every _BRACKET point strictly between
+    edge and s, so no sample separates a root nearer the edge than s."""
+    vals = [float(v) for t in _BRACKET for v in resid([edge + t * (s - edge)])]
+    signs = {(v > 0.0) - (v < 0.0) for v in vals}
+    return len(signs) == 1 and 0 not in signs
+
+
 def _solve_layout(p: Potential, vc: np.ndarray, layout: _Layout) -> SpectralCurve:
     """The curve of the first start whose endpoint equations hold to 1e-10
     and which _check_curve accepts; else the first curve's refusal, or the
-    layout's failure when no start converges."""
+    layout's failure when no start converges.  A hard-edge root is judged
+    only if it is the nearest one the edge reaches (_nearest_root)."""
     jmax = len(layout.pins)
 
     def resid(u):
@@ -587,6 +602,8 @@ def _solve_layout(p: Potential, vc: np.ndarray, layout: _Layout) -> SpectralCurv
     for u0 in layout.starts:
         u, fmax = _newton(resid, u0)
         if not fmax < 1e-10:
+            continue
+        if layout.edge is not None and not _nearest_root(resid, layout.edge, u[0]):
             continue
         zeros, poles = layout.ends(u)
         h, _ = _laurent_split(vc, zeros, poles, jmax)

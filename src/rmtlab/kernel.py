@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .orthopoly import QuadratureRule, Recurrence, orthonormal_rows
+from .orthopoly import QuadratureRule, Recurrence, _is_even_model, orthonormal_rows
 from .potential import Potential, log_weight
 from .specfun import airy_ai, bessel_j
 
@@ -32,12 +32,22 @@ _CONFLUENT_REL = 1e-8
 # finite-n kernel
 
 
+def _parity_fit(r: Recurrence, p: Potential) -> bool:
+    """a_0 = ... = a_{n-1} = 0 and an even model: psi_j(-x) = (-1)^j psi_j(x)."""
+    return not any(r.a[:p.n]) and _is_even_model(p)
+
+
 def _psi_rows(r: Recurrence, p: Potential, x: np.ndarray):
     """psi_n, psi_{n-1} and the diagonal K_n(x, x) at x, from one pass.
 
     The diagonal is the Christoffel-Darboux sum of squares
     sum_{j<n} psi_j^2: positive terms, so nothing cancels.  log w is
     -inf off the domain, so every row and the diagonal vanish there.
+    On a parity fit (_parity_fit) kernel_matrix and kernel_diag pass
+    only the distinct |x| here and sign the rows at x < 0 by parity,
+    psi_j(-x) = (-1)^j psi_j(x).  Where log w is itself exactly even (no
+    charges off 0) that is the direct evaluation bit for bit, apart from
+    the sign of zeros where sqrt(w) underflows.
     """
     rows = orthonormal_rows(r, x, log_weight(p, x), p.n)
     diag = np.zeros(x.shape)
@@ -48,9 +58,17 @@ def _psi_rows(r: Recurrence, p: Potential, x: np.ndarray):
 
 
 def kernel_diag(r: Recurrence, p: Potential, x) -> np.ndarray:
-    """K_n(x, x) as the sum of squares of psi_0 .. psi_{n-1}, vectorized."""
+    """K_n(x, x) as the sum of squares of psi_0 .. psi_{n-1}, vectorized.
+
+    On a parity fit the diagonal is even, and one pass over the distinct
+    |x| serves every point.
+    """
     xa = np.atleast_1d(np.asarray(x, dtype=float))
-    out = _psi_rows(r, p, xa)[2]
+    if _parity_fit(r, p):
+        pts, inv = np.unique(np.abs(xa), return_inverse=True)
+        out = _psi_rows(r, p, pts)[2][inv.reshape(xa.shape)]
+    else:
+        out = _psi_rows(r, p, xa)[2]
     if np.isscalar(x):
         return float(out[0])
     return out
@@ -59,22 +77,33 @@ def kernel_diag(r: Recurrence, p: Potential, x) -> np.ndarray:
 def kernel_matrix(r: Recurrence, p: Potential, xs, ys) -> np.ndarray:
     """K_n on a grid of real points; off-domain points give 0.
 
-    One recurrence pass over the distinct points of xs and ys.  Pairs
-    within 1e-8 * scale of the diagonal take the confluent value, the
-    mean of the two points' diagonals, so K(xs, xs) is exactly symmetric.
+    One recurrence pass over the distinct points of xs and ys, or on a
+    parity fit (_parity_fit) over their distinct |x|, the rows at x < 0
+    signed by parity.  Pairs within 1e-8 * scale of the diagonal take
+    the confluent value, the mean of the two points' diagonals, so
+    K(xs, xs) is exactly symmetric.
     """
     xa = np.asarray(xs, dtype=float)
     ya = np.asarray(ys, dtype=float)
-    pts, inv = np.unique(np.concatenate((xa, ya)), return_inverse=True)
+    parity = _parity_fit(r, p)
+    both = np.concatenate((xa, ya))
+    if parity:
+        np.abs(both, out=both)
+    pts, inv = np.unique(both, return_inverse=True)
     ix, iy = inv[:xa.size], inv[xa.size:]
     psi_n, psi_m, diag = _psi_rows(r, p, pts)
+    xn, xm, yn, ym = psi_n[ix], psi_m[ix], psi_n[iy], psi_m[iy]
+    if parity:
+        # of psi_n and psi_{n-1} the odd one changes sign at -x
+        for row, at in ((xn, xa), (yn, ya)) if p.n % 2 else ((xm, xa), (ym, ya)):
+            np.negative(row, out=row, where=at < 0.0)
     beta_n = math.sqrt(r.b[p.n - 1])
     # formed in place from dx, the numerator and one scratch array;
     # products commute exactly, so each entry is the same double as
     # beta_n (psi_n(x) psi_m(y) - psi_n(y) psi_m(x)) / (x - y)
     dx = np.subtract.outer(xa, ya)
-    out = np.multiply.outer(psi_n[ix], psi_m[iy])
-    scratch = np.multiply.outer(psi_m[ix], psi_n[iy])
+    out = np.multiply.outer(xn, ym)
+    scratch = np.multiply.outer(xm, yn)
     out -= scratch
     out *= beta_n
     close = np.less(np.abs(dx, out=scratch), _CONFLUENT_REL * p.scale())

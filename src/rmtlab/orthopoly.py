@@ -207,6 +207,26 @@ def _is_even_model(p: Potential) -> bool:
     return pool == refl
 
 
+def _is_mirrored(q: QuadratureRule) -> bool:
+    """N is even and nodes, base and log_w equal their mirror images bit for bit.
+
+    Such a rule holds no node at 0, and its x > 0 half with doubled
+    weights carries the whole measure for even integrands.
+    """
+    h = q.nodes.size // 2
+    if q.nodes.size % 2 or h == 0:
+        return False
+    return (np.array_equal(q.nodes[h:], -q.nodes[h - 1::-1])
+            and np.array_equal(q.base[h:], q.base[h - 1::-1])
+            and np.array_equal(q.log_w[h:], q.log_w[h - 1::-1]))
+
+
+def _mirrored_log_weight(p: Potential, nodes: np.ndarray) -> np.ndarray:
+    """log w at a mirrored node set, evaluated on the x > 0 half."""
+    half = log_weight(p, nodes[nodes.size // 2:])
+    return np.concatenate((half[::-1], half))
+
+
 def _component_panels(p: Potential, lo: float, hi: float, depth: int, width):
     """Panels for one domain component plus its truncation points.
 
@@ -265,6 +285,12 @@ def build_quadrature(p: Potential, resolution: int, *, order: int | None = None,
     is set so the total node count roughly matches resolution, floored
     at 12.  A doubled-order rule on the same panels must reproduce the
     total mass to 1e-9 relative (both carry the factor e^{-s}).
+
+    An even model (_is_even_model: even V_reg, mirror-image domain and
+    charges) gets panels built on x >= 0 and mirrored, and log w
+    evaluated at the x > 0 nodes and mirrored, so its rule is mirrored
+    bit for bit (_is_mirrored) and stieltjes_recurrence and gram_check
+    take their half paths on it.  Any other model's rule is unchanged.
     """
     if resolution < 8:
         raise ValidationError("resolution must be at least 8")
@@ -305,13 +331,14 @@ def build_quadrature(p: Potential, resolution: int, *, order: int | None = None,
         if m < 2:
             raise ValidationError("order must be at least 2")
 
+    weight = _mirrored_log_weight if even else log_weight
     nodes, base = _panel_rules(panels, m)
-    lw = log_weight(p, nodes)
+    lw = weight(p, nodes)
     keep = lw >= _LOG_FLOOR
     dropped = int(np.size(keep) - np.count_nonzero(keep))
 
     x2, b2 = _panel_rules(panels, 2 * m)
-    lw2 = log_weight(p, x2)
+    lw2 = weight(p, x2)
     s = max(0.0, float(np.max(lw)) - _LOG_TOP, float(np.max(lw2)) - _LOG_TOP)
     mass = float(np.sum(base[keep] * np.exp(lw[keep] - s)))
     k2 = lw2 >= _LOG_FLOOR
@@ -393,6 +420,14 @@ def stieltjes_recurrence(q: QuadratureRule, m_max: int) -> Recurrence:
     level at which the coefficients are still exact to working
     precision, NumericalError is raised instead of returning drifted
     coefficients.
+
+    A mirrored rule (_is_mirrored) has a_j = 0 exactly (Chihara, An
+    Introduction to Orthogonal Polynomials, 1978, ch. I): the vectors
+    are run on its x > 0 half with doubled weights, a_j = 0.0 is stored
+    and its reduction skipped.  The rounding seed of the omega monitor
+    stays that of all N nodes, and the clip guard reads the top vector
+    mirrored back onto the whole rule.  Any other rule takes the full
+    path, bit for bit as before.
     """
     npts = q.nodes.size
     if not m_max >= 1:
@@ -401,10 +436,14 @@ def stieltjes_recurrence(q: QuadratureRule, m_max: int) -> Recurrence:
         raise ValidationError(
             f"m_max={m_max} too large for {npts} nodes; need m_max < node count / 4"
         )
-    x = q.nodes
-    wt = q.base
-    s = max(0.0, float(np.max(q.log_w)) - _LOG_TOP)
-    sw = np.exp(0.5 * (q.log_w - s))
+    mirrored = _is_mirrored(q)
+    if mirrored:
+        h = npts // 2
+        x, wt, lw = q.nodes[h:], 2.0 * q.base[h:], q.log_w[h:]
+    else:
+        x, wt, lw = q.nodes, q.base, q.log_w
+    s = max(0.0, float(np.max(lw)) - _LOG_TOP)
+    sw = np.exp(0.5 * (lw - s))
     h0 = float(np.sum(wt * sw * sw))
     if not (h0 > 0.0 and math.isfinite(h0)):
         raise NumericalError("quadrature rule has no mass")
@@ -418,21 +457,25 @@ def stieltjes_recurrence(q: QuadratureRule, m_max: int) -> Recurrence:
     omega[0] = 1.0
     omega_max = 0.0
     rounding = _EPS * math.sqrt(npts) * float(np.max(np.abs(x)))
-    wx = wt * x
+    wx = None if mirrored else wt * x
     # prev, cur and r rotate too: each step overwrites prev once it has
     # entered r, and reuses it for the products b_{j+1} is summed from
     cur = sw / math.sqrt(h0)
     faint = cur < _TINY
-    prev = np.zeros(npts)
-    r = np.empty(npts)
+    prev = np.zeros(x.size)
+    r = np.empty(x.size)
     for j in range(m_max):
-        # a_j = sum ((wt x) psi_j) psi_j
-        np.multiply(wx, cur, out=r)
-        r *= cur
-        aj = float(np.add.reduce(r))
         # r = (x - a_j) psi_j - beta_j psi_{j-1};  b_{j+1} = sum (wt r) r
-        np.subtract(x, aj, out=r)
-        r *= cur
+        if mirrored:
+            aj = 0.0
+            np.multiply(x, cur, out=r)
+        else:
+            # a_j = sum ((wt x) psi_j) psi_j
+            np.multiply(wx, cur, out=r)
+            r *= cur
+            aj = float(np.add.reduce(r))
+            np.subtract(x, aj, out=r)
+            r *= cur
         prev *= beta[j]
         r -= prev
         np.multiply(wt, r, out=prev)
@@ -465,6 +508,10 @@ def stieltjes_recurrence(q: QuadratureRule, m_max: int) -> Recurrence:
             )
         omega_max = max(omega_max, worst)
         omega_prev, omega, nxt = omega, nxt, omega_prev
+    if mirrored:
+        # psi_m(-x) = (-1)^m psi_m(x)
+        cur = np.concatenate(((-1.0) ** m_max * cur[::-1], cur))
+        faint = np.concatenate((faint[::-1], faint))
     _clip_guard(q, cur, m_max, faint)
     return Recurrence(a=tuple(a.tolist()), b=tuple(b_list), h0=h0, log_shift=s,
                       omega_max=omega_max)
@@ -517,22 +564,37 @@ def gram_check(r: Recurrence, q: QuadratureRule, m: int) -> float:
     entries are subnormal, and the floating-point unit takes a slow
     assist on every one.  Only this scaled copy is cleared, never the
     rows: tail values tiny at low degree grow at higher degree.
+
+    On a mirrored rule (_is_mirrored) with a_0 = ... = a_{m-1} = 0 the
+    rows are exactly parity-symmetric, psi_j(-x) = (-1)^j psi_j(x), so
+    entries of mixed parity are summation noise and the others are twice
+    their x > 0 sums: rows on that half are scaled by sqrt(2 base) and
+    summed into an even-degree and an odd-degree block.  Any other rule
+    or fit takes the full path as before.
     """
     _check_degree(r, m)
-    npts = q.nodes.size
+    x, log_w, base = q.nodes, q.log_w, q.base
+    groups = (slice(None),)
+    if not any(r.a[:m]) and _is_mirrored(q):
+        h = x.size // 2
+        x, log_w, base = x[h:], log_w[h:], 2.0 * base[h:]
+        groups = (slice(0, None, 2), slice(1, None, 2))
+    npts = x.size
     width = max(1, _GRAM_BLOCK // (m + 1))
-    gram = np.zeros((m + 1, m + 1))
+    grams = [np.zeros((len(range(m + 1)[g]),) * 2) for g in groups]
     blk = np.empty((m + 1, min(width, npts)))
     for lo in range(0, npts, width):
         hi = min(npts, lo + width)
         part = blk[:, :hi - lo]
-        for j, row in enumerate(_scaled_rows(r, q.nodes[lo:hi], q.log_w[lo:hi], m)):
+        for j, row in enumerate(_scaled_rows(r, x[lo:hi], log_w[lo:hi], m)):
             part[j] = row
-        part *= np.sqrt(q.base[lo:hi])
+        part *= np.sqrt(base[lo:hi])
         part[(part < _SQRT_TINY) & (part > -_SQRT_TINY)] = 0.0
-        gram += part @ part.T
-    gram.flat[::m + 2] -= 1.0
-    return float(np.abs(gram, out=gram).max())
+        for g, gram in zip(groups, grams):
+            gram += part[g] @ part[g].T
+    for gram in grams:
+        gram.flat[::gram.shape[0] + 1] -= 1.0
+    return max(float(np.abs(gram, out=gram).max(initial=0.0)) for gram in grams)
 
 
 # ---------------------------------------------------------------------------

@@ -244,6 +244,24 @@ def test_hard_edge_takes_the_root_nearest_the_edge():
     np.testing.assert_allclose(em.support.intervals, ((0.0, 0.1),), rtol=1e-13, atol=1e-15)
 
 
+def test_hard_edge_judges_the_nearest_root_first(monkeypatch):
+    # c_1(s) - 2 has roots s ~ 1.4786 and 2.7440 beside a hard edge at 0;
+    # the first starts converge to the far one, which the bracket check
+    # passes over, so the first curve judged ends at the near one.  Its
+    # measure still violates the variational inequality far out.
+    judged = []
+    check = equilibrium._check_curve
+    monkeypatch.setattr(equilibrium, "_check_curve",
+                        lambda p, curve, verdict: judged.append(curve.zeros)
+                        or check(p, curve, verdict))
+    p = Potential(n=1, reg=(1.32, 2.681, -1.184, 0.017), singularities=(), support=POS)
+    with pytest.raises(NumericalError,
+                       match=r"^the equilibrium measure violates the variational "
+                             r"inequality at x=67\.2865 "):
+        solve_support(p, "hard_edge_one_cut")
+    assert judged[0] == pytest.approx((1.4786,), abs=1e-4)
+
+
 def test_hard_edge_refuses_negative_density():
     # V = x^2/2 - 5x on [0, inf) pulls the charge off the wall at 0
     p = Potential(n=40, reg=(-5.0, 1.0), singularities=(),

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.special as sps
 
+from rmtlab import kernel
 from rmtlab.errors import NumericalError, ValidationError
 from rmtlab.potential import IntervalSet, Potential, Singularity, log_weight
 from rmtlab.equilibrium import solve_support, density
@@ -173,6 +174,29 @@ def test_kernel_matrix_matches_reference_exactly():
     probes = [(-1.3, 0.7), (0.0, 0.0), (0.5, -0.5), (1.2, 1.1)]
     assert (projection_residual(r_q, quartic, q_q, probes)
             == reference_projection_residual(r_q, quartic, q_q, probes))
+
+
+@pytest.mark.parametrize("make", [gaussian, quartic_critical])
+def test_parity_rows_match_direct_evaluation(monkeypatch, make):
+    # an even fit evaluates its rows at the distinct |x| and signs them
+    # by parity; with that switched off every value keeps its bits.  Where
+    # sqrt(w) underflows every row is zero, and the direct recurrence's
+    # zero signs follow no parity ((-0) - (-0) = +0), so -0 is read as +0
+    p = make(120)
+    r, q = default_fit(p)
+    assert kernel._parity_fit(r, p)
+    grid = np.concatenate((np.linspace(-2.5, 2.5, 41), [-1.3, 1.3 + 1e-9, 0.77, 3.1]))
+    probes = [(-1.3, 0.7), (0.0, 0.0), (0.5, -0.5), (1.2, 1.1)]
+
+    def evaluate():
+        return (kernel_matrix(r, p, grid, grid), kernel_matrix(r, p, grid, q.nodes[::7]),
+                kernel_diag(r, p, q.nodes), kernel_diag(r, p, grid),
+                np.array(projection_residual(r, p, q, probes)))
+
+    got = evaluate()
+    monkeypatch.setattr(kernel, "_parity_fit", lambda r, p: False)
+    for a, b in zip(got, evaluate()):
+        assert same_bits(a + 0.0, b + 0.0)
 
 
 def test_projection_residual_detects_wrong_kernel():

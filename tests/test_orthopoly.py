@@ -293,20 +293,33 @@ def reference_panel_rules(panels, m):
     return np.concatenate(xs), np.concatenate(ws)
 
 
+def reference_is_mirrored(q):
+    return (q.nodes.size % 2 == 0 and np.array_equal(q.nodes, -q.nodes[::-1])
+            and np.array_equal(q.base, q.base[::-1])
+            and np.array_equal(q.log_w, q.log_w[::-1]))
+
+
 def reference_recurrence(q, m_max):
-    """(a, b, h0, omega_max) of stieltjes_recurrence, one new array per step."""
-    x, wt, npts = q.nodes, q.base, q.nodes.size
-    s = max(0.0, float(np.max(q.log_w)) - orthopoly._LOG_TOP)
-    sw = np.exp(0.5 * (q.log_w - s))
+    """(a, b, h0, omega_max) of stieltjes_recurrence, one new array per step.
+
+    A mirrored rule runs on its x > 0 half with doubled weights and
+    a_j = 0; the omega monitor's rounding seed stays that of all N nodes.
+    """
+    x, wt, lw, npts = q.nodes, q.base, q.log_w, q.nodes.size
+    mirrored = reference_is_mirrored(q)
+    if mirrored:
+        x, wt, lw = x[npts // 2:], 2.0 * wt[npts // 2:], lw[npts // 2:]
+    s = max(0.0, float(np.max(lw)) - orthopoly._LOG_TOP)
+    sw = np.exp(0.5 * (lw - s))
     h0 = float(np.sum(wt * sw * sw))
     a, beta, b_list = np.zeros(m_max), np.zeros(m_max + 1), []
     omega, omega_prev = np.zeros(m_max + 1), np.zeros(m_max + 1)
     omega[0] = 1.0
     omega_max = 0.0
     rounding = orthopoly._EPS * math.sqrt(npts) * float(np.max(np.abs(x)))
-    cur, prev = sw / math.sqrt(h0), np.zeros(npts)
+    cur, prev = sw / math.sqrt(h0), np.zeros(x.size)
     for j in range(m_max):
-        aj = float(np.sum(wt * x * cur * cur))
+        aj = 0.0 if mirrored else float(np.sum(wt * x * cur * cur))
         r = (x - aj) * cur - beta[j] * prev
         b2 = float(np.sum(wt * r * r))
         if not (b2 > 0.0 and math.isfinite(b2)):
@@ -363,6 +376,41 @@ def test_fit_layers_match_reference_exactly(monkeypatch, p, order):
     a, b, h0, omega_max = reference_recurrence(ref, m)
     assert r.a == a and r.b == b
     assert r.h0 == h0 and r.omega_max == omega_max
+    # the even models' rules are mirrored by construction
+    assert orthopoly._is_mirrored(q) == orthopoly._is_even_model(p)
+
+
+def odd_symmetric_rule():
+    # exactly symmetric, but N is odd: the middle node sits at 0
+    t, w = gauss_legendre(401)
+    x = 6.0 * t
+    return QuadratureRule(nodes=x, base=6.0 * w, log_w=-10.0 * x * x / 2.0,
+                          provenance="hand-built")
+
+
+def nudged_rule():
+    # a mirrored Gaussian rule with one log_w entry moved by one ulp
+    q = build_quadrature(gaussian(40), 900, degree_hint=84)
+    log_w = q.log_w.copy()
+    log_w[10] = np.nextafter(log_w[10], 0.0)
+    return QuadratureRule(nodes=q.nodes, base=q.base, log_w=log_w, provenance="hand-built")
+
+
+def conjugate_pair_rule():
+    p = Potential(n=40, reg=(0.0, 1.0),
+                  singularities=(Singularity(b=1 + 1j, alpha=0.5),
+                                 Singularity(b=1 - 1j, alpha=0.5)), support=LINE)
+    return build_quadrature(p, 900, degree_hint=84)
+
+
+@pytest.mark.parametrize("rule", [odd_symmetric_rule, nudged_rule, conjugate_pair_rule],
+                         ids=["odd-n", "one-ulp", "conjugate-pair"])
+def test_unmirrored_rules_take_the_full_path(rule):
+    q = rule()
+    assert not orthopoly._is_mirrored(q)
+    r = stieltjes_recurrence(q, 41)
+    a, b, h0, omega_max = reference_recurrence(q, 41)
+    assert (r.a, r.b, r.h0, r.omega_max) == (a, b, h0, omega_max)
 
 
 @pytest.mark.parametrize("reg", [(-1.0,), (0.0, 1.0), (0.0, -2.0, 0.0, 1.0),
@@ -404,13 +452,18 @@ def test_recurrence_refuses_as_reference(rule, m_max, match):
     assert str(got.value) == str(ref.value)
 
 
-def reference_gram_defect(r, q, m):
-    """gram_check on the whole (m+1) x N matrix, nothing cleared."""
+def reference_gram_error(r, q, m):
+    """|G - I| for the Gram matrix G of the whole (m+1) x N rule, nothing cleared."""
     psi = np.empty((m + 1, q.nodes.size))
     for j, row in enumerate(orthonormal_rows(r, q.nodes, q.log_w, m)):
         psi[j] = row
     psi *= np.sqrt(q.base)
-    return float(np.abs(psi @ psi.T - np.eye(m + 1)).max())
+    return np.abs(psi @ psi.T - np.eye(m + 1))
+
+
+def reference_gram_defect(r, q, m):
+    """gram_check on the whole (m+1) x N matrix, nothing cleared."""
+    return float(reference_gram_error(r, q, m).max())
 
 
 @pytest.mark.parametrize("p", [
@@ -429,6 +482,20 @@ def test_gram_check_matches_reference(p):
     r, q = default_fit(p)
     assert gram_check(r, q, p.n) == pytest.approx(
         reference_gram_defect(r, q, p.n), rel=0, abs=1e-15)
+
+
+@pytest.mark.parametrize("p", [gaussian(120), critical_quartic(120)],
+                         ids=["gue120", "quartic120"])
+def test_parity_gram_matches_full_rule(p):
+    # the half rule's even- and odd-degree blocks are the full Gram's
+    # same-parity entries; its mixed-parity entries are summation noise
+    r, q = default_fit(p)
+    assert orthopoly._is_mirrored(q) and not any(r.a)
+    err = reference_gram_error(r, q, p.n)
+    idx = np.arange(p.n + 1)
+    mixed = np.add.outer(idx, idx) % 2 == 1
+    assert err[mixed].max() <= 1e-15
+    assert gram_check(r, q, p.n) == pytest.approx(err[~mixed].max(), rel=0, abs=1e-15)
 
 
 @pytest.mark.parametrize("block", [1, 13 * 11 + 5, 1 << 18])
@@ -478,6 +545,10 @@ def test_even_model_with_two_charges_is_mirrored():
     q = build_quadrature(p, 900)
     assert np.array_equal(q.nodes, -q.nodes[::-1])
     assert np.array_equal(q.base, q.base[::-1])
+    # log w is evaluated on x > 0 and mirrored: summing the charges' terms
+    # at -x in the other order left entries an ulp off
+    assert np.array_equal(q.log_w, q.log_w[::-1])
+    assert orthopoly._is_mirrored(q)
 
 
 def test_conjugate_pair_fits_as_non_even_model():
