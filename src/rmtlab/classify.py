@@ -344,12 +344,33 @@ def scaled_curve(em: EquilibriumMeasure, cp: CriticalPoint, n: int) -> ScaledCur
         zh = sorted(s * (z - xs) for z in near_z)
         ph = sorted(s * (q - xs) for q in near_p)
 
-    coeffs = np.polynomial.polynomial.polyfromroots(sigma) if sigma else np.array([1.0])
+    coeffs = _poly_from_roots(sigma)
     feats = zh + ph
     phat = max(feats) if feats else 0.0
     return ScaledCurve(
         h=tuple((complex(pref) * coeffs).tolist()), zeros=tuple(zh), poles=tuple(ph),
         order_k=cp.order_k, mirrored=mirror, phat=float(phat))
+
+
+def _poly_from_roots(roots) -> np.ndarray:
+    """Ascending coefficients of prod (x - r), 1 for no roots.
+
+    numpy.polynomial.polynomial.polyfromroots' own order, so each
+    coefficient is the same double: sort, multiply the linear factors in
+    pairs (i, i + m) by np.convolve until one is left, an odd one out
+    folded into the first product.
+    """
+    rs = np.sort(np.asarray(roots))
+    factors = [np.array([-r, 1], dtype=rs.dtype) for r in rs]
+    if not factors:
+        return np.ones(1)
+    while len(factors) > 1:
+        m, odd = divmod(len(factors), 2)
+        prods = [np.convolve(factors[i], factors[i + m]) for i in range(m)]
+        if odd:
+            prods[0] = np.convolve(prods[0], factors[-1])
+        factors = prods
+    return factors[0]
 
 
 scaled_eval = curve_eval  # yhat(zeta); cuts run left from each sqrt point

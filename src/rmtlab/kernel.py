@@ -63,15 +63,14 @@ def kernel_diag(r: Recurrence, p: Potential, x) -> np.ndarray:
     On a parity fit the diagonal is even, and one pass over the distinct
     |x| serves every point.
     """
-    xa = np.atleast_1d(np.asarray(x, dtype=float))
+    x = np.asarray(x, dtype=float)
+    xa = np.atleast_1d(x)
     if _parity_fit(r, p):
         pts, inv = np.unique(np.abs(xa), return_inverse=True)
         out = _psi_rows(r, p, pts)[2][inv.reshape(xa.shape)]
     else:
         out = _psi_rows(r, p, xa)[2]
-    if np.isscalar(x):
-        return float(out[0])
-    return out
+    return float(out[0]) if x.ndim == 0 else out
 
 
 def kernel_matrix(r: Recurrence, p: Potential, xs, ys) -> np.ndarray:
@@ -81,10 +80,15 @@ def kernel_matrix(r: Recurrence, p: Potential, xs, ys) -> np.ndarray:
     parity fit (_parity_fit) over their distinct |x|, the rows at x < 0
     signed by parity.  Pairs within 1e-8 * scale of the diagonal take
     the confluent value, the mean of the two points' diagonals, so
-    K(xs, xs) is exactly symmetric.
+    K(xs, xs) is exactly symmetric.  A scalar (0-d) xs or ys is one
+    point, and the result has shape xs.shape + ys.shape: a float for two
+    scalars.
     """
     xa = np.asarray(xs, dtype=float)
     ya = np.asarray(ys, dtype=float)
+    if xa.ndim == 0 or ya.ndim == 0:
+        out = kernel_matrix(r, p, xa.reshape(-1), ya.reshape(-1)).reshape(xa.shape + ya.shape)
+        return float(out) if out.ndim == 0 else out
     parity = _parity_fit(r, p)
     both = np.concatenate((xa, ya))
     if parity:
@@ -218,11 +222,18 @@ def bessel_kernel(alpha: float, u: float, v: float) -> float:
 
 
 def _fit_decay(ns, errs):
-    """Log-log slope of err(n); NaN when fewer than two points."""
+    """Least-squares log-log slope of err(n); NaN when fewer than two points.
+
+    The closed form sum x y / sum x^2 of the line fit in x = log n and
+    y = log err, each taken from its mean.
+    """
     if len(ns) < 2 or any(e <= 0 for e in errs):
         return math.nan
-    return float(np.polyfit(np.log(np.asarray(ns, float)),
-                            np.log(np.asarray(errs, float)), 1)[0])
+    x = np.log(np.asarray(ns, float))
+    y = np.log(np.asarray(errs, float))
+    x -= x.mean()
+    y -= y.mean()
+    return float((x * y).sum() / (x * x).sum())
 
 
 def convergence_scan(sc, n_list, grid, progress=None) -> dict:

@@ -500,7 +500,7 @@ def stieltjes_recurrence(q: QuadratureRule, m_max: int) -> Recurrence:
             nxt[:j] = (t + np.copysign(rounding, t)) / beta[j + 1]
         nxt[j] = rounding / beta[j + 1]
         nxt[j + 1] = 1.0
-        worst = float(np.max(np.abs(nxt[:j + 1])))
+        worst = float(np.maximum.reduce(np.abs(nxt[:j + 1])))
         if not worst <= _OMEGA_TOL:
             raise NumericalError(
                 f"Lanczos vectors lost orthogonality at degree {j + 1} "

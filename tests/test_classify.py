@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npp
 
 from rmtlab import (
     CriticalPoint,
@@ -29,6 +30,7 @@ from rmtlab import (
 from rmtlab.classify import (
     ScaledCurve,
     _delta_frac,
+    _poly_from_roots,
     critical_point_dict,
     model_data_dict,
 )
@@ -235,6 +237,18 @@ def test_merge_family_scaled_curve():
     z = np.array([0.3 + 0.7j, -1.2 + 0.1j, 2.0 + 0.0j])
     target = 1j * (2.0 * z**2 + tau)
     np.testing.assert_allclose(scaled_eval(sc, z), target, rtol=1e-5, atol=1e-5)
+
+
+@pytest.mark.parametrize("complex_roots", [False, True])
+def test_root_product_is_polyfromroots_bit_for_bit(complex_roots):
+    rng = np.random.default_rng(17)
+    for count in range(1, 10):
+        roots = rng.normal(size=count)
+        if complex_roots:
+            roots = roots + 1j * rng.normal(size=count)
+        got, ref = _poly_from_roots(list(roots)), npp.polyfromroots(list(roots))
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+    assert _poly_from_roots([]).tolist() == [1.0]
 
 
 def test_mp_hard_edge_scaled_curve():

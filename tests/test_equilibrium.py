@@ -22,13 +22,17 @@ from rmtlab import (
     example_curve,
     find_critical_points,
     g_eval,
+    get_scenario,
+    scenario_names,
     solve_support,
     xi_eval,
 )
 from rmtlab import equilibrium
 from rmtlab.equilibrium import (
+    SpectralCurve,
     _expansion_at_infinity,
     _newton,
+    h_roots,
     mass_right_of,
 )
 from rmtlab.potential import v_reg
@@ -516,3 +520,120 @@ def test_expansion_at_infinity_matches_direct_evaluation(coeffs, inverse, direct
         direct_val *= np.sqrt(1.0 - q / z)
     scale = sum(abs(c) * 20.0**k for k, c in enumerate(coeffs))
     assert abs(series - direct_val) <= 1e-12 * max(abs(direct_val), scale)
+
+
+# ---------------------------------------------------------------------------
+# roots of h, with np.roots (LAPACK's companion eigenvalues) as the oracle
+
+EPS = np.finfo(float).eps
+SEXTIC = (0.3, 0.5, 0.0, 0.2, 0.0, 0.3)
+
+
+def roots_of(c):
+    return h_roots(SpectralCurve(h=tuple(c), zeros=(), poles=()))
+
+
+def nearest(roots, z):
+    return roots[np.argmin(np.abs(roots - z))]
+
+
+def kappa(c, x, order=1):
+    """Condition number sum |c_k| |x|^k / |p^(order)(x) / order!| of a root x."""
+    desc = np.asarray(c, float)[::-1]
+    bound = np.polyval(np.abs(desc), abs(x))
+    return bound / abs(np.polyval(np.polyder(desc, order), x) / math.factorial(order))
+
+
+def sextic_h():
+    p = Potential(n=60, reg=SEXTIC, singularities=(), support=LINE)
+    return solve_support(p, "one_cut").curve.h
+
+
+def preset_and_config_hs():
+    """h of every scenario preset and of the CLI configs, with the sextic."""
+    scenarios = [get_scenario(name) for name in scenario_names()]
+    scenarios += [get_scenario("quartic-merge", tau=2.0),
+                  get_scenario("mp-hard-edge", alpha=0.5)]
+    hs = [sc.equilibrium(sc.make_potential(60)).curve.h for sc in scenarios]
+    configs = [(gaussian(200), "one_cut"), (quartic(-2.0, 200), "one_cut"),
+               (mp_charge(), "hard_edge_one_cut"), (quartic(-3.0), "symmetric_two_cut")]
+    hs += [solve_support(p, structure).curve.h for p, structure in configs]
+    return hs + [sextic_h()]
+
+
+def test_h_roots_match_np_roots_on_presets_configs_and_the_sextic():
+    degrees = set()
+    for h in preset_and_config_hs():
+        c = np.trim_zeros(np.asarray(h, float), "b")
+        degrees.add(len(c) - 1)
+        got, ref = roots_of(c), np.roots(c[::-1])
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        for z in got:
+            r = nearest(ref, z)
+            if r == 0.0:  # zero low-order coefficients give exact zeros
+                assert z == 0.0
+            else:
+                assert abs(z - r) <= 64 * EPS * kappa(c, r)
+    assert degrees == {0, 1, 2, 4}
+
+
+def test_h_roots_closed_forms_are_exact():
+    assert roots_of([0.0, 0.0, 1.0]).tolist() == [0.0, 0.0]
+    assert roots_of([0.0, 2.0, 4.0]).tolist() == [-0.5, 0.0]
+    assert roots_of([-4.0, 0.0, 1.0]).tolist() == [-2.0, 2.0]
+    assert roots_of([4.0, 0.0, 1.0]).tolist() == [2j, -2j]
+    assert roots_of([5.0, 2.0, 1.0]).tolist() == [-1 + 2j, -1 - 2j]
+    assert roots_of([2.0, -3.0, 1.0]).tolist() == [2.0, 1.0]
+    assert roots_of([3.0, 1.5]).tolist() == [-2.0]
+    assert roots_of([1.0]).size == roots_of([0.0, 0.0]).size == 0
+    assert roots_of([2.0, 0.0, 0.0, 0.0, -2.0]).dtype == np.complex128
+
+
+def random_roots(rng, deg):
+    """Real roots, conjugate pairs, repeated real roots and zeros, mixed."""
+    roots = []
+    while len(roots) < deg:
+        u = rng.uniform()
+        if u < 0.35:
+            roots.append(float(rng.normal()))
+        elif u < 0.6 and len(roots) <= deg - 2:
+            w = complex(rng.normal(), rng.normal())
+            roots += [w, w.conjugate()]
+        elif u < 0.8 and len(roots) <= deg - 2:
+            roots += 2 * [float(rng.integers(-8, 9)) / 4]
+        else:
+            roots.append(0.0)
+    return np.array(roots, dtype=complex)
+
+
+def test_h_roots_match_np_roots_on_seeded_polynomials():
+    # over this set simple roots agree to 14 eps kappa at worst, double and
+    # quadruple roots to 3.7 and 1.7 (eps kappa_m)^(1/m); both methods are
+    # backward stable, so the bounds scale with the conditioning
+    rng = np.random.default_rng(2024)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(3000):
+            exact = random_roots(rng, int(rng.integers(1, 9)))
+            c = np.poly(exact).real[::-1] * rng.uniform(0.5, 2.0)
+            got, ref = roots_of(c), np.roots(c[::-1])
+            assert got.shape == exact.shape
+            assert np.count_nonzero(got == 0.0) == np.count_nonzero(exact == 0.0)
+            for x in exact[exact != 0.0]:
+                diff = abs(nearest(got, x) - nearest(ref, x))
+                m = np.count_nonzero(exact == x)
+                if m == 1:
+                    assert diff <= 64 * EPS * kappa(c, x)
+                else:
+                    assert diff <= 8 * (EPS * kappa(c, x, order=m)) ** (1 / m)
+            if not exact.imag.any() and np.unique(exact).size == exact.size:
+                assert got.dtype == ref.dtype == np.float64
+
+
+def test_h_roots_pairs_conjugates_and_refuses_at_the_step_cap(monkeypatch):
+    got = roots_of(sextic_h())
+    assert got[1] == got[0].conjugate() and got[3] == got[2].conjugate()
+    assert got[0].imag > 0.0 and got[2].imag > 0.0
+    monkeypatch.setattr(equilibrium, "_ABERTH_ITER", 2)
+    with pytest.raises(NumericalError, match="did not converge in 2 Aberth sweeps"):
+        roots_of([1.0, 2.0, 3.0, 4.0])

@@ -1,6 +1,7 @@
 """Christoffel-Darboux kernels, their identities and scaling limits."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -102,6 +103,21 @@ def test_kernel_matrix_matches_pointwise():
     np.testing.assert_allclose(K, pointwise, rtol=1e-13, atol=0.0)
     assert np.all(K[3] == 0.0)
     assert K[1, 0] == pytest.approx(kernel_diag(r, p, -1.0), rel=1e-6)
+
+
+def test_scalar_points_are_scalars():
+    # a 0-d point is one point: a float for two of them, a row for one
+    for p in (quartic_critical(12), mp_potential(12, 0.5)):
+        r, _ = default_fit(p)
+        ys = np.array([-0.7, 0.2, -1.5])
+        grid = kernel_matrix(r, p, [0.3, -0.4], ys)
+        for x in (0.3, np.float64(0.3), np.array(0.3)):
+            assert kernel_matrix(r, p, x, np.array(0.2)) == kernel_matrix(r, p, [x], [0.2])[0, 0]
+            assert type(kernel_matrix(r, p, x, 0.2)) is float
+            assert np.array_equal(kernel_matrix(r, p, x, ys), grid[0])
+            assert type(kernel_diag(r, p, x)) is float
+        assert np.array_equal(kernel_matrix(r, p, [0.3, -0.4], np.array(-0.7)), grid[:, 0])
+        assert kernel_diag(r, p, np.array(-0.4)) == kernel_diag(r, p, [-0.4])[0]
 
 
 def test_projection_residual_matches_probe_loop():
@@ -466,6 +482,27 @@ class _LostFit(_BulkScenario):
 class _Collapse(_BulkScenario):
     def reference_law(self, em, cp):
         return None
+
+
+@pytest.mark.parametrize("ns, errs", [
+    ((40, 80, 160, 320), (8.0e-3, 4.0e-3, 2.0e-3, 1.0e-3)),
+    ((50, 100, 200, 400), (2.1e-2, 1.3e-2, 8.4e-3, 5.3e-3)),
+    ((30, 60, 120, 240), (3.2e-2, 2.5e-2, 1.6e-2, 1.0e-2)),
+    ((20, 40, 80, 160), (5.8e-3, 3.0e-3, 1.5e-3, 7.4e-4)),
+    ((60, 120), (2.0e-2, 1.6e-2)),
+])
+def test_fit_decay_is_the_least_squares_slope(ns, errs):
+    # the benchmark scans' ladders: np.polyfit agrees to 1e-13, and the
+    # slope is the exact least-squares slope of the logs to a few eps
+    slope = kernel._fit_decay(ns, errs)
+    x, y = np.log(np.asarray(ns, float)), np.log(np.asarray(errs, float))
+    assert slope == pytest.approx(np.polyfit(x, y, 1)[0], rel=1e-13)
+    fx, fy = [Fraction(v) for v in x], [Fraction(v) for v in y]
+    mx, my = sum(fx) / len(fx), sum(fy) / len(fy)
+    exact = (sum((a - mx) * (b - my) for a, b in zip(fx, fy))
+             / sum((a - mx) ** 2 for a in fx))
+    assert slope == pytest.approx(float(exact), rel=4 * np.finfo(float).eps)
+    assert math.isnan(kernel._fit_decay(ns[:1], errs[:1]))
 
 
 def test_convergence_scan_stage_failure_keeps_its_type():

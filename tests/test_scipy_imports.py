@@ -9,7 +9,13 @@ alone measured 0.29-0.56 s cold on the same host.
 
 Fits and equilibrium solves do not load numpy.polynomial either: their
 Gauss-Legendre rules come from quad.gauss_legendre's Newton iteration,
-not from leggauss's dense eigensolve.
+not from leggauss's dense eigensolve.  Nor do the commands call
+numpy.linalg (LAPACK): the roots of h come from closed forms and
+Aberth's iteration (equilibrium.h_roots), the root product of a scaled
+curve from np.convolve, and the decay fit of a scan from the
+closed-form least-squares slope.  A profile hook records every call
+into numpy/linalg/ to show it; gram_check's matrix product is BLAS, not
+numpy.linalg.
 
 Each case runs in a fresh interpreter, since the pytest process has
 loaded scipy long before it starts.  An import hook refuses every scipy
@@ -134,3 +140,52 @@ print(json.dumps(sorted(m for m in sys.modules if m.startswith("numpy.polynomial
                           env={**os.environ, "PYTHONPATH": str(SRC)})
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == []
+
+
+LINALG_GUARD = """
+import json, os, sys
+import numpy  # runs numpy/linalg/'s module code; only later calls count
+
+linalg_calls = set()
+_LINALG = os.sep + os.path.join("numpy", "linalg") + os.sep
+
+def record(frame, event, arg):
+    if event == "call" and _LINALG in frame.f_code.co_filename:
+        linalg_calls.add(frame.f_code.co_name)
+
+sys.setprofile(record)
+"""
+
+
+def test_command_paths_call_no_numpy_linalg(tmp_path):
+    # every call into numpy/linalg/ (np.roots' eigvals, np.polyfit's
+    # lstsq) is recorded by a profile hook, with numpy.polynomial imports
+    configs = []
+    for name, reg, structure, at in (
+            ("critical", [0.0, -2.0, 0.0, 1.0], "one_cut", "0.0"),
+            ("sextic", [0.3, 0.5, 0.0, 0.2, 0.0, 0.3], "one_cut", "1.4"),
+            ("two-cut", [0.0, -3.0, 0.0, 1.0], "symmetric_two_cut", "1.0")):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"reg": reg, "singularities": [],
+                                    "support": [["-inf", "inf"]], "n": 40}))
+        configs.append((str(path), structure, at))
+    code = LINALG_GUARD + f"""
+import rmtlab.cli
+out = {str(tmp_path)!r}
+for cfg, structure, at in {configs!r}:
+    st = ["--structure", structure]
+    for argv in (["equilibrium", cfg, "--grid", "50", *st], ["classify", cfg, *st],
+                 ["kernel", cfg, "--at", at, "--grid=-1:1:3", *st]):
+        assert rmtlab.cli.main(["--outdir", out, *argv]) == 0, argv
+for argv in (["converge", "quartic-merge", "--n-list", "30,60"],
+             ["converge", "gue-edge", "--n-list", "50,100"]):
+    assert rmtlab.cli.main(["--outdir", out, *argv]) == 0, argv
+sys.setprofile(None)
+print(json.dumps([sorted(linalg_calls),
+                  sorted(m for m in sys.modules if m.startswith("numpy.polynomial"))]))
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [[], []]
+    assert (tmp_path / "scan_gue-edge.json").exists()
