@@ -48,7 +48,8 @@ def main(argv=None) -> int:
           f"acceptance {state.acceptance_rate():.3f}")
 
     cols = ["sweep"] + [f"x{i}" for i in range(args.n)]
-    rows = ((args.burn_in + k, *xs) for k, xs in enumerate(kept))
+    # all floats for write_csv's one-template path; %.17g prints a sweep as str(int)
+    rows = ((float(args.burn_in + k), *xs.tolist()) for k, xs in enumerate(kept))
     write_csv(os.path.join(args.outdir, "samples.csv"), cols, rows,
               {"seed": args.seed, "n": args.n})
     write_json(os.path.join(args.outdir, "chain_meta.json"), {

@@ -33,13 +33,11 @@ from .classify import (
     CriticalPoint,
     ModelData,
     ScaledCharge,
-    ScaledCurve,
     bulk_point,
     extract_model_data,
     find_critical_points,
     nearest_critical_point,
     scaled_curve,
-    scaled_eval,
     series_at_infinity,
 )
 from .orthopoly import (

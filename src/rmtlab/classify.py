@@ -17,9 +17,11 @@ Scaling exponents:
 with the exponent balance (m_h + (m_R - m_p)/2 + 1) delta = 1, where m_h,
 m_R, m_p count h-roots, R-zeros and R-poles absorbed into the point.
 
-Left edges are mirrored (zeta = n^delta (x_* - x)) so every edge model
-has its support on the negative axis; the mirror prefactor is fixed
-exactly by the per-factor branch phases, no fitting involved.
+Left edges are mirrored (CriticalPoint.mirrored: zeta = n^delta (x_* - x))
+so every edge model has its support on the negative axis; the mirror
+prefactor is fixed exactly by the per-factor branch phases, no fitting
+involved.  The scaled curve is a plain SpectralCurve in zeta; its n is
+the zoom, and model data take n from the potential they describe.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from .equilibrium import (
     SpectralCurve,
     _expansion_at_infinity,
     _path_integral,
-    curve_eval,
     h_roots,
     xi_eval,
 )
@@ -92,22 +93,10 @@ class CriticalPoint:
         """Blow-up exponent of (kind, order_k); see the module docstring."""
         return float(_delta_frac(self.kind, self.order_k))
 
-
-@dataclass(frozen=True)
-class ScaledCurve(SpectralCurve):
-    """yhat(zeta) = hhat(zeta) prod sqrt(zeta - z) / prod sqrt(zeta - p).
-
-    A SpectralCurve in the scaled coordinate zeta, evaluated by
-    curve_eval: h holds hhat's ascending complex coefficients (the exact
-    prefactor is folded in), zeros and poles the scaled branch points.
-    Coordinates are already mirrored for left edges.  phat is the base
-    point for xihat integrals: the right-most zero/pole of the scaled R
-    if any, else 0.
-    """
-
-    order_k: int
-    mirrored: bool
-    phat: float
+    @property
+    def mirrored(self) -> bool:
+        """A left edge, whose scaled coordinate is zeta = n^delta (x_* - x)."""
+        return self.kind == "edge" and self.side == "left"
 
 
 @dataclass(frozen=True)
@@ -294,17 +283,22 @@ def bulk_point(em: EquilibriumMeasure, x: float, radius: float | None = None) ->
 # scaled curve
 
 
-def scaled_curve(em: EquilibriumMeasure, cp: CriticalPoint, n: int) -> ScaledCurve:
+def scaled_curve(em: EquilibriumMeasure, cp: CriticalPoint, n: int) -> SpectralCurve:
     """Local scaling limit yhat(zeta) of n^{1-delta} y(x_* + n^{-delta} zeta).
 
-    The near factors (within cp.radius of x_star) are kept exactly in
-    scaled coordinates; the far factors contribute their boundary value
-    at x_star.  Left edges come out mirrored, zeta = n^delta (x_* - x),
-    with the prefactor phase corrected per sqrt factor.
+    yhat = hhat(zeta) prod sqrt(zeta - z) / prod sqrt(zeta - p) is a
+    SpectralCurve in zeta, evaluated by curve_eval (cuts run left from
+    each sqrt point): h holds hhat's ascending complex coefficients with
+    the exact prefactor folded in, zeros and poles the scaled branch
+    points.  The near factors (within cp.radius of x_star) are kept
+    exactly in scaled coordinates; the far factors contribute their
+    boundary value at x_star.  A mirrored point (cp.mirrored) comes out
+    in zeta = n^delta (x_* - x), with the prefactor phase corrected per
+    sqrt factor.
     """
     curve = em.curve
     xs, rad = cp.x_star, cp.radius
-    mirror = cp.kind == "edge" and cp.side == "left"
+    mirror = cp.mirrored
     roots = list(h_roots(curve))
     near_h = [r for r in roots if abs(r - xs) <= rad]
     far_h = [r for r in roots if abs(r - xs) > rad]
@@ -345,11 +339,8 @@ def scaled_curve(em: EquilibriumMeasure, cp: CriticalPoint, n: int) -> ScaledCur
         ph = sorted(s * (q - xs) for q in near_p)
 
     coeffs = _poly_from_roots(sigma)
-    feats = zh + ph
-    phat = max(feats) if feats else 0.0
-    return ScaledCurve(
-        h=tuple((complex(pref) * coeffs).tolist()), zeros=tuple(zh), poles=tuple(ph),
-        order_k=cp.order_k, mirrored=mirror, phat=float(phat))
+    return SpectralCurve(h=tuple((complex(pref) * coeffs).tolist()), zeros=tuple(zh),
+                         poles=tuple(ph))
 
 
 def _poly_from_roots(roots) -> np.ndarray:
@@ -373,20 +364,18 @@ def _poly_from_roots(roots) -> np.ndarray:
     return factors[0]
 
 
-scaled_eval = curve_eval  # yhat(zeta); cuts run left from each sqrt point
-
-
-def _leading_power(sc: ScaledCurve) -> Fraction:
+def _leading_power(sc: SpectralCurve) -> Fraction:
     return Fraction(len(sc.h) - 1) + Fraction(len(sc.zeros) - len(sc.poles), 2)
 
 
-def series_at_infinity(sc: ScaledCurve) -> np.ndarray:
+def series_at_infinity(sc: SpectralCurve, k: int) -> np.ndarray:
     """Coefficients qhat_l of yhat = zeta^m sum_l qhat_l zeta^{-l}.
 
-    m is 2k (interior), k + 1/2 (edges, including k = -1), 2k - 1
-    (exterior).  The truncation order is 2 max(k, 0) + 6.
+    sc is a scaled curve at a point of order k: m is 2k (interior),
+    k + 1/2 (edges, including k = -1), 2k - 1 (exterior).  The
+    truncation order is 2 max(k, 0) + 6.
     """
-    order = 2 * max(sc.order_k, 0) + _SERIES_EXTRA
+    order = 2 * max(k, 0) + _SERIES_EXTRA
     # yhat = zeta^((#zeros - #poles)/2) hhat(zeta)
     #        * prod_poles (1 - q/zeta)^(-1/2) * prod_zeros (1 - z/zeta)^(1/2)
     return _expansion_at_infinity(sc.h, sc.poles, sc.zeros, order)
@@ -409,12 +398,15 @@ def _termwise_antiderivative(q: np.ndarray, mpow: Fraction, z: complex):
     return tot
 
 
-def _series_constant(sc: ScaledCurve, q: np.ndarray) -> complex:
+def _series_constant(sc: SpectralCurve, q: np.ndarray) -> complex:
+    """Constant term of xihat = -(1/2) int yhat, integrated from the
+    right-most scaled branch point (0 when there is none)."""
     mpow = _leading_power(sc)
+    base = complex(max(sc.zeros + sc.poles, default=0.0))
     vals = []
     for th in (math.pi / 3, math.pi / 2, 2 * math.pi / 3):
         z = _Z_REF * complex(math.cos(th), math.sin(th))
-        xi_hat = -0.5 * _path_integral(sc, complex(sc.phat), z)
+        xi_hat = -0.5 * _path_integral(sc, base, z)
         vals.append(xi_hat - _termwise_antiderivative(q, mpow, z))
     vals = np.array(vals)
     if np.max(np.abs(vals - vals.mean())) > 1e-7 * max(1.0, abs(vals.mean())):
@@ -430,8 +422,10 @@ def _real_part(v: complex, what: str) -> float:
     return float(v.real)
 
 
-def extract_model_data(em: EquilibriumMeasure, cp: CriticalPoint, n: int) -> ModelData:
+def extract_model_data(em: EquilibriumMeasure, cp: CriticalPoint) -> ModelData:
     """Assemble the local model data (I, B, tau_inf, c_hat) at cp.
+
+    The zoom n is em.potential.n, the n that scales the charges too.
 
     E_j come from the termwise antiderivative of the scaled curve:
       interior  xihat = -i/(2k+1) sum E_j zeta^j + O(1/zeta)
@@ -443,14 +437,14 @@ def extract_model_data(em: EquilibriumMeasure, cp: CriticalPoint, n: int) -> Mod
     matching the worked normalization of the merge family.
     """
     p = em.potential
-    k = cp.order_k
+    n, k = p.n, cp.order_k
     # charges at distance O(n^-delta) must fall inside the collection disc,
     # so its radius is floored at a fixed fraction of the model scale
     rad = max(cp.radius, _DISC_FRACTION * p.scale())
     sc = scaled_curve(em, cp, n)
-    q = series_at_infinity(sc)
+    q = series_at_infinity(sc, k)
     s = float(n) ** cp.delta
-    flip = -1.0 if sc.mirrored else 1.0
+    flip = -1.0 if cp.mirrored else 1.0
 
     if cp.kind == "edge":
         e_vals = []

@@ -163,7 +163,7 @@ def cmd_classify(args, man: RunManifest) -> int:
            "model_data": []}
     for cp in cps:
         out["critical_points"].append(critical_point_dict(cp))
-        md = extract_model_data(em, cp, p.n)
+        md = extract_model_data(em, cp)
         out["model_data"].append(model_data_dict(md))
     write_json(man.path("classify_report.json"), out)
     kinds = ", ".join(f"{c.kind}@{c.x_star:.6g}" for c in cps)

@@ -74,7 +74,7 @@ class SpectralCurve:
     """y(z) = h(z) * sqrt(R(z)) with R = prod(z-zeros)/prod(z-poles).
 
     h holds ascending coefficients, complex for a scaled curve
-    (classify.ScaledCurve).  Branch cuts of sqrt(R) fall exactly on the
+    (classify.scaled_curve).  Branch cuts of sqrt(R) fall exactly on the
     support when each factor uses the principal branch, and sqrt(R) ~ +z^D
     on the positive real axis beyond all branch points.
     """
@@ -776,15 +776,18 @@ def example_curve(
 
     "quartic": V = (t/2) x^2 + x^4/4 on the line; one-cut curve
     y = (x^2 + 2c) sqrt(x^2 - a^2) with a^2 = (2/3)(-t + sqrt(t^2+12))
-    and c = (1/4)(4 - t^2)/(sqrt(t^2/4 + 3) - t) (a cancellation-free
-    rearrangement of c = (t + sqrt(t^2/4+3))/3).  For t < -2 this is the
-    analytic continuation of the one-cut family, which is the family the
-    merge-scaling formulas address; the density check is skipped there.
+    and c = (t + sqrt(t^2/4 + 3))/3.  For t <= 0 both are written in
+    eps = t + 2, where 4 - t^2 = eps (4 - eps) stays exact for tiny eps;
+    for t > 0 they are the textbook c and a^2 = 8/(t + sqrt(t^2 + 12)).
+    Neither form cancels.  For t < -2 this is the analytic continuation
+    of the one-cut family, which is the family the merge-scaling
+    formulas address; the density check is skipped there.
 
-    "quartic_merge": the quartic at t = -2 + tau n^{-2/3}, evaluated in
-    cancellation-free form so the curve data stays accurate to machine
-    precision even for n around 10^15.  tau < 0 continues the one-cut
-    family past the merge point (density check skipped).
+    "quartic_merge": the quartic at t = -2 + tau n^{-2/3}, with
+    eps = tau n^{-2/3} taken as computed, so the curve data stays
+    accurate to machine precision even for n around 10^15.  tau < 0
+    continues the one-cut family past the merge point (density check
+    skipped).
 
     "marchenko_pastur": V_reg = -x on (-inf, 0] with log charges alpha1
     at 0 and alpha2 at tau/n^2; curve y = -sqrt((z+4)/z), a hard edge at
@@ -792,22 +795,17 @@ def example_curve(
     """
     if name in ("quartic", "quartic_merge"):
         if name == "quartic":
-            t_eff = float(t)
-            a = math.sqrt((2.0 / 3.0) * (-t + math.sqrt(t * t + 12.0)))
-            if t <= 0.0:  # rationalized form avoids cancellation near t = -2
-                c = 0.25 * (4.0 - t * t) / (math.sqrt(0.25 * t * t + 3.0) - t)
-            else:
-                c = (t + math.sqrt(0.25 * t * t + 3.0)) / 3.0
-            one_cut = t >= -2.0
+            t_eff, eps = float(t), float(t) + 2.0
         else:
-            # t = -2 + eps with eps = tau n^{-2/3}; every expression is written
-            # in eps so that 4 - t^2 = eps(4 - eps) stays exact for tiny eps
             eps = tau * float(n) ** (-2.0 / 3.0)
             t_eff = -2.0 + eps
+        if t_eff <= 0.0:
             a = math.sqrt((2.0 / 3.0) * ((2.0 - eps) + math.sqrt(16.0 - eps * (4.0 - eps))))
             c = eps * (4.0 - eps) / (
                 4.0 * (math.sqrt(4.0 - 0.25 * eps * (4.0 - eps)) + 2.0 - eps))
-            one_cut = tau >= 0.0
+        else:
+            a = math.sqrt(8.0 / (t_eff + math.sqrt(t_eff * t_eff + 12.0)))
+            c = (t_eff + math.sqrt(0.25 * t_eff * t_eff + 3.0)) / 3.0
         p = Potential(
             n=n,
             reg=(0.0, t_eff, 0.0, 1.0),
@@ -815,7 +813,7 @@ def example_curve(
             support=IntervalSet(((-math.inf, math.inf),)),
         )
         curve = SpectralCurve(h=(2.0 * c, 0.0, 1.0), zeros=(-a, a), poles=())
-        if one_cut:
+        if eps >= 0.0:
             _check_curve(p, curve, "requested structure infeasible")
         return EquilibriumMeasure(p, curve)
     if name == "marchenko_pastur":

@@ -10,7 +10,8 @@ psi_j = sqrt(w) p_j / sqrt(h_j) (orthopoly.orthonormal_rows), which stay
 of order one where p_j and w separately overflow and underflow; on the
 diagonal it is the sum of squares sum_{j<n} psi_j(x)^2.  Only
 kernel_matrix (any x * y grid) and kernel_diag evaluate it at points,
-and nothing here imports the equilibrium side.  Sine, Airy and Bessel
+both through _psi_rows, one recurrence pass per point set, and nothing
+here imports the equilibrium side.  Sine, Airy and Bessel
 kernels are the double-scaling references; grids are bare matrices.
 """
 
@@ -38,69 +39,57 @@ def _parity_fit(r: Recurrence, p: Potential) -> bool:
 
 
 def _psi_rows(r: Recurrence, p: Potential, x: np.ndarray):
-    """psi_n, psi_{n-1} and the diagonal K_n(x, x) at x, from one pass.
+    """psi_n, psi_{n-1} and the diagonal K_n(x, x) at the points of x.
 
+    The one place that runs the recurrence at points: one pass over the
+    distinct points of x, or on a parity fit (_parity_fit) over their
+    distinct |x|, gathered back to the shape of x with the odd-degree row
+    negated at x < 0, since psi_j(-x) = (-1)^j psi_j(x).  Where log w is
+    itself exactly even (no charges off 0) that is the direct evaluation
+    bit for bit, apart from the sign of zeros where sqrt(w) underflows.
     The diagonal is the Christoffel-Darboux sum of squares
     sum_{j<n} psi_j^2: positive terms, so nothing cancels.  log w is
     -inf off the domain, so every row and the diagonal vanish there.
-    On a parity fit (_parity_fit) kernel_matrix and kernel_diag pass
-    only the distinct |x| here and sign the rows at x < 0 by parity,
-    psi_j(-x) = (-1)^j psi_j(x).  Where log w is itself exactly even (no
-    charges off 0) that is the direct evaluation bit for bit, apart from
-    the sign of zeros where sqrt(w) underflows.
     """
-    rows = orthonormal_rows(r, x, log_weight(p, x), p.n)
-    diag = np.zeros(x.shape)
+    parity = _parity_fit(r, p)
+    pts, inv = np.unique(np.abs(x) if parity else x, return_inverse=True)
+    inv = inv.reshape(x.shape)
+    rows = orthonormal_rows(r, pts, log_weight(p, pts), p.n)
+    diag = np.zeros(pts.shape)
     for _ in range(p.n):
         psi_m = next(rows)
         diag += psi_m * psi_m
-    return next(rows), psi_m, diag
+    psi_n, psi_m, diag = next(rows)[inv], psi_m[inv], diag[inv]
+    if parity:
+        odd = psi_n if p.n % 2 else psi_m  # of the two, the odd-degree row
+        np.negative(odd, out=odd, where=x < 0.0)
+    return psi_n, psi_m, diag
 
 
 def kernel_diag(r: Recurrence, p: Potential, x) -> np.ndarray:
-    """K_n(x, x) as the sum of squares of psi_0 .. psi_{n-1}, vectorized.
-
-    On a parity fit the diagonal is even, and one pass over the distinct
-    |x| serves every point.
-    """
+    """K_n(x, x) as the sum of squares of psi_0 .. psi_{n-1}, vectorized."""
     x = np.asarray(x, dtype=float)
-    xa = np.atleast_1d(x)
-    if _parity_fit(r, p):
-        pts, inv = np.unique(np.abs(xa), return_inverse=True)
-        out = _psi_rows(r, p, pts)[2][inv.reshape(xa.shape)]
-    else:
-        out = _psi_rows(r, p, xa)[2]
+    out = _psi_rows(r, p, np.atleast_1d(x))[2]
     return float(out[0]) if x.ndim == 0 else out
 
 
 def kernel_matrix(r: Recurrence, p: Potential, xs, ys) -> np.ndarray:
     """K_n on a grid of real points; off-domain points give 0.
 
-    One recurrence pass over the distinct points of xs and ys, or on a
-    parity fit (_parity_fit) over their distinct |x|, the rows at x < 0
-    signed by parity.  Pairs within 1e-8 * scale of the diagonal take
-    the confluent value, the mean of the two points' diagonals, so
-    K(xs, xs) is exactly symmetric.  A scalar (0-d) xs or ys is one
-    point, and the result has shape xs.shape + ys.shape: a float for two
-    scalars.
+    One _psi_rows pass serves the points of xs and ys together.  Pairs
+    within 1e-8 * scale of the diagonal take the confluent value, the
+    mean of the two points' diagonals, so K(xs, xs) is exactly
+    symmetric.  A scalar (0-d) xs or ys is one point, and the result has
+    shape xs.shape + ys.shape: a float for two scalars.
     """
     xa = np.asarray(xs, dtype=float)
     ya = np.asarray(ys, dtype=float)
     if xa.ndim == 0 or ya.ndim == 0:
         out = kernel_matrix(r, p, xa.reshape(-1), ya.reshape(-1)).reshape(xa.shape + ya.shape)
         return float(out) if out.ndim == 0 else out
-    parity = _parity_fit(r, p)
-    both = np.concatenate((xa, ya))
-    if parity:
-        np.abs(both, out=both)
-    pts, inv = np.unique(both, return_inverse=True)
-    ix, iy = inv[:xa.size], inv[xa.size:]
-    psi_n, psi_m, diag = _psi_rows(r, p, pts)
-    xn, xm, yn, ym = psi_n[ix], psi_m[ix], psi_n[iy], psi_m[iy]
-    if parity:
-        # of psi_n and psi_{n-1} the odd one changes sign at -x
-        for row, at in ((xn, xa), (yn, ya)) if p.n % 2 else ((xm, xa), (ym, ya)):
-            np.negative(row, out=row, where=at < 0.0)
+    psi_n, psi_m, diag = _psi_rows(r, p, np.concatenate((xa, ya)))
+    xn, xm, diag_x = psi_n[:xa.size], psi_m[:xa.size], diag[:xa.size]
+    yn, ym, diag_y = psi_n[xa.size:], psi_m[xa.size:], diag[xa.size:]
     beta_n = math.sqrt(r.b[p.n - 1])
     # formed in place from dx, the numerator and one scratch array;
     # products commute exactly, so each entry is the same double as
@@ -116,7 +105,7 @@ def kernel_matrix(r: Recurrence, p: Potential, xs, ys) -> np.ndarray:
         out /= dx
     if np.any(close):
         ii, jj = np.nonzero(close)
-        kx, ky = diag[ix[ii]], diag[iy[jj]]
+        kx, ky = diag_x[ii], diag_y[jj]
         # K(x, y) carries sqrt(w(x) w(y)) and diag is 0 exactly where w
         # is (off the domain, at a charge), so a pair with one such point
         # gives 0, not half the other diagonal; with two the mean is 0

@@ -75,7 +75,7 @@ class GueBulk(_Scenario):
         return bulk_point(em, 0.0)
 
     def reference_law(self, em, cp):
-        md = extract_model_data(em, cp, em.potential.n)
+        md = extract_model_data(em, cp)
         s = md.e_series[1] / math.pi   # = local density rho(x_*)
         return (lambda u, v: s * sine_kernel(s * u, s * v)), {
             "kind": "sine", "scale": s}
@@ -94,7 +94,7 @@ class GueEdge(_Scenario):
         return Potential(n=n, reg=(0.0, 1.0), singularities=(), support=_LINE)
 
     def reference_law(self, em, cp):
-        md = extract_model_data(em, cp, em.potential.n)
+        md = extract_model_data(em, cp)
         s = md.e_series[1] ** (2.0 / 3.0)   # unit for the Gaussian edge
         return (lambda u, v: s * airy_kernel(s * u, s * v)), {
             "kind": "airy", "scale": s}
@@ -150,7 +150,7 @@ class MpHardEdge(_Scenario):
         return Potential(n=n, reg=(-1.0,), singularities=sings, support=_NEG)
 
     def reference_law(self, em, cp):
-        md = extract_model_data(em, cp, em.potential.n)
+        md = extract_model_data(em, cp)
         s = 4.0 * md.e_series[0] ** 2
         a = 2.0 * self.alpha
         return (lambda u, v: s * bessel_kernel(a, s * abs(u), s * abs(v))), {

@@ -15,6 +15,7 @@ import pytest
 from rmtlab.potential import IntervalSet, Potential
 from rmtlab.equilibrium import (
     check_variational,
+    curve_eval,
     example_curve,
     solve_support,
 )
@@ -22,7 +23,6 @@ from rmtlab.classify import (
     extract_model_data,
     find_critical_points,
     scaled_curve,
-    scaled_eval,
 )
 from rmtlab.orthopoly import build_quadrature, stieltjes_recurrence
 from rmtlab.kernel import convergence_scan, kernel_matrix, projection_residual, trace_check
@@ -74,7 +74,7 @@ def test_criterion_01_quartic_merge_data():
             em = example_curve("quartic_merge", tau=tau, n=n)
             mid = [cp for cp in find_critical_points(em, proximity_tol=1e-4)
                    if cp.kind == "interior"][0]
-            md = extract_model_data(em, mid, n=n)
+            md = extract_model_data(em, mid)
             assert md.tau_inf[3] == pytest.approx(1.0, abs=1e-8)
             assert md.tau_inf[2] == pytest.approx(0.0, abs=1e-8)
             assert md.tau_inf[1] == pytest.approx(3.0 * tau, abs=1e-8)
@@ -94,10 +94,10 @@ def test_criterion_02_hard_edge_collision_data():
 
         sc = scaled_curve(em, hard, n)
         zeta = np.array([0.25, 1.0, 4.0, 9.0])
-        np.testing.assert_allclose(scaled_eval(sc, zeta),
+        np.testing.assert_allclose(curve_eval(sc, zeta),
                                    -2.0 / np.sqrt(zeta), atol=1e-10)
 
-        md = extract_model_data(em, hard, n=n)
+        md = extract_model_data(em, hard)
         assert md.tau_inf[0] == pytest.approx(-1.0, abs=1e-10)
         locs = sorted(c.location.real for c in md.charges)
         assert locs == pytest.approx([0.0, tau], abs=1e-10)

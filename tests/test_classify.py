@@ -13,6 +13,7 @@ from rmtlab import (
     NumericalError,
     Potential,
     Singularity,
+    SpectralCurve,
     ValidationError,
     bulk_point,
     curve_eval,
@@ -22,13 +23,11 @@ from rmtlab import (
     get_scenario,
     nearest_critical_point,
     scaled_curve,
-    scaled_eval,
     scenario_names,
     series_at_infinity,
     solve_support,
 )
 from rmtlab.classify import (
-    ScaledCurve,
     _delta_frac,
     _poly_from_roots,
     critical_point_dict,
@@ -207,14 +206,14 @@ def test_gue_right_edge_scaled_curve():
     assert sc.poles == ()
     np.testing.assert_allclose(sc.h, [2.0], atol=1e-10)
     z = np.array([0.5 + 0.5j, 2.0, -1.0 + 0.2j])
-    np.testing.assert_allclose(scaled_eval(sc, z), 2.0 * np.sqrt(z), atol=1e-10)
+    np.testing.assert_allclose(curve_eval(sc, z), 2.0 * np.sqrt(z), atol=1e-10)
 
 
 def test_gue_left_edge_mirrors_to_right_form():
     em = solve_support(gaussian(), "one_cut")
-    left = find_critical_points(em)[0]
+    left, right = find_critical_points(em)
+    assert left.mirrored and not right.mirrored
     sc = scaled_curve(em, left, n=100)
-    assert sc.mirrored
     np.testing.assert_allclose(sc.h, [2.0], atol=1e-10)
     assert sc.zeros == (0.0,)
 
@@ -236,7 +235,7 @@ def test_merge_family_scaled_curve():
     sc = scaled_curve(em, mid, n=10**9)
     z = np.array([0.3 + 0.7j, -1.2 + 0.1j, 2.0 + 0.0j])
     target = 1j * (2.0 * z**2 + tau)
-    np.testing.assert_allclose(scaled_eval(sc, z), target, rtol=1e-5, atol=1e-5)
+    np.testing.assert_allclose(curve_eval(sc, z), target, rtol=1e-5, atol=1e-5)
 
 
 @pytest.mark.parametrize("complex_roots", [False, True])
@@ -257,9 +256,8 @@ def test_mp_hard_edge_scaled_curve():
     sc = scaled_curve(em, hard, n=50)
     np.testing.assert_allclose(sc.h, [-2.0], atol=1e-12)
     assert sc.poles == (0.0,)
-    assert sc.phat == 0.0
     z = np.array([1.0 + 1.0j, 4.0])
-    np.testing.assert_allclose(scaled_eval(sc, z), -2.0 / np.sqrt(z), atol=1e-12)
+    np.testing.assert_allclose(curve_eval(sc, z), -2.0 / np.sqrt(z), atol=1e-12)
 
 
 def test_scaled_curve_consistency_rate():
@@ -272,7 +270,7 @@ def test_scaled_curve_consistency_rate():
         sc = scaled_curve(em, right, n)
         approx = float(n) ** (1 - right.delta) * curve_eval(
             em.curve, right.x_star + float(n) ** (-right.delta) * zeta)
-        return np.max(np.abs(approx - scaled_eval(sc, zeta)))
+        return np.max(np.abs(approx - curve_eval(sc, zeta)))
 
     e1, e2 = err(400), err(800)
     ratio = e1 / e2
@@ -287,7 +285,7 @@ def test_scaled_curve_consistency_mirrored():
     zeta = np.exp(1j * np.linspace(0.3, math.pi - 0.3, 7))
     approx = -float(600) ** (1 - left.delta) * curve_eval(
         em.curve, left.x_star - float(600) ** (-left.delta) * zeta)
-    assert np.max(np.abs(approx - scaled_eval(sc, zeta))) < 0.05
+    assert np.max(np.abs(approx - curve_eval(sc, zeta))) < 0.05
 
 
 # ---------------------------------------------------------------------------
@@ -297,13 +295,13 @@ def test_scaled_curve_consistency_mirrored():
 def test_series_simple_cases():
     em = solve_support(gaussian(), "one_cut")
     right = find_critical_points(em)[1]
-    q = series_at_infinity(scaled_curve(em, right, 100))
+    q = series_at_infinity(scaled_curve(em, right, 100), right.order_k)
     np.testing.assert_allclose(q[0], 2.0, atol=1e-10)
     np.testing.assert_allclose(q[1:], 0.0, atol=1e-10)
 
     mp = example_curve("marchenko_pastur", n=50)
     hard = find_critical_points(mp)[1]
-    qh = series_at_infinity(scaled_curve(mp, hard, 50))
+    qh = series_at_infinity(scaled_curve(mp, hard, 50), hard.order_k)
     np.testing.assert_allclose(qh[0], -2.0, atol=1e-12)
 
 
@@ -312,7 +310,7 @@ def test_series_merge_family():
     em = example_curve("quartic_merge", tau=tau, n=10**12)
     mid = [cp for cp in find_critical_points(em, proximity_tol=1e-3)
            if cp.kind == "interior"][0]
-    q = series_at_infinity(scaled_curve(em, mid, 10**12))
+    q = series_at_infinity(scaled_curve(em, mid, 10**12), mid.order_k)
     np.testing.assert_allclose(q[0], 2.0j, atol=1e-7)
     np.testing.assert_allclose(q[1], 0.0, atol=1e-7)
     np.testing.assert_allclose(q[2], 1j * tau, atol=1e-7)
@@ -321,7 +319,7 @@ def test_series_merge_family():
 def test_gue_edge_model_data():
     em = solve_support(gaussian(), "one_cut")
     for cp in find_critical_points(em):
-        md = extract_model_data(em, cp, n=100)
+        md = extract_model_data(em, cp)
         assert md.tau_inf[1] == pytest.approx(1.0, abs=1e-9)
         assert md.tau_inf[0] == pytest.approx(0.0, abs=1e-9)
         assert md.window.intervals == ((-math.inf, 0.0),)
@@ -335,7 +333,7 @@ def test_merge_model_data_tau_inf():
         em = example_curve("quartic_merge", tau=tau, n=n)
         mid = [cp for cp in find_critical_points(em, proximity_tol=1e-4)
                if cp.kind == "interior"][0]
-        md = extract_model_data(em, mid, n=n)
+        md = extract_model_data(em, mid)
         assert md.tau_inf[3] == pytest.approx(1.0, abs=1e-8)
         assert md.tau_inf[2] == pytest.approx(0.0, abs=1e-8)
         assert md.tau_inf[1] == pytest.approx(3.0 * tau, abs=1e-8)
@@ -344,7 +342,7 @@ def test_merge_model_data_tau_inf():
 
 def test_bulk_model_data_phases():
     em = solve_support(gaussian(n=40), "one_cut")
-    md = extract_model_data(em, bulk_point(em, 0.0), n=40)
+    md = extract_model_data(em, bulk_point(em, 0.0))
     # E_1 = pi rho(0) = 1; constant entry carries -n pi mu([0, inf)) = -20 pi
     assert md.tau_inf[1] == pytest.approx(1.0, abs=1e-8)
     assert md.tau_inf[0] == pytest.approx(-20.0 * math.pi, abs=1e-6)
@@ -355,7 +353,7 @@ def test_mp_model_data():
     n = 50
     em = example_curve("marchenko_pastur", n=n, alpha1=0.5, alpha2=0.5, tau=tau)
     hard = find_critical_points(em)[1]
-    md = extract_model_data(em, hard, n=n)
+    md = extract_model_data(em, hard)
     assert md.tau_inf == pytest.approx((-1.0,), abs=1e-12)
     assert md.window.intervals == ((-math.inf, 0.0),)
     locs = sorted(c.location.real for c in md.charges)
@@ -365,16 +363,15 @@ def test_mp_model_data():
 
 def test_exterior_template_synthetic():
     # yhat = 3(zeta - 0.2): xihat = -(1/2)(E_2 zeta^2 + E_1 zeta), c_hat = 0
-    sc = ScaledCurve(order_k=1, mirrored=False, h=(-0.6, 3.0), zeros=(), poles=(),
-                     phat=0.0)
-    q = series_at_infinity(sc)
+    sc = SpectralCurve(h=(-0.6, 3.0), zeros=(), poles=())
+    q = series_at_infinity(sc, 1)
     np.testing.assert_allclose(q[:2], [3.0, -0.6], atol=1e-14)
 
 
 def test_model_reports_serialize():
     em = example_curve("marchenko_pastur", n=30)
     pts = find_critical_points(em)
-    md = extract_model_data(em, pts[1], n=30)
+    md = extract_model_data(em, pts[1])
     blob = json.dumps([critical_point_dict(cp) for cp in pts])
     assert "hard" not in blob  # kinds are the enum names
     blob2 = json.dumps(model_data_dict(md))

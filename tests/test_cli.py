@@ -387,6 +387,15 @@ def test_converge_scenario_params(outdir):
     assert len(scan["rows"]) == 1
 
 
+def test_converge_quartic_merge_past_t_zero(outdir):
+    # tau = 16 puts n = 8 at t = 2 exactly, where the merge form once
+    # raised ZeroDivisionError: a traceback and no manifest
+    assert run(outdir, "converge", "quartic-merge", "--param", "tau=16",
+               "--n-list", "8,16") == 0
+    assert read_json(outdir / "manifest_converge.json")["command"] == "converge"
+    assert len(read_json(outdir / "scan_quartic-merge.json")["rows"]) == 1
+
+
 def test_sample_outputs_and_determinism(outdir, tmp_path):
     cfg = write_cfg(outdir, GUE)
     # 16 sites x 700 sweeps crosses the 10^4-proposal drift audit once

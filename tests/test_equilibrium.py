@@ -1,6 +1,7 @@
 """Equilibrium solver against closed-form curves and exact identities."""
 
 import dataclasses
+import decimal
 import math
 import warnings
 
@@ -103,11 +104,41 @@ def test_quartic_example_matches_solver():
 
 
 def test_quartic_stable_c_form():
-    # rearranged c agrees with the textbook expression away from t = -2
+    # the eps = t + 2 form of c agrees with the textbook expression away
+    # from t = -2
     for t in (-1.9999, -1.0, 0.0, 3.0):
         naive = (t + math.sqrt(t * t / 4.0 + 3.0)) / 3.0
-        stable = 0.25 * (4.0 - t * t) / (math.sqrt(0.25 * t * t + 3.0) - t)
+        stable = 0.5 * example_curve("quartic", t=t).curve.h[0]
         assert stable == pytest.approx(naive, rel=1e-12, abs=1e-13)
+
+
+def quartic_reference(t: float):
+    """a and c of the quartic family from 50-digit decimal arithmetic."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        td = decimal.Decimal(t)
+        a2 = decimal.Decimal(2) / 3 * (-td + (td * td + 12).sqrt())
+        c = (td + (td * td / 4 + 3).sqrt()) / 3
+        return float(a2.sqrt()), float(c)
+
+
+@pytest.mark.parametrize("t", [-3.0, -2.0, -1.9999, -1.0, 0.0, 0.5, 1.999999, 2.0, 3.0,
+                               100.0])
+def test_quartic_matches_extended_precision(t):
+    # at t = 100 the form (2/3)(-t + sqrt(t^2 + 12)) once lost 5e-14 of a
+    em = example_curve("quartic", t=t)
+    a, c = em.curve.zeros[1], 0.5 * em.curve.h[0]
+    a_ref, c_ref = quartic_reference(t)
+    assert a == pytest.approx(a_ref, rel=4e-16, abs=0.0)
+    assert c == pytest.approx(c_ref, rel=4e-16, abs=0.0)
+
+
+def test_quartic_merge_past_t_zero_is_the_quartic():
+    # tau = 16 at n = 8 is eps = 4, t = 2: the eps form once divided 0 by 0
+    merge = example_curve("quartic_merge", tau=16.0, n=8)
+    quartic = example_curve("quartic", t=2.0, n=8)
+    assert merge.potential.reg == quartic.potential.reg == (0.0, 2.0, 0.0, 1.0)
+    assert merge.curve == quartic.curve
 
 
 def test_quartic_critical_h_vanishing():

@@ -215,6 +215,19 @@ def test_parity_rows_match_direct_evaluation(monkeypatch, make):
         assert same_bits(a + 0.0, b + 0.0)
 
 
+@pytest.mark.parametrize("p", [gaussian(40), gaussian(41), mp_potential(40, 0.5)],
+                         ids=["gue-40", "gue-41", "mp-charge-40"])
+def test_kernel_diag_and_matrix_share_one_pass(p):
+    # _psi_rows alone folds repeats and, on a parity fit, the sign of x;
+    # both entry points read the same values from it
+    r, _ = default_fit(p)
+    xs = np.linspace(-3.0, 2.0, 26)
+    assert same_bits(kernel_matrix(r, p, xs, xs).diagonal().copy(), kernel_diag(r, p, xs))
+    pts = np.array([0.7, -0.7, 0.0, -1.3, 0.7, 1.3, -0.7, 0.0, -2.2, 2.2, -1.3])
+    each = np.array([kernel_diag(r, p, x) for x in pts])
+    assert same_bits(kernel_diag(r, p, pts), each)
+
+
 def test_projection_residual_detects_wrong_kernel():
     r, q = fit(gaussian(10))
     probes = [(-1.3, 0.7), (0.0, 0.0), (0.5, -0.5), (1.2, 1.1)]
@@ -366,7 +379,7 @@ def test_hard_edge_limit_is_bessel(alpha, tol):
     r, q = fit(p)
     em = solve_support(p, "hard_edge_one_cut")
     cp = [c for c in find_critical_points(em) if abs(c.x_star) < 1e-9][0]
-    md = extract_model_data(em, cp, n)
+    md = extract_model_data(em, cp)
     s = 4.0 * md.e_series[0] ** 2
     assert s == pytest.approx(4.0, abs=1e-9)
     us = np.linspace(-3.0, -0.05, 9)
@@ -458,7 +471,7 @@ class _BulkScenario:
         return fit(p)
 
     def reference_law(self, em, cp):
-        md = extract_model_data(em, cp, em.potential.n)
+        md = extract_model_data(em, cp)
         s = md.e_series[1] / math.pi
         return (lambda u, v: s * sine_kernel(s * u, s * v)), {"kind": "sine", "scale": s}
 

@@ -86,11 +86,23 @@ def test_two_charge_scenario_charges_land_in_window():
     em = sc.equilibrium(p)
     cp = sc.critical_point(em)
     assert sc.reference_law(em, cp) is None
-    md = extract_model_data(em, cp, n)
+    md = extract_model_data(em, cp)
     locs = sorted(c.location.real for c in md.charges)
     assert locs[0] == pytest.approx(0.0, abs=1e-9)
     assert locs[1] == pytest.approx(1.0, abs=1e-9)
     assert [c.alpha for c in md.charges] == [0.5, 0.5]
+
+
+def test_model_data_zoom_is_the_potentials_n():
+    # one n scales the curve and the charges: built at n = 60, the second
+    # charge lands at tau = 1 (read at a second n = 60 against a potential
+    # built at 30, it once landed at 4)
+    sc = get_scenario("mp-two-charge", tau=1.0)
+    em = sc.equilibrium(sc.make_potential(60))
+    md = extract_model_data(em, sc.critical_point(em))
+    assert md.n == 60
+    locs = sorted(c.location.real for c in md.charges)
+    assert locs == pytest.approx([0.0, 1.0], abs=1e-9)
 
 
 def test_default_grids_stay_in_domain():
