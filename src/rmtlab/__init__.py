@@ -48,6 +48,8 @@ from .orthopoly import (
     gram_check,
     orthonormal_rows,
     stieltjes_recurrence,
+    string_recurrence,
+    string_residual,
 )
 from .kernel import (
     airy_kernel,

@@ -763,6 +763,33 @@ def solve_support(p: Potential, structure: str = "one_cut") -> EquilibriumMeasur
 # closed-form model families
 
 
+def quartic_merge_coupling(tau: float, n: int) -> tuple[float, float]:
+    """(t, eps) of the quartic-merge family: eps = tau n^{-2/3}, t = -2 + eps."""
+    eps = tau * float(n) ** (-2.0 / 3.0)
+    return -2.0 + eps, eps
+
+
+def quartic_measure(p: Potential, eps: float) -> EquilibriumMeasure:
+    """The one-cut closed form of example_curve("quartic") for p itself.
+
+    p has V' = t x + x^3 on the whole line with t = p.reg[1], and eps is
+    t + 2 as its caller computed it (exactly, where t came from eps).
+    The density is checked only for eps >= 0.
+    """
+    t = p.reg[1]
+    if t <= 0.0:
+        a = math.sqrt((2.0 / 3.0) * ((2.0 - eps) + math.sqrt(16.0 - eps * (4.0 - eps))))
+        c = eps * (4.0 - eps) / (
+            4.0 * (math.sqrt(4.0 - 0.25 * eps * (4.0 - eps)) + 2.0 - eps))
+    else:
+        a = math.sqrt(8.0 / (t + math.sqrt(t * t + 12.0)))
+        c = (t + math.sqrt(0.25 * t * t + 3.0)) / 3.0
+    curve = SpectralCurve(h=(2.0 * c, 0.0, 1.0), zeros=(-a, a), poles=())
+    if eps >= 0.0:
+        _check_curve(p, curve, "requested structure infeasible")
+    return EquilibriumMeasure(p, curve)
+
+
 def example_curve(
     name: str,
     *,
@@ -797,25 +824,14 @@ def example_curve(
         if name == "quartic":
             t_eff, eps = float(t), float(t) + 2.0
         else:
-            eps = tau * float(n) ** (-2.0 / 3.0)
-            t_eff = -2.0 + eps
-        if t_eff <= 0.0:
-            a = math.sqrt((2.0 / 3.0) * ((2.0 - eps) + math.sqrt(16.0 - eps * (4.0 - eps))))
-            c = eps * (4.0 - eps) / (
-                4.0 * (math.sqrt(4.0 - 0.25 * eps * (4.0 - eps)) + 2.0 - eps))
-        else:
-            a = math.sqrt(8.0 / (t_eff + math.sqrt(t_eff * t_eff + 12.0)))
-            c = (t_eff + math.sqrt(0.25 * t_eff * t_eff + 3.0)) / 3.0
+            t_eff, eps = quartic_merge_coupling(tau, n)
         p = Potential(
             n=n,
             reg=(0.0, t_eff, 0.0, 1.0),
             singularities=(),
             support=IntervalSet(((-math.inf, math.inf),)),
         )
-        curve = SpectralCurve(h=(2.0 * c, 0.0, 1.0), zeros=(-a, a), poles=())
-        if eps >= 0.0:
-            _check_curve(p, curve, "requested structure infeasible")
-        return EquilibriumMeasure(p, curve)
+        return quartic_measure(p, eps)
     if name == "marchenko_pastur":
         sings = []
         if alpha1 > 0:

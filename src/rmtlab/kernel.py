@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .orthopoly import QuadratureRule, Recurrence, _is_even_model, orthonormal_rows
+from .orthopoly import _TINY, QuadratureRule, Recurrence, _is_even_model, orthonormal_rows
 from .potential import Potential, log_weight
 from .specfun import airy_ai, bessel_j
 
@@ -117,12 +117,25 @@ def scaled_kernel_grid(r: Recurrence, p: Potential, cp, u_grid) -> np.ndarray:
     """n^{-delta} K_n(x_* + n^{-delta} u, x_* + n^{-delta} v) on the grid u x u.
 
     cp gives x_star and delta; every grid point must stay in the domain.
+    A point where w > 0 but psi_0 = sqrt(w e^{-s} / h0) is below the
+    smallest normal double raises NumericalError: every psi_j there
+    starts from a subnormal or zero, so the kernel would be silently
+    wrong.  A fit from the quadrature route has its clip guard; one
+    from the string equation has no nodes, and this is its check.
     """
     s = float(p.n) ** (-cp.delta)
     xs = cp.x_star + s * np.asarray(u_grid, dtype=float)
     bad = 2 * int(np.count_nonzero(~p.support.contains(xs)))  # once per axis
     if bad:
         raise ValidationError(f"{bad} scaled grid points leave the domain at n={p.n}")
+    lw = log_weight(p, xs)
+    psi_0 = next(orthonormal_rows(r, xs, lw, 0))
+    faint = np.isfinite(lw) & (psi_0 < _TINY)
+    if np.any(faint):
+        raise NumericalError(
+            f"sqrt(w / h0) is below the smallest normal double at "
+            f"{int(np.count_nonzero(faint))} scaled grid points (the first at "
+            f"x={float(xs[faint][0]):.6g}) at n={p.n}")
     out = kernel_matrix(r, p, xs, xs)
     out *= s
     return out
@@ -246,7 +259,7 @@ def convergence_scan(sc, n_list, grid, progress=None) -> dict:
             p = sc.make_potential(n)
             em = sc.equilibrium(p)
             cp = sc.critical_point(em)
-            r, q = sc.recurrence(p)
+            r = sc.recurrence(p)
             g = scaled_kernel_grid(r, p, cp, grid)
             if i == len(ns):
                 law = sc.reference_law(em, cp)

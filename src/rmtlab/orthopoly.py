@@ -9,8 +9,12 @@ resulting point masses.  The output is the three-term recurrence
     p_{j+1}(x) = (x - a_j) p_j(x) - b_j p_{j-1}(x)
 
 for the monic polynomials together with the squared norm h_0 of p_0;
-h_j = h_0 b_1 ... b_j.  orthonormal_rows evaluates the weighted
-orthonormal functions sqrt(w) p_j / sqrt(h_j) from it at any points.
+h_j = h_0 b_1 ... b_j.  For V' = t x + g x^3 on the whole line,
+string_recurrence gets the same coefficients with no Stieltjes pass, by
+solving the string equation they satisfy exactly, and string_residual
+is that equation's certificate for any fit.  orthonormal_rows
+evaluates the weighted orthonormal functions sqrt(w) p_j / sqrt(h_j)
+from the coefficients at any points.
 """
 
 from __future__ import annotations
@@ -41,6 +45,10 @@ _MASS_TOL = 1e-9
 _CLIP_TOL = 1e-8        # max polynomial mass tolerated beside an artificial cut
 _EPS = np.finfo(float).eps
 _OMEGA_TOL = math.sqrt(_EPS)  # semi-orthogonality level of the Lanczos vectors
+_STRING_MARGIN = 200    # string equations solved past m_max before the closure
+_STRING_ITER = 30       # Newton steps allowed per string-equation solve
+_STRING_TOL = 4e-15     # Newton stop: |F_j| relative to the terms F_j sums
+_MARGIN_TOL = 1e-14     # max relative move of b_j when the margin doubles
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,9 +79,14 @@ class Recurrence:
     a = (a_0, ..., a_{m_max-1}), b = (b_1, ..., b_{m_max}), and
     h_0 = h0 e^{log_shift}, log_shift = max(0, max log w - 690 over the
     rule), so h0 stays finite where h_0 overflows; h_j = h_0 b_1 ... b_j.
+    Each rule takes its own shift, so the h_0 of two fits compare as
+    log h0 + log_shift, not as h0: for V = -3x^2/2 + x^4/4 at n = 400
+    the string fit's shift is 209.99969 and default_fit's 209.99998,
+    and log h0 + log_shift agree exactly.
     omega_max is the largest estimate of |<phi_i, phi_j>|, i != j, that
     the omega-recurrence of stieltjes_recurrence reached over all
-    degrees (at most sqrt(eps)).
+    degrees (at most sqrt(eps)); it is 0.0 for a fit from the string
+    equation (string_recurrence), which has no Lanczos vectors.
     """
 
     a: tuple[float, ...]
@@ -397,6 +410,27 @@ def _clip_guard(q: QuadratureRule, phi_top: np.ndarray, m_max: int,
             )
 
 
+def _rule_mass(q: QuadratureRule):
+    """(mirrored, x, wt, sw, h0, s): the nodes and weights a fit runs on,
+    sqrt(w e^{-s}) there and h0 = h_0 e^{-s}, s = max(0, max log w - 690).
+
+    A mirrored rule (_is_mirrored) gives its x > 0 half with doubled
+    weights.
+    """
+    mirrored = _is_mirrored(q)
+    if mirrored:
+        h = q.nodes.size // 2
+        x, wt, lw = q.nodes[h:], 2.0 * q.base[h:], q.log_w[h:]
+    else:
+        x, wt, lw = q.nodes, q.base, q.log_w
+    s = max(0.0, float(np.max(lw)) - _LOG_TOP)
+    sw = np.exp(0.5 * (lw - s))
+    h0 = float(np.sum(wt * sw * sw))
+    if not (h0 > 0.0 and math.isfinite(h0)):
+        raise NumericalError("quadrature rule has no mass")
+    return mirrored, x, wt, sw, h0, s
+
+
 def stieltjes_recurrence(q: QuadratureRule, m_max: int) -> Recurrence:
     """Recurrence coefficients of the discrete measure, degrees 0..m_max.
 
@@ -436,17 +470,7 @@ def stieltjes_recurrence(q: QuadratureRule, m_max: int) -> Recurrence:
         raise ValidationError(
             f"m_max={m_max} too large for {npts} nodes; need m_max < node count / 4"
         )
-    mirrored = _is_mirrored(q)
-    if mirrored:
-        h = npts // 2
-        x, wt, lw = q.nodes[h:], 2.0 * q.base[h:], q.log_w[h:]
-    else:
-        x, wt, lw = q.nodes, q.base, q.log_w
-    s = max(0.0, float(np.max(lw)) - _LOG_TOP)
-    sw = np.exp(0.5 * (lw - s))
-    h0 = float(np.sum(wt * sw * sw))
-    if not (h0 > 0.0 and math.isfinite(h0)):
-        raise NumericalError("quadrature rule has no mass")
+    mirrored, x, wt, sw, h0, s = _rule_mass(q)
 
     a = np.zeros(m_max)
     beta = np.zeros(m_max + 1)          # beta[j] = sqrt(b_j), beta[0] = 0
@@ -595,6 +619,162 @@ def gram_check(r: Recurrence, q: QuadratureRule, m: int) -> float:
     for gram in grams:
         gram.flat[::gram.shape[0] + 1] -= 1.0
     return max(float(np.abs(gram, out=gram).max(initial=0.0)) for gram in grams)
+
+
+# ---------------------------------------------------------------------------
+# string equation
+
+
+def _even_quartic(p: Potential):
+    """(t, g) when V' = t x + g x^3 on the whole line with no singularities, else None."""
+    reg = list(p.reg)
+    while reg and reg[-1] == 0.0:
+        reg.pop()
+    if (p.singularities or p.support.intervals != ((-math.inf, math.inf),)
+            or len(reg) > 4 or any(reg[0::2])):
+        return None
+    t, g = (reg + [0.0, 0.0])[1:4:2]
+    return float(t), float(g)
+
+
+def _string_defect(t: float, g: float, b: np.ndarray, b_next: float, n: int):
+    """(F, total, s) of the string equation at j = 1..len(b), with b_0 = 0.
+
+    F_j = b_j (t + g total_j) - s_j, total_j = b_{j-1} + b_j + b_{j+1},
+    s_j = j/n and b_{len(b)+1} = b_next.  b_j (|t| + g total_j) bounds
+    the terms F_j sums, so F_j over it is F_j's relative rounding level.
+    """
+    nb = np.concatenate(((0.0,), b, (b_next,)))
+    total = nb[:-2] + b + nb[2:]
+    s = np.arange(1, b.size + 1) / n
+    return b * (t + g * total) - s, total, s
+
+
+def _continuum_b(t: float, g: float, j: np.ndarray, n: int) -> np.ndarray:
+    """b_j of the n -> infinity limit at s = j/n, the start and closure of the solve.
+
+    The positive root of 3 g b^2 + t b = s; for t < 0 below s = t^2/4g
+    (two cuts) the pair of roots of g z^2 + t z + s = 0, odd j taking
+    the larger; b = s/t when g = 0.
+    """
+    s = j / n
+    if g == 0.0:
+        return s / t
+    root = np.sqrt(t * t + 12.0 * g * s)
+    if t > 0.0:
+        return 2.0 * s / (t + root)
+    b = (root - t) / (6.0 * g)
+    two = s < t * t / (4.0 * g)
+    big = (np.sqrt(np.maximum(t * t - 4.0 * g * s[two], 0.0)) - t) / (2.0 * g)
+    b[two] = np.where(j[two] % 2 == 1, big, s[two] / (g * big))
+    return b
+
+
+def _thomas(off, diag, rhs) -> list[float]:
+    """Solve off_i x_{i-1} + diag_i x_i + off_i x_{i+1} = rhs_i, x_0 = x_{N+1} = 0.
+
+    The Thomas sweep without pivoting, in Python floats.
+    """
+    cs, xs = [], []
+    c = x = 0.0
+    for o, d, r in zip(off, diag, rhs):
+        m = d - o * c
+        if m == 0.0:
+            raise NumericalError("string equation Jacobian is singular")
+        c = o / m
+        x = (r - o * x) / m
+        cs.append(c)
+        xs.append(x)
+    x = 0.0
+    for i in range(len(xs) - 1, -1, -1):
+        x = xs[i] - cs[i] * x
+        xs[i] = x
+    return xs
+
+
+def _string_solve(t: float, g: float, n: int, b: np.ndarray, closure: float) -> np.ndarray:
+    """b_1 .. b_len(b) by Newton from b, with b_{len(b)+1} fixed at closure."""
+    for _ in range(_STRING_ITER):
+        f, total, _ = _string_defect(t, g, b, closure, n)
+        if float(np.max(np.abs(f) / (b * (abs(t) + g * total)))) <= _STRING_TOL:
+            return b
+        # dF_j/db_{j-1} = dF_j/db_{j+1} = g b_j, dF_j/db_j = t + g (total_j + b_j)
+        gb = g * b
+        step = _thomas(gb.tolist(), (t + g * (total + b)).tolist(), f.tolist())
+        b = b - np.array(step)
+        if not np.all(b > 0.0):
+            raise NumericalError("string equation lost positivity: some b_j <= 0")
+    raise NumericalError(f"string equation did not converge in {_STRING_ITER} Newton steps")
+
+
+def string_residual(p: Potential, r: Recurrence) -> float | None:
+    """Worst |b_j (t + g (b_{j-1} + b_j + b_{j+1})) - j/n| / (j/n) over j < m_max.
+
+    The string (Freud) equation holds exactly at every n for
+    V' = t x + g x^3 on the whole line with no singularities (Freud,
+    Proc. Roy. Irish Acad. 76A, 1976).  For any other potential no
+    identity is implemented here, and the result is None.
+    """
+    coeffs = _even_quartic(p)
+    if coeffs is None:
+        return None
+    b = np.asarray(r.b, dtype=float)
+    f, _, s = _string_defect(*coeffs, b[:-1], float(b[-1]), p.n)
+    return float(np.max(np.abs(f) / s, initial=0.0))
+
+
+def string_recurrence(p: Potential, m_max: int) -> Recurrence:
+    """Recurrence coefficients from the string equation, degrees 0..m_max.
+
+    For V' = t x + g x^3 (g >= 0) on the whole line with no
+    singularities, the monic coefficients satisfy a_j = 0 and
+    b_j (t + g (b_{j-1} + b_j + b_{j+1})) = j/n exactly.  They are the
+    unique positive solution (Lew and Quarles, J. Approx. Theory 38,
+    1983), found as a boundary-value problem: Newton on j = 1..M,
+    M = m_max + _STRING_MARGIN, with b_0 = 0 and b_{M+1} fixed at the
+    continuum value (_continuum_b), which also starts the iteration.
+    Each step solves the tridiagonal Jacobian by a Thomas sweep; Newton
+    stops once every |F_j| is within _STRING_TOL of the terms it sums.
+    The closure error decays into the interior, so the solve is
+    repeated with twice the margin and b_1..b_{m_max} must not move by
+    more than _MARGIN_TOL relative.  NumericalError is raised when
+    Newton does not converge, a b_j turns nonpositive, the margin check
+    fails or string_residual exceeds _STRING_TOL times the size of its
+    terms.
+
+    No quadrature carries the coefficients, so omega_max is 0.0.  h0
+    and log_shift are formed as stieltjes_recurrence forms them, on a
+    build_quadrature rule sized for degree 0.
+    """
+    coeffs = _even_quartic(p)
+    if coeffs is None:
+        raise ValidationError(
+            "string_recurrence needs V' = t x + g x^3 on the whole line "
+            "with no singularities")
+    if not m_max >= 1:
+        raise ValidationError("m_max must be at least 1")
+    t, g = coeffs
+    size = m_max + _STRING_MARGIN
+    start = _continuum_b(t, g, np.arange(1, size + _STRING_MARGIN + 2), p.n)
+    # both solves start from the continuum; started from the narrower
+    # solution, the wider solve stops on its residual short of the fixed
+    # point and moved b by up to 3.7e-14 (critical quartic, n = 1 340)
+    b = _string_solve(t, g, p.n, start[:size], float(start[size]))[:m_max]
+    wide = _string_solve(t, g, p.n, start[:-1], float(start[-1]))[:m_max]
+    drift = float(np.max(np.abs(wide - b) / b))
+    if not drift <= _MARGIN_TOL:
+        raise NumericalError(
+            f"string equation closure at margin {_STRING_MARGIN} moves b_1..b_{m_max} "
+            f"by {drift:.2e} relative when the margin doubles")
+    *_, h0, s = _rule_mass(build_quadrature(p, 64, order=24, degree_hint=8))
+    r = Recurrence(a=(0.0,) * m_max, b=tuple(b.tolist()), h0=h0, log_shift=s,
+                   omega_max=0.0)
+    _, total, sj = _string_defect(t, g, b[:-1], float(b[-1]), p.n)
+    bound = _STRING_TOL * float(np.max(b[:-1] * (abs(t) + g * total) / sj, initial=1.0))
+    res = string_residual(p, r)
+    if not res <= bound:
+        raise NumericalError(f"string residual {res:.2e} exceeds {bound:.2e}")
+    return r
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,15 @@
 convergence_scan reads seven members of a scenario, duck-typed: name,
 compare_abs (compare |kernel|, for charges on the scaled axis),
 make_potential(n), equilibrium(p), critical_point(em), recurrence(p)
-and reference_law(em, cp).  The law is (kernel, meta), the closed form
-with its affine map from the extracted E-coefficients, or None for
-scaling collapse, where successive n are compared directly.  The
-registry ships five presets:
+and reference_law(em, cp).  recurrence(p) returns the Recurrence the
+scan's kernels run on.  A scan reads no quadrature nodes, so where
+V' = t x + g x^3 on the whole line with no singularities (gue-bulk,
+gue-edge and quartic-merge) the coefficients come from the string
+equation (orthopoly.string_recurrence); every other scenario takes
+default_fit's.  The law is (kernel, meta), the closed form with its
+affine map from the extracted E-coefficients, or None for scaling
+collapse, where successive n are compared directly.  The registry ships
+five presets:
 
     gue-bulk       Gaussian, interior point 0, sine law
     gue-edge       Gaussian, soft edge at 2, Airy law
@@ -27,10 +32,10 @@ from .classify import (
     extract_model_data,
     nearest_critical_point,
 )
-from .equilibrium import example_curve, solve_support
+from .equilibrium import quartic_measure, quartic_merge_coupling, solve_support
 from .errors import ValidationError
 from .kernel import airy_kernel, bessel_kernel, sine_kernel
-from .orthopoly import cached_recurrence
+from .orthopoly import _even_quartic, cached_recurrence, string_recurrence
 from .potential import IntervalSet, Potential, Singularity
 
 _LINE = IntervalSet(((-math.inf, math.inf),))
@@ -54,7 +59,11 @@ class _Scenario:
         return nearest_critical_point(em, self.x_star)
 
     def recurrence(self, p):
-        return default_fit(p)
+        """Recurrence to degree n + 1: the string equation's where it
+        applies (orthopoly._even_quartic), default_fit's otherwise."""
+        if _even_quartic(p) is not None:
+            return string_recurrence(p, p.n + 1)
+        return default_fit(p)[0]
 
     def reference_law(self, em, cp):
         return None
@@ -117,14 +126,14 @@ class QuarticMerge(_Scenario):
         self.tau = float(tau)
 
     def make_potential(self, n):
-        t = -2.0 + self.tau * float(n) ** (-2.0 / 3.0)
+        t, _ = quartic_merge_coupling(self.tau, n)
         return Potential(n=n, reg=(0.0, t, 0.0, 1.0), singularities=(),
                          support=_LINE)
 
     def equilibrium(self, p):
         # cancellation-free closed form; solve_support loses accuracy
         # near the merge point where c(t) ~ (t + 2)
-        return example_curve("quartic_merge", tau=self.tau, n=p.n)
+        return quartic_measure(p, quartic_merge_coupling(self.tau, p.n)[1])
 
     def critical_point(self, em):
         return CriticalPoint(x_star=0.0, kind="interior", order_k=1,

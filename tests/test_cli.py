@@ -376,7 +376,22 @@ def test_converge_validation_failure_exits_two(outdir, capsys, argv):
 def test_converge_numerical_failure_exits_three(outdir, capsys):
     # the clip guard refuses the MP hard edge at n = 400
     assert run(outdir, "converge", "mp-hard-edge", "--n-list", "300,400") == 3
-    assert "convergence scan failed at stage n=400" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "convergence scan failed at stage n=400" in err
+    assert "clips degree-401 polynomials" in err
+
+
+def test_converge_gue_edge_past_the_quadrature_ceiling(outdir, capsys):
+    # fitted from the string equation, the edge scan runs at n = 700, where
+    # the quadrature route's clip guard refused from n = 600 on
+    assert run(outdir, "converge", "gue-edge", "--n-list", "200,700") == 0
+    errs = [row["sup_error"] for row in read_json(outdir / "scan_gue-edge.json")["rows"]]
+    assert errs[1] < errs[0]
+    # at n = 800 psi_0 is subnormal on the grid, and the grid refuses it
+    assert run(outdir, "converge", "gue-edge", "--n-list", "200,800") == 3
+    err = capsys.readouterr().err
+    assert "convergence scan failed at stage n=800" in err
+    assert "sqrt(w / h0) is below the smallest normal double" in err
 
 
 def test_converge_scenario_params(outdir):

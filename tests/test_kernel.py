@@ -468,7 +468,7 @@ class _BulkScenario:
         return bulk_point(em, 0.0)
 
     def recurrence(self, p):
-        return fit(p)
+        return fit(p)[0]
 
     def reference_law(self, em, cp):
         md = extract_model_data(em, cp)
@@ -516,6 +516,28 @@ def test_fit_decay_is_the_least_squares_slope(ns, errs):
              / sum((a - mx) ** 2 for a in fx))
     assert slope == pytest.approx(float(exact), rel=4 * np.finfo(float).eps)
     assert math.isnan(kernel._fit_decay(ns[:1], errs[:1]))
+
+
+def _edge_grid_error(n):
+    sc = get_scenario("gue-edge")
+    p = sc.make_potential(n)
+    em = sc.equilibrium(p)
+    cp = sc.critical_point(em)
+    grid = np.asarray(sc.default_grid)
+    values = scaled_kernel_grid(sc.recurrence(p), p, cp, grid)
+    law, _ = sc.reference_law(em, cp)
+    return float(np.max(np.abs(values - [[law(u, v) for v in grid] for u in grid])))
+
+
+def test_scaled_grid_refuses_subnormal_psi0(monkeypatch):
+    # a string-equation fit has no clip guard: at n = 760 psi_0 is
+    # subnormal on the gue-edge grid, and the kernel there is wrong
+    assert _edge_grid_error(700) < 5e-3
+    with pytest.raises(NumericalError, match=r"sqrt\(w / h0\) is below the smallest "
+                       r"normal double at 9 scaled grid points .* at n=760"):
+        _edge_grid_error(760)
+    monkeypatch.setattr(kernel, "_TINY", 0.0)
+    assert _edge_grid_error(760) > 0.3
 
 
 def test_convergence_scan_stage_failure_keeps_its_type():

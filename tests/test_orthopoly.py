@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,10 +18,13 @@ from rmtlab.quad import gauss_legendre
 from rmtlab.orthopoly import (
     _OMEGA_TOL,
     QuadratureRule,
+    Recurrence,
     build_quadrature,
     gram_check,
     orthonormal_rows,
     stieltjes_recurrence,
+    string_recurrence,
+    string_residual,
 )
 from rmtlab.kernel import kernel_diag, trace_check
 from rmtlab.scenarios import default_fit, get_scenario
@@ -560,6 +564,134 @@ def test_conjugate_pair_fits_as_non_even_model():
     assert gram_check(r, q, p.n) < 1e-12
     # |x - 1 - i| |x - 1 + i| = (x - 1)^2 + 1 weights mass away from x = 1
     assert r.a[0] < 0.0
+
+
+# ---------------------------------------------------------------------------
+# string equation
+
+
+def even_quartic(n, t, g=1.0):
+    return Potential(n=n, reg=(0.0, t, 0.0, g), singularities=(), support=LINE)
+
+
+def merge(tau, n):
+    return get_scenario("quartic-merge", tau=tau).make_potential(n)
+
+
+STRING_CASES = {
+    **{f"gue-{n}": gaussian(n) for n in (40, 200, 400)},
+    **{f"critical-{n}": even_quartic(n, -2.0) for n in (60, 240, 600)},
+    **{f"merge-tau{tau:g}-{n}": merge(tau, n) for tau in (0.0, 2.0)
+       for n in (30, 60, 120, 240)},
+    "two-cut-100": even_quartic(100, -3.0),
+    "two-cut-400": even_quartic(400, -3.0),
+    "one-cut-200": even_quartic(200, -1.0),
+    "g0.4-150": even_quartic(150, 0.7, 0.4),
+    "g2.5-90": even_quartic(90, -1.2, 2.5),
+}
+
+
+@pytest.mark.parametrize("p", STRING_CASES.values(), ids=STRING_CASES.keys())
+def test_string_recurrence_matches_stieltjes_fit(p):
+    r, ref = string_recurrence(p, p.n + 1), default_fit(p)[0]
+    b, b_ref = np.array(r.b), np.array(ref.b)
+    assert np.max(np.abs(b - b_ref) / b_ref) <= 1e-13
+    # each rule takes its own shift, so h_0 compares through log h0 + log_shift
+    assert abs(math.log(r.h0) + r.log_shift
+               - (math.log(ref.h0) + ref.log_shift)) <= 1e-13
+    assert r.a == (0.0,) * (p.n + 1) and r.omega_max == 0.0
+
+
+def test_string_recurrence_is_exact_for_the_gaussian():
+    for n in (1, 7, 300):
+        assert string_recurrence(gaussian(n), n + 1).b == tuple(
+            j / n for j in range(1, n + 2))
+
+
+def test_h0_of_two_fits_compares_with_its_shift():
+    p = even_quartic(400, -3.0)
+    r, ref = string_recurrence(p, 401), default_fit(p)[0]
+    assert r.log_shift == pytest.approx(209.99969, abs=1e-5)
+    assert ref.log_shift == pytest.approx(209.99998, abs=1e-5)
+    assert abs(math.log(r.h0) - math.log(ref.h0)) > 1e-4
+    assert math.log(r.h0) + r.log_shift == pytest.approx(
+        math.log(ref.h0) + ref.log_shift, abs=1e-13)
+
+
+# measured worst residuals of default_fit: 3.5e-15 (GUE, n = 500) and
+# 1.8e-12 (critical quartic, n = 1 340); a 1e-10 relative bump of one
+# b_j gives at least 1.0e-10 and 1.8e-10
+@pytest.mark.parametrize("p, bound", [
+    *((gaussian(n), 1e-14) for n in (60, 120, 250, 500)),
+    *((even_quartic(n, -2.0), 5e-12) for n in (200, 400, 800, 1340)),
+], ids=lambda v: f"{v.reg[1]:g}-{v.n}" if isinstance(v, Potential) else None)
+def test_string_residual_certifies_stieltjes_fits(p, bound):
+    r = default_fit(p)[0]
+    assert string_residual(p, r) <= bound
+    b = np.array(r.b)
+    for j in (0, p.n // 2, p.n - 1):
+        bumped = b.copy()
+        bumped[j] *= 1.0 + 1e-10
+        assert string_residual(p, replace(r, b=tuple(bumped))) > bound
+    # b_j read as b_{j-1} or b_{j+1}
+    assert string_residual(p, replace(r, b=tuple(b[1:]))) > bound
+    assert string_residual(p, replace(r, b=(b[0], *b[:-1]))) > bound
+
+
+def test_string_residual_of_string_fits():
+    for p in STRING_CASES.values():
+        r = string_recurrence(p, p.n + 1)
+        assert string_residual(p, r) <= (1e-14 if p.reg == (0.0, 1.0) else 1e-12)
+
+
+@pytest.mark.parametrize("p", [
+    Potential(n=40, reg=(-1.0,), singularities=(Singularity(b=0.0, alpha=0.5),),
+              support=NEG),
+    Potential(n=40, reg=(0.3, 0.5, 0.0, 0.2, 0.0, 0.3), singularities=(), support=LINE),
+    Potential(n=40, reg=(0.0, 1.0, 0.6, 1.0), singularities=(), support=LINE),
+    Potential(n=40, reg=(0.0, -2.0, 0.0, 1.0), singularities=(), support=HALF),
+    Potential(n=40, reg=(0.0, 1.0), singularities=(Singularity(b=0.0, alpha=0.5),),
+              support=LINE),
+], ids=["mp-charge", "sextic", "odd-quartic", "half-line", "gue-charge"])
+def test_string_route_is_refused_outside_its_family(p):
+    r = Recurrence(a=(0.0,) * 3, b=(1.0,) * 3, h0=1.0, log_shift=0.0, omega_max=0.0)
+    assert string_residual(p, r) is None
+    with pytest.raises(ValidationError, match=r"t x \+ g x\^3"):
+        string_recurrence(p, 3)
+
+
+def test_margin_doubling_refuses_a_short_closure(monkeypatch):
+    p = even_quartic(200, -2.0)
+    string_recurrence(p, 201)
+    monkeypatch.setattr(orthopoly, "_STRING_MARGIN", 10)
+    with pytest.raises(NumericalError, match="closure at margin 10 moves"):
+        string_recurrence(p, 201)
+
+
+def test_wrong_parity_start_is_refused(monkeypatch):
+    # each b_j started from the continuum at j + 1: below s = t^2/4g odd
+    # j take the smaller root of the two-cut pair
+    def swapped(t, g, j, n):
+        return continuum(t, g, j + 1, n)
+
+    continuum = orthopoly._continuum_b
+    monkeypatch.setattr(orthopoly, "_continuum_b", swapped)
+    with pytest.raises(NumericalError, match="lost positivity"):
+        string_recurrence(even_quartic(200, -3.0), 201)
+
+
+def test_string_solver_refusals(monkeypatch):
+    p = even_quartic(200, -2.0)
+    with pytest.raises(ValidationError, match="m_max"):
+        string_recurrence(p, 0)
+    with monkeypatch.context() as m:
+        m.setattr(orthopoly, "_STRING_ITER", 2)
+        with pytest.raises(NumericalError, match="did not converge in 2"):
+            string_recurrence(p, 201)
+    # the acceptance reads the certificate of the fit it returns
+    monkeypatch.setattr(orthopoly, "string_residual", lambda p, r: 1.0)
+    with pytest.raises(NumericalError, match="string residual 1.00e\\+00 exceeds"):
+        string_recurrence(p, 201)
 
 
 # ---------------------------------------------------------------------------

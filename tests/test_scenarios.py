@@ -5,9 +5,10 @@ import math
 import pytest
 
 from rmtlab.classify import extract_model_data
-from rmtlab.equilibrium import xi_eval
+from rmtlab.equilibrium import example_curve, xi_eval
 from rmtlab.errors import ValidationError
-from rmtlab.scenarios import get_scenario, scenario_names
+from rmtlab.orthopoly import Recurrence
+from rmtlab.scenarios import default_fit, get_scenario, scenario_names
 
 
 def test_registry_ships_five_presets():
@@ -113,3 +114,30 @@ def test_default_grids_stay_in_domain():
     for name in ("gue-bulk", "gue-edge", "quartic-merge"):
         sc = get_scenario(name)
         assert len(sc.default_grid) >= 5
+
+
+@pytest.mark.parametrize("name, string_route", [
+    ("gue-bulk", True), ("gue-edge", True), ("quartic-merge", True),
+    ("mp-hard-edge", False), ("mp-two-charge", False)])
+def test_recurrence_is_a_recurrence_from_its_route(name, string_route):
+    # the scan reads no nodes: even quartics are fitted from the string
+    # equation (no Lanczos vectors, omega_max 0.0), the rest by default_fit
+    sc = get_scenario(name)
+    p = sc.make_potential(40)
+    r = sc.recurrence(p)
+    assert isinstance(r, Recurrence) and r.m_max == 41
+    if string_route:
+        assert r.omega_max == 0.0 and not any(r.a)
+    else:
+        assert r == default_fit(p)[0]
+
+
+@pytest.mark.parametrize("tau", [0.0, 2.0, -1.5])
+def test_merge_equilibrium_is_built_on_the_scans_potential(tau):
+    sc = get_scenario("quartic-merge", tau=tau)
+    p = sc.make_potential(120)
+    em = sc.equilibrium(p)
+    assert em.potential is p
+    ref = example_curve("quartic_merge", tau=tau, n=120)
+    assert ref.potential == p
+    assert (em.curve, em.support, em.ell) == (ref.curve, ref.support, ref.ell)
