@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 
@@ -271,12 +272,12 @@ def nearest_critical_point(em: EquilibriumMeasure, x: float) -> CriticalPoint:
     return min(find_critical_points(em), key=lambda cp: abs(cp.x_star - x))
 
 
-def bulk_point(em: EquilibriumMeasure, x: float, radius: float | None = None) -> CriticalPoint:
+def bulk_point(em: EquilibriumMeasure, x: float) -> CriticalPoint:
     """Regular interior point (k = 0, delta = 1) for bulk kernel scaling."""
     if not em.support.contains(x):
         raise ValidationError(f"x={x:.6g} is not inside the support")
-    rad = 1e-7 * em.potential.scale() if radius is None else radius
-    return CriticalPoint(x_star=float(x), kind="interior", order_k=0, radius=rad)
+    return CriticalPoint(x_star=float(x), kind="interior", order_k=0,
+                         radius=1e-7 * em.potential.scale())
 
 
 # ---------------------------------------------------------------------------
@@ -346,22 +347,11 @@ def scaled_curve(em: EquilibriumMeasure, cp: CriticalPoint, n: int) -> SpectralC
 def _poly_from_roots(roots) -> np.ndarray:
     """Ascending coefficients of prod (x - r), 1 for no roots.
 
-    numpy.polynomial.polynomial.polyfromroots' own order, so each
-    coefficient is the same double: sort, multiply the linear factors in
-    pairs (i, i + m) by np.convolve until one is left, an odd one out
-    folded into the first product.
+    The linear factors of the sorted roots are multiplied one after another.
     """
     rs = np.sort(np.asarray(roots))
     factors = [np.array([-r, 1], dtype=rs.dtype) for r in rs]
-    if not factors:
-        return np.ones(1)
-    while len(factors) > 1:
-        m, odd = divmod(len(factors), 2)
-        prods = [np.convolve(factors[i], factors[i + m]) for i in range(m)]
-        if odd:
-            prods[0] = np.convolve(prods[0], factors[-1])
-        factors = prods
-    return factors[0]
+    return reduce(np.convolve, factors) if factors else np.ones(1)
 
 
 def _leading_power(sc: SpectralCurve) -> Fraction:

@@ -50,6 +50,7 @@ _M_PATH = 400  # nodes per segment of a log-integral or xi path rule
 _M_MASS = 200  # nodes of the mass_right_of rule
 _BLOCK = 16  # points per (points, nodes) batch of log integrals
 _M_FLOOR = 2000  # density samples per component in the negativity check
+_GRID_POINTS = 200  # check_variational samples on the support, 1/8 per off-support segment
 _EXCLUSION_RADIUS = 0.05  # off-support samples skipped around equality points
 _BOX_PAD = 2.0  # off-support check reach past the support, in model scales
 _EXTERIOR_TOL = 1e-7  # relative variational tightness of an equality point
@@ -411,7 +412,7 @@ def _variational_values(em: EquilibriumMeasure, x) -> np.ndarray:
     return 2.0 * total - v_reg(em.potential, x)
 
 
-def check_variational(em: EquilibriumMeasure, grid_points: int = 200):
+def check_variational(em: EquilibriumMeasure):
     """Residuals of the variational conditions.
 
     Returns a dict with the on-support equality residuals (should vanish)
@@ -422,7 +423,7 @@ def check_variational(em: EquilibriumMeasure, grid_points: int = 200):
     total_span = sum(spans)
     sup_x = []
     for (lo, hi), span in zip(em.support.intervals, spans):
-        k = max(2, int(round(grid_points * span / total_span)))
+        k = max(2, int(round(_GRID_POINTS * span / total_span)))
         pad = span * 1e-3
         sup_x.extend(np.linspace(lo + pad, hi - pad, k))
 
@@ -442,7 +443,7 @@ def check_variational(em: EquilibriumMeasure, grid_points: int = 200):
     for lo, hi in off_segments:
         width = hi - lo
         pad = width * 5e-3
-        for x in np.linspace(lo + pad, hi - pad, max(4, grid_points // 8)):
+        for x in np.linspace(lo + pad, hi - pad, max(4, _GRID_POINTS // 8)):
             if not dom.contains(x):
                 continue
             if any(abs(x - e) < _EXCLUSION_RADIUS for e in em.exterior_points):

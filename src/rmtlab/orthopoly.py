@@ -45,7 +45,7 @@ _MASS_TOL = 1e-9
 _CLIP_TOL = 1e-8        # max polynomial mass tolerated beside an artificial cut
 _EPS = np.finfo(float).eps
 _OMEGA_TOL = math.sqrt(_EPS)  # semi-orthogonality level of the Lanczos vectors
-_STRING_MARGIN = 200    # string equations solved past m_max before the closure
+_STRING_MARGIN = 20     # equations solved past m_max, per unit of max(n, 1000)^(1/3)
 _STRING_ITER = 30       # Newton steps allowed per string-equation solve
 _STRING_TOL = 4e-15     # Newton stop: |F_j| relative to the terms F_j sums
 _MARGIN_TOL = 1e-14     # max relative move of b_j when the margin doubles
@@ -81,8 +81,12 @@ class Recurrence:
     rule), so h0 stays finite where h_0 overflows; h_j = h_0 b_1 ... b_j.
     Each rule takes its own shift, so the h_0 of two fits compare as
     log h0 + log_shift, not as h0: for V = -3x^2/2 + x^4/4 at n = 400
-    the string fit's shift is 209.99969 and default_fit's 209.99998,
+    the string fit's shift is 209.99342 and default_fit's 209.99998,
     and log h0 + log_shift agree exactly.
+    h0 stays a mantissa rather than one log h_0: it is summed from the
+    same e^{log w - s} that psi_0 = sqrt(w e^{-s} / h0) is formed from,
+    so sum wt psi_0^2 = 1 to rounding (psi_0 from log h_0 moved the
+    trace of the two-cut quartic at n = 1 000 to 999.99999999986).
     omega_max is the largest estimate of |<phi_i, phi_j>|, i != j, that
     the omega-recurrence of stieltjes_recurrence reached over all
     degrees (at most sqrt(eps)); it is 0.0 for a fit from the string
@@ -282,7 +286,7 @@ def _panel_rules(panels, m: int) -> tuple[np.ndarray, np.ndarray]:
     return (mid[:, None] + half[:, None] * t).ravel(), (half[:, None] * w).ravel()
 
 
-def build_quadrature(p: Potential, resolution: int, *, order: int | None = None,
+def build_quadrature(p: Potential, resolution: int, *,
                      degree_hint: int | None = None) -> QuadratureRule:
     """Composite Gauss-Legendre discretization of the measure w(x) dx.
 
@@ -337,12 +341,7 @@ def build_quadrature(p: Potential, resolution: int, *, order: int | None = None,
                 cut_hi = c_hi
     panels = sorted((a, b) for a, b in panels if b > a)
 
-    if order is None:
-        m = max(_MIN_ORDER, min(_MAX_ORDER, resolution // max(1, len(panels))))
-    else:
-        m = int(order)
-        if m < 2:
-            raise ValidationError("order must be at least 2")
+    m = max(_MIN_ORDER, min(_MAX_ORDER, resolution // max(1, len(panels))))
 
     weight = _mirrored_log_weight if even else log_weight
     nodes, base = _panel_rules(panels, m)
@@ -731,8 +730,9 @@ def string_recurrence(p: Potential, m_max: int) -> Recurrence:
     b_j (t + g (b_{j-1} + b_j + b_{j+1})) = j/n exactly.  They are the
     unique positive solution (Lew and Quarles, J. Approx. Theory 38,
     1983), found as a boundary-value problem: Newton on j = 1..M,
-    M = m_max + _STRING_MARGIN, with b_0 = 0 and b_{M+1} fixed at the
-    continuum value (_continuum_b), which also starts the iteration.
+    M = m_max + ceil(20 max(n, 1000)^(1/3)), with b_0 = 0 and b_{M+1}
+    fixed at the continuum value (_continuum_b), which also starts the
+    iteration.
     Each step solves the tridiagonal Jacobian by a Thomas sweep; Newton
     stops once every |F_j| is within _STRING_TOL of the terms it sums.
     The closure error decays into the interior, so the solve is
@@ -754,8 +754,10 @@ def string_recurrence(p: Potential, m_max: int) -> Recurrence:
     if not m_max >= 1:
         raise ValidationError("m_max must be at least 1")
     t, g = coeffs
-    size = m_max + _STRING_MARGIN
-    start = _continuum_b(t, g, np.arange(1, size + _STRING_MARGIN + 2), p.n)
+    # the closure error decays over the critical width n^(1/3) in j
+    margin = math.ceil(_STRING_MARGIN * max(p.n, 1000) ** (1.0 / 3.0))
+    size = m_max + margin
+    start = _continuum_b(t, g, np.arange(1, size + margin + 2), p.n)
     # both solves start from the continuum; started from the narrower
     # solution, the wider solve stops on its residual short of the fixed
     # point and moved b by up to 3.7e-14 (critical quartic, n = 1 340)
@@ -764,9 +766,9 @@ def string_recurrence(p: Potential, m_max: int) -> Recurrence:
     drift = float(np.max(np.abs(wide - b) / b))
     if not drift <= _MARGIN_TOL:
         raise NumericalError(
-            f"string equation closure at margin {_STRING_MARGIN} moves b_1..b_{m_max} "
+            f"string equation closure at margin {margin} moves b_1..b_{m_max} "
             f"by {drift:.2e} relative when the margin doubles")
-    *_, h0, s = _rule_mass(build_quadrature(p, 64, order=24, degree_hint=8))
+    *_, h0, s = _rule_mass(build_quadrature(p, 64, degree_hint=8))
     r = Recurrence(a=(0.0,) * m_max, b=tuple(b.tolist()), h0=h0, log_shift=s,
                    omega_max=0.0)
     _, total, sj = _string_defect(t, g, b[:-1], float(b[-1]), p.n)

@@ -178,7 +178,7 @@ def test_criterion_08_variational_conditions():
             sc = get_scenario(name)
             p = sc.make_potential(40)
             em = sc.equilibrium(p)
-            rep = check_variational(em, grid_points=200)
+            rep = check_variational(em)
             assert rep["eq_max"] < 1e-6, f"{name}: eq_max {rep['eq_max']}"
             assert rep["ineq_max"] < 0.0, f"{name}: ineq_max {rep['ineq_max']}"
 

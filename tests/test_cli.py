@@ -535,6 +535,24 @@ def test_non_finite_grid_points_exit_two(outdir, capsys, argv, product):
     assert not (outdir / product).exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["validate", "LIST"], "must hold a JSON object"),
+    (["kernel", "CFG", "--grid=1,0"], "grid '1,0' must be increasing with >= 2 points"),
+    (["converge", "gue-bulk", "--n-list", "10,x"], "bad n list '10,x': "),
+    (["converge", "gue-bulk", "--n-list", "20,10"],
+     "n list '20,10' must be increasing positive integers"),
+    (["converge", "quartic-merge", "--param", "tau"],
+     "parameter 'tau' is not of the form key=value"),
+    (["converge", "quartic-merge", "--param", "tau=x"],
+     "parameter 'tau=x' has a non-numeric value"),
+], ids=["config-list", "grid-decreasing", "n-list-word", "n-list-decreasing",
+        "param-no-equals", "param-word"])
+def test_malformed_arguments_exit_two(outdir, capsys, argv, message):
+    names = {"CFG": write_cfg(outdir, GUE), "LIST": write_cfg(outdir, [GUE], "list.json")}
+    assert run(outdir, *[names.get(a, a) for a in argv]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_console_script_entry_point(outdir):
     cfg = write_cfg(outdir, GUE)
     proc = subprocess.run(

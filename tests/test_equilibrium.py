@@ -3,6 +3,7 @@
 import dataclasses
 import decimal
 import math
+import re
 import warnings
 
 import numpy as np
@@ -346,6 +347,18 @@ def test_solver_refusals_keep_their_messages():
         solve_support(gaussian(200), "symmetric_two_cut")
 
 
+@pytest.mark.parametrize("p, structure, error, message", [
+    (gaussian(), "two_cut", ValidationError, "unknown structure 'two_cut'; pick from "),
+    (mp_charge(), "symmetric_two_cut", NumericalError,
+     "symmetric_two_cut needs degree >= 4 in V_reg"),
+    (Potential(n=40, reg=(), singularities=(), support=IntervalSet(((-1.0, 1.0),))),
+     "one_cut", NumericalError, "one_cut needs a nonconstant V_reg"),
+], ids=["unknown", "linear-two-cut", "constant"])
+def test_solve_support_refusals(p, structure, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        solve_support(p, structure)
+
+
 @pytest.mark.parametrize("structure", equilibrium.STRUCTURES)
 def test_pole_terms_refused(structure):
     # V = -x - 1/x^2 on (-inf, 0]: the solvers would balance -x alone
@@ -436,14 +449,14 @@ def test_xi_sides_opposite_on_support():
 
 def test_variational_conditions_gaussian():
     em = solve_support(gaussian(), "one_cut")
-    rep = check_variational(em, grid_points=120)
+    rep = check_variational(em)
     assert rep["eq_max"] < 1e-7
     assert rep["ineq_max"] < -1e-6
 
 
 def test_variational_conditions_two_cut():
     em = solve_support(quartic(-3.0), "symmetric_two_cut")
-    rep = check_variational(em, grid_points=120)
+    rep = check_variational(em)
     assert rep["eq_max"] < 1e-7
     assert rep["ineq_max"] < -1e-6
 
@@ -465,7 +478,7 @@ def reference_log_integral(em, x):
 @pytest.mark.parametrize("p, structure", FITS)
 def test_variational_values_match_pointwise_reference_exactly(p, structure):
     em = solve_support(p, structure)
-    rep = check_variational(em, grid_points=90)
+    rep = check_variational(em)
 
     def values(xs):
         return [2.0 * reference_log_integral(em, x) - v_reg(p, x) - em.ell for x in xs]

@@ -79,9 +79,12 @@ def test_hard_edge_node_grading():
     assert abs(q.nodes.max()) < 1e-8
 
 
-def test_under_resolved_rule_rejected():
+def test_under_resolved_rule_rejected(monkeypatch):
+    # order-2 panels miss the mass that the doubled-order rule finds
+    monkeypatch.setattr(orthopoly, "_MIN_ORDER", 2)
+    monkeypatch.setattr(orthopoly, "_MAX_ORDER", 2)
     with pytest.raises(NumericalError, match="doubled-rule"):
-        build_quadrature(gaussian(10), 60, order=2)
+        build_quadrature(gaussian(10), 60)
 
 
 def test_weight_values_recovered():
@@ -228,11 +231,15 @@ def test_gram_against_doubled_rule():
     assert gram_check(r, q2, 18) < 1e-8
 
 
-def test_under_resolved_gram_is_large():
-    # a recurrence built on a coarse rule orthogonalizes the wrong
-    # discrete measure; checking against an independent fine rule must
-    # report a large residual, not a silent pass
-    q = build_quadrature(gaussian(10), 300, order=8, degree_hint=8)
+def test_under_resolved_gram_is_large(monkeypatch):
+    # a recurrence built on a coarse rule (order-5 panels; _MIN_ORDER also
+    # sizes the width rule's panels) orthogonalizes the wrong discrete
+    # measure; checking against an independent fine rule must report a
+    # large residual, not a silent pass
+    with monkeypatch.context() as m:
+        m.setattr(orthopoly, "_MIN_ORDER", 5)
+        m.setattr(orthopoly, "_MAX_ORDER", 5)
+        q = build_quadrature(gaussian(10), 300, degree_hint=8)
     r = stieltjes_recurrence(q, 60)
     ref = build_quadrature(gaussian(10), 1200, degree_hint=130)
     assert gram_check(r, ref, 60) > 1e-3
@@ -355,25 +362,22 @@ def mp_hard_edge(n, alpha):
     return get_scenario("mp-hard-edge", alpha=alpha).make_potential(n)
 
 
-@pytest.mark.parametrize("p, order", [
-    (gaussian(60), None),
-    (gaussian(60), 16),
-    (critical_quartic(120), None),
-    (mp_hard_edge(100, 0.0), None),
-    (mp_hard_edge(100, 0.5), None),
-    (mp_hard_edge(100, 0.5), 7),
-    (get_scenario("mp-two-charge").make_potential(40), None),
-], ids=["gue", "gue-order16", "quartic", "mp0", "mp-half", "mp-half-order7",
-        "mp-two-charge"])
-def test_fit_layers_match_reference_exactly(monkeypatch, p, order):
+@pytest.mark.parametrize("p", [
+    gaussian(60),
+    critical_quartic(120),
+    mp_hard_edge(100, 0.0),
+    mp_hard_edge(100, 0.5),
+    get_scenario("mp-two-charge").make_potential(40),
+], ids=["gue", "quartic", "mp0", "mp-half", "mp-two-charge"])
+def test_fit_layers_match_reference_exactly(monkeypatch, p):
     m = p.n + 1
     res, hint = max(900, 6 * p.n), 2 * (m + 1)
-    q = build_quadrature(p, res, order=order, degree_hint=hint)
+    q = build_quadrature(p, res, degree_hint=hint)
     r = stieltjes_recurrence(q, m)
     with monkeypatch.context() as mp:
         mp.setattr(orthopoly, "_width_rule", reference_width_rule)
         mp.setattr(orthopoly, "_panel_rules", reference_panel_rules)
-        ref = build_quadrature(p, res, order=order, degree_hint=hint)
+        ref = build_quadrature(p, res, degree_hint=hint)
     for field in ("nodes", "base", "log_w"):
         assert np.array_equal(getattr(q, field), getattr(ref, field)), field
     assert (q.provenance, q.cut_lo, q.cut_hi) == (ref.provenance, ref.cut_lo, ref.cut_hi)
@@ -611,19 +615,20 @@ def test_string_recurrence_is_exact_for_the_gaussian():
 def test_h0_of_two_fits_compares_with_its_shift():
     p = even_quartic(400, -3.0)
     r, ref = string_recurrence(p, 401), default_fit(p)[0]
-    assert r.log_shift == pytest.approx(209.99969, abs=1e-5)
+    assert r.log_shift == pytest.approx(209.99342, abs=1e-5)
     assert ref.log_shift == pytest.approx(209.99998, abs=1e-5)
     assert abs(math.log(r.h0) - math.log(ref.h0)) > 1e-4
     assert math.log(r.h0) + r.log_shift == pytest.approx(
         math.log(ref.h0) + ref.log_shift, abs=1e-13)
 
 
-# measured worst residuals of default_fit: 3.5e-15 (GUE, n = 500) and
-# 1.8e-12 (critical quartic, n = 1 340); a 1e-10 relative bump of one
-# b_j gives at least 1.0e-10 and 1.8e-10
+# measured worst residuals of default_fit: 3.5e-15 (GUE, n = 500),
+# 1.8e-12 (critical quartic, n = 1 340) and 2.3e-13 (quartic-merge);
+# a 1e-10 relative bump of one b_j gives at least 1.0e-10 and 1.8e-10
 @pytest.mark.parametrize("p, bound", [
     *((gaussian(n), 1e-14) for n in (60, 120, 250, 500)),
     *((even_quartic(n, -2.0), 5e-12) for n in (200, 400, 800, 1340)),
+    *((merge(tau, n), 1e-12) for tau in (0.0, 2.0) for n in (30, 60, 120, 240)),
 ], ids=lambda v: f"{v.reg[1]:g}-{v.n}" if isinstance(v, Potential) else None)
 def test_string_residual_certifies_stieltjes_fits(p, bound):
     r = default_fit(p)[0]
@@ -636,6 +641,19 @@ def test_string_residual_certifies_stieltjes_fits(p, bound):
     # b_j read as b_{j-1} or b_{j+1}
     assert string_residual(p, replace(r, b=tuple(b[1:]))) > bound
     assert string_residual(p, replace(r, b=(b[0], *b[:-1]))) > bound
+
+
+@pytest.mark.parametrize("n", [1400, 1600])
+def test_string_residual_flags_fits_past_the_clip_guard(monkeypatch, n):
+    # with the faint-mass guard off, the critical quartic fits past its
+    # ceiling (n = 1 340), and the certificate sees the damage: measured
+    # 1.9e-10 at n = 1 400 and 6.65e-2 at n = 1 600, against the 5e-12
+    # bound of test_string_residual_certifies_stieltjes_fits
+    p = even_quartic(n, -2.0)
+    with pytest.raises(NumericalError, match="double-precision floor"):
+        default_fit(p)
+    monkeypatch.setattr(orthopoly, "_CLIP_TOL", math.inf)
+    assert string_residual(p, default_fit(p)[0]) > 5e-12
 
 
 def test_string_residual_of_string_fits():
@@ -663,9 +681,19 @@ def test_string_route_is_refused_outside_its_family(p):
 def test_margin_doubling_refuses_a_short_closure(monkeypatch):
     p = even_quartic(200, -2.0)
     string_recurrence(p, 201)
-    monkeypatch.setattr(orthopoly, "_STRING_MARGIN", 10)
+    # margin ceil(1 * 1000^(1/3)) = 10 equations past m_max
+    monkeypatch.setattr(orthopoly, "_STRING_MARGIN", 1)
     with pytest.raises(NumericalError, match="closure at margin 10 moves"):
         string_recurrence(p, 201)
+
+
+@pytest.mark.parametrize("n", [3000, 10000])
+def test_margin_grows_with_the_critical_width(n):
+    # a fixed margin of 200 drifted by 1.3e-14 at n = 3 000 when doubled;
+    # 20 n^(1/3) equations keep the critical quartic's closure converged
+    p = even_quartic(n, -2.0)
+    r = string_recurrence(p, n + 1)
+    assert string_residual(p, r) <= 1e-11
 
 
 def test_wrong_parity_start_is_refused(monkeypatch):
@@ -705,6 +733,16 @@ def test_precondition_errors():
     r = stieltjes_recurrence(q, 10)
     with pytest.raises(ValidationError, match="degree"):
         orthonormal_rows(r, q.nodes, q.log_w, 11)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: build_quadrature(gaussian(5), 7), "resolution must be at least 8"),
+    (lambda: stieltjes_recurrence(build_quadrature(gaussian(5), 300), 0),
+     "m_max must be at least 1"),
+], ids=["resolution", "m_max"])
+def test_fit_refusals(call, message):
+    with pytest.raises(ValidationError, match=message):
+        call()
 
 
 @settings(max_examples=12, deadline=None)

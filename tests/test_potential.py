@@ -200,6 +200,74 @@ def test_invalid_potential_cannot_be_built(n, reg, sings, cause):
         Potential(n=n, reg=reg, singularities=sings, support=LINE)
 
 
+def document(**changes):
+    return {"n": 3, "reg": [0, 1], "singularities": [], "support": [["-inf", "inf"]],
+            **changes}
+
+
+def real_pole(t, support=LINE):
+    return lambda: Potential(n=4, reg=(0.0, 1.0),
+                             singularities=(Singularity(b=0.0, alpha=0.5, t=t),),
+                             support=support)
+
+
+NEG = IntervalSet(((-math.inf, 0.0),))  # b = 0 is its right end
+REFUSALS = {
+    "reg-entry": (lambda: parse_potential(document(reg=[0, "1"])), FormatError,
+                  "reg[1]: expected a number, got '1'"),
+    "endpoint": (lambda: parse_potential(document(support=[["-inf", "infinity"]])),
+                 FormatError, "support[0][1]: expected a number, \"inf\" or \"-inf\", "
+                 "got 'infinity'"),
+    "complex-entry": (lambda: parse_potential(document(
+        singularities=[{"b": [0, 1, 2], "alpha": 0.5}])), FormatError,
+        "singularities[0].b: complex entries are [re, im] pairs, got [0, 1, 2]"),
+    "not-json": (lambda: parse_potential("{"), FormatError, "invalid JSON: "),
+    "not-object": (lambda: parse_potential("[1]"), FormatError,
+                   "potential document must be a JSON object"),
+    "n-float": (lambda: parse_potential(document(n=3.0)), FormatError,
+                '"n" must be an integer'),
+    "reg-not-list": (lambda: parse_potential(document(reg=1)), FormatError,
+                     '"reg" must be a list of coefficients'),
+    "singularities-not-list": (lambda: parse_potential(document(singularities={})),
+                               FormatError, '"singularities" must be a list'),
+    "support-not-list": (lambda: parse_potential(document(support="line")), FormatError,
+                         '"support" must be a nonempty list of [lo, hi] pairs'),
+    "singularity-not-object": (lambda: parse_potential(document(singularities=[0])),
+                               FormatError, "singularities[0] must be an object"),
+    "singularity-key": (lambda: parse_potential(document(
+        singularities=[{"b": 0, "alpha": 0.5, "c": 1}])), FormatError,
+        "singularities[0]: unknown keys ['c']"),
+    "singularity-no-alpha": (lambda: parse_potential(document(singularities=[{"b": 0}])),
+                             FormatError, 'singularities[0] needs "b" and "alpha"'),
+    "singularity-t": (lambda: parse_potential(document(
+        singularities=[{"b": 0, "alpha": 0.5, "t": 1}])), FormatError,
+        "singularities[0].t must be a list"),
+    "support-pair": (lambda: parse_potential(document(support=[[0]])), FormatError,
+                     "support[0] must be a [lo, hi] pair"),
+    "overlap": (lambda: IntervalSet(((0.0, 2.0), (1.0, 3.0))), ValidationError,
+                "intervals overlap or touch near 1.0; they must be disjoint and sorted"),
+    "no-interval": (lambda: IntervalSet(()), ValidationError, "interval set is empty"),
+    "complex-pole-at-real-b": (real_pole((0.0, -1j)), ValidationError,
+                               "real singular point b=0.0 has complex pole coefficients"),
+    "pair-alpha": (lambda: Potential(n=4, reg=(0.0, 1.0), singularities=(
+        Singularity(b=1 + 1j, alpha=0.5), Singularity(b=1 - 1j, alpha=0.25)), support=LINE),
+        ValidationError, "conjugate pair at b=(1+1j) must share alpha"),
+    "even-top-sign": (real_pole((0.0, 1.0), NEG), ValidationError,
+                      "pole at b=0.0: even top coefficient t_2 must be negative"),
+    "odd-top-sign": (real_pole((-1.0,), NEG), ValidationError,
+                     "pole at b=0.0: odd top coefficient t_1 must be positive"),
+    "interior-odd-top": (real_pole((-1.0,)), ValidationError,
+                         "pole at b=0.0 interior to the domain needs an even top index, "
+                         "got 1"),
+}
+
+
+@pytest.mark.parametrize("build, error, message", REFUSALS.values(), ids=REFUSALS.keys())
+def test_refusals_name_their_cause(build, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        build()
+
+
 # ---------------------------------------------------------------------------
 # evaluation
 
