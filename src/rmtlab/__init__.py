@@ -46,6 +46,7 @@ from .orthopoly import (
     build_quadrature,
     cached_recurrence,
     gram_check,
+    laguerre_recurrence,
     orthonormal_rows,
     stieltjes_recurrence,
     string_recurrence,

@@ -643,7 +643,7 @@ def _layouts(p: Potential, structure: str, vc: np.ndarray) -> list[_Layout]:
     sc = p.scale()
     if structure == "symmetric_two_cut":
         # unknowns (log a, log(b - a)); c_2 vanishes by symmetry, so it is free
-        if len(vc) < 2:
+        if len(np.trim_zeros(vc, "b")) < 4:
             raise NumericalError("symmetric_two_cut needs degree >= 4 in V_reg")
         even = vc[0::2]
         if np.max(np.abs(even)) > 1e-12 * max(1.0, np.max(np.abs(vc))):

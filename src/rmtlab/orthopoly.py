@@ -9,12 +9,14 @@ resulting point masses.  The output is the three-term recurrence
     p_{j+1}(x) = (x - a_j) p_j(x) - b_j p_{j-1}(x)
 
 for the monic polynomials together with the squared norm h_0 of p_0;
-h_j = h_0 b_1 ... b_j.  For V' = t x + g x^3 on the whole line,
-string_recurrence gets the same coefficients with no Stieltjes pass, by
-solving the string equation they satisfy exactly, and string_residual
-is that equation's certificate for any fit.  orthonormal_rows
-evaluates the weighted orthonormal functions sqrt(w) p_j / sqrt(h_j)
-from the coefficients at any points.
+h_j = h_0 b_1 ... b_j.  Two families get the same coefficients with no
+quadrature rule: for V' = t x + g x^3 on the whole line,
+string_recurrence solves the string equation they satisfy exactly (and
+string_residual is that equation's certificate for any fit), and for
+V' = c on a half-line with at most one charge, at its end,
+laguerre_recurrence writes down the scaled Laguerre closed forms.
+orthonormal_rows evaluates the weighted orthonormal functions
+sqrt(w) p_j / sqrt(h_j) from the coefficients at any points.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ _STRING_MARGIN = 20     # equations solved past m_max, per unit of max(n, 1000)^
 _STRING_ITER = 30       # Newton steps allowed per string-equation solve
 _STRING_TOL = 4e-15     # Newton stop: |F_j| relative to the terms F_j sums
 _MARGIN_TOL = 1e-14     # max relative move of b_j when the margin doubles
+_TRAPEZOID_STEP = 0.25  # h_0 rule step, in units of 1/sqrt(n max|V''|)
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,7 +84,7 @@ class Recurrence:
     rule), so h0 stays finite where h_0 overflows; h_j = h_0 b_1 ... b_j.
     Each rule takes its own shift, so the h_0 of two fits compare as
     log h0 + log_shift, not as h0: for V = -3x^2/2 + x^4/4 at n = 400
-    the string fit's shift is 209.99342 and default_fit's 209.99998,
+    the string fit's shift is 209.99991 and default_fit's 209.99998,
     and log h0 + log_shift agree exactly.
     h0 stays a mantissa rather than one log h_0: it is summed from the
     same e^{log w - s} that psi_0 = sqrt(w e^{-s} / h0) is formed from,
@@ -90,7 +93,8 @@ class Recurrence:
     omega_max is the largest estimate of |<phi_i, phi_j>|, i != j, that
     the omega-recurrence of stieltjes_recurrence reached over all
     degrees (at most sqrt(eps)); it is 0.0 for a fit from the string
-    equation (string_recurrence), which has no Lanczos vectors.
+    equation (string_recurrence) or the Laguerre closed forms
+    (laguerre_recurrence), which have no Lanczos vectors.
     """
 
     a: tuple[float, ...]
@@ -624,11 +628,17 @@ def gram_check(r: Recurrence, q: QuadratureRule, m: int) -> float:
 # string equation
 
 
-def _even_quartic(p: Potential):
-    """(t, g) when V' = t x + g x^3 on the whole line with no singularities, else None."""
+def _trimmed_reg(p: Potential) -> list[float]:
+    """The coefficients of V_reg' without trailing zeros."""
     reg = list(p.reg)
     while reg and reg[-1] == 0.0:
         reg.pop()
+    return reg
+
+
+def _even_quartic(p: Potential):
+    """(t, g) when V' = t x + g x^3 on the whole line with no singularities, else None."""
+    reg = _trimmed_reg(p)
     if (p.singularities or p.support.intervals != ((-math.inf, math.inf),)
             or len(reg) > 4 or any(reg[0::2])):
         return None
@@ -722,6 +732,39 @@ def string_residual(p: Potential, r: Recurrence) -> float | None:
     return float(np.max(np.abs(f) / s, initial=0.0))
 
 
+def _trapezoid_mass(p: Potential, t: float, g: float) -> tuple[float, float]:
+    """(h0, s) of V' = t x + g x^3 on the whole line: h_0 = h0 e^s,
+    s = max(0, max log w - 690) over the nodes.
+
+    The trapezoid rule on [0, X], X = _truncation_point(p, 0, +1), with
+    an even number of steps of at most _TRAPEZOID_STEP = 1/4 over
+    sqrt(n max|V''| on [0, X]), mirrored onto [-X, X]: every node but 0
+    and X counts twice.  w is entire and decays like a Gaussian, so the
+    rule converges geometrically in 1/step, and the step puts at least
+    four nodes in each e-fold width of w.  The rule on every other node
+    must agree to 1e-9 relative, the mass check of build_quadrature, or
+    NumericalError is raised.
+    """
+    x_cut = _truncation_point(p, 0.0, +1.0)
+    # V'' = t + 3 g x^2 is monotone on [0, X] since g >= 0
+    most = _TRAPEZOID_STEP / math.sqrt(p.n * max(abs(t), abs(t + 3.0 * g * x_cut * x_cut)))
+    steps = 2 * math.ceil(0.5 * x_cut / most)
+    step = x_cut / steps
+    lw = log_weight(p, np.linspace(0.0, x_cut, steps + 1))
+    s = max(0.0, float(np.max(lw)) - _LOG_TOP)
+    w = np.exp(lw - s)
+    h0 = step * float(2.0 * np.sum(w) - w[0] - w[-1])
+    if not (h0 > 0.0 and math.isfinite(h0)):
+        raise NumericalError("trapezoid rule for h_0 has no mass")
+    half = 2.0 * step * float(2.0 * np.sum(w[::2]) - w[0] - w[-1])
+    rel = abs(h0 - half) / h0
+    if not rel <= _MASS_TOL:
+        raise NumericalError(
+            f"trapezoid rule for h_0 at step {step:.3g}: the rule on every "
+            f"other node differs by {rel:.3g} relative")
+    return h0, s
+
+
 def string_recurrence(p: Potential, m_max: int) -> Recurrence:
     """Recurrence coefficients from the string equation, degrees 0..m_max.
 
@@ -743,8 +786,7 @@ def string_recurrence(p: Potential, m_max: int) -> Recurrence:
     terms.
 
     No quadrature carries the coefficients, so omega_max is 0.0.  h0
-    and log_shift are formed as stieltjes_recurrence forms them, on a
-    build_quadrature rule sized for degree 0.
+    and log_shift come from the trapezoid rule of _trapezoid_mass.
     """
     coeffs = _even_quartic(p)
     if coeffs is None:
@@ -768,7 +810,7 @@ def string_recurrence(p: Potential, m_max: int) -> Recurrence:
         raise NumericalError(
             f"string equation closure at margin {margin} moves b_1..b_{m_max} "
             f"by {drift:.2e} relative when the margin doubles")
-    *_, h0, s = _rule_mass(build_quadrature(p, 64, degree_hint=8))
+    h0, s = _trapezoid_mass(p, t, g)
     r = Recurrence(a=(0.0,) * m_max, b=tuple(b.tolist()), h0=h0, log_shift=s,
                    omega_max=0.0)
     _, total, sj = _string_defect(t, g, b[:-1], float(b[-1]), p.n)
@@ -777,6 +819,67 @@ def string_recurrence(p: Potential, m_max: int) -> Recurrence:
     if not res <= bound:
         raise NumericalError(f"string residual {res:.2e} exceeds {bound:.2e}")
     return r
+
+
+# ---------------------------------------------------------------------------
+# Laguerre closed forms
+
+
+def _laguerre(p: Potential):
+    """(e, sigma, c, A) when V_reg' = c on one half-line with end e, no
+    pole terms and at most one charge A/2, sitting at e, else None.
+
+    sigma = +1 for [e, inf) and -1 for (-inf, e]; the Potential's own
+    check makes the weight decay along the half-line, so sigma c > 0.
+    """
+    reg = _trimmed_reg(p)
+    ivs = p.support.intervals
+    sings = p.singularities
+    if len(reg) != 1 or len(ivs) != 1 or len(sings) > 1 or any(any(s.t) for s in sings):
+        return None
+    lo, hi = ivs[0]
+    if math.isinf(lo) == math.isinf(hi):
+        return None
+    e, sigma = (lo, 1.0) if math.isinf(hi) else (hi, -1.0)
+    if sings and sings[0].b != e:
+        return None
+    return e, sigma, float(reg[0]), 2.0 * sings[0].alpha if sings else 0.0
+
+
+def laguerre_recurrence(p: Potential, m_max: int) -> Recurrence:
+    """Recurrence coefficients from the Laguerre closed forms, degrees 0..m_max.
+
+    For V_reg' = c on one half-line with end e, no pole terms and at
+    most one charge alpha, at e, the weight is
+    w = |x - e|^A e^{-n c x}, A = 2 alpha: with y = sigma (x - e) and
+    k = n |c| it is e^{-n c e} y^A e^{-k y}, a scaled Laguerre weight
+    (Chihara, An Introduction to Orthogonal Polynomials, 1978, ch. V).
+    So a_j = e + sigma (2j + A + 1)/k, b_j = j (j + A)/k^2 and
+    log h_0 = -n c e + lgamma(A + 1) - (A + 1) log k, carried as
+    h0 = h_0 e^{-s}, s = max(0, max log w - 690) as elsewhere.  No
+    quadrature carries the coefficients, so omega_max is 0.0.
+    ValidationError is raised outside the family, NumericalError when
+    h0 is not a positive finite double.
+    """
+    fam = _laguerre(p)
+    if fam is None:
+        raise ValidationError(
+            "laguerre_recurrence needs V' = c on a half-line with no pole "
+            "terms and at most one charge, at its end")
+    if not m_max >= 1:
+        raise ValidationError("m_max must be at least 1")
+    e, sigma, c, big_a = fam
+    k = p.n * abs(c)
+    # log w peaks at y = A/k, or at the end itself when A = 0
+    peak = -p.n * c * e + (big_a * (math.log(big_a / k) - 1.0) if big_a else 0.0)
+    s = max(0.0, peak - _LOG_TOP)
+    h0 = math.exp(-p.n * c * e + math.lgamma(big_a + 1.0) - (big_a + 1.0) * math.log(k) - s)
+    if not (h0 > 0.0 and math.isfinite(h0)):
+        raise NumericalError("Laguerre weight has no representable mass")
+    return Recurrence(
+        a=tuple(e + sigma * (2 * j + big_a + 1.0) / k for j in range(m_max)),
+        b=tuple(j * (j + big_a) / (k * k) for j in range(1, m_max + 1)),
+        h0=h0, log_shift=s, omega_max=0.0)
 
 
 # ---------------------------------------------------------------------------

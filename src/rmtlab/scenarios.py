@@ -7,8 +7,10 @@ and reference_law(em, cp).  recurrence(p) returns the Recurrence the
 scan's kernels run on.  A scan reads no quadrature nodes, so where
 V' = t x + g x^3 on the whole line with no singularities (gue-bulk,
 gue-edge and quartic-merge) the coefficients come from the string
-equation (orthopoly.string_recurrence); every other scenario takes
-default_fit's.  The law is (kernel, meta), the closed form with its
+equation (orthopoly.string_recurrence), where V' = c on a half-line
+with at most one charge, at its end (mp-hard-edge), from the Laguerre
+closed forms (orthopoly.laguerre_recurrence), and only mp-two-charge
+takes default_fit's.  The law is (kernel, meta), the closed form with its
 affine map from the extracted E-coefficients, or None for scaling
 collapse, where successive n are compared directly.  The registry ships
 five presets:
@@ -35,7 +37,13 @@ from .classify import (
 from .equilibrium import quartic_measure, quartic_merge_coupling, solve_support
 from .errors import ValidationError
 from .kernel import airy_kernel, bessel_kernel, sine_kernel
-from .orthopoly import _even_quartic, cached_recurrence, string_recurrence
+from .orthopoly import (
+    _even_quartic,
+    _laguerre,
+    cached_recurrence,
+    laguerre_recurrence,
+    string_recurrence,
+)
 from .potential import IntervalSet, Potential, Singularity
 
 _LINE = IntervalSet(((-math.inf, math.inf),))
@@ -60,9 +68,12 @@ class _Scenario:
 
     def recurrence(self, p):
         """Recurrence to degree n + 1: the string equation's where it
-        applies (orthopoly._even_quartic), default_fit's otherwise."""
+        applies (orthopoly._even_quartic), the Laguerre closed forms'
+        where they do (orthopoly._laguerre), default_fit's otherwise."""
         if _even_quartic(p) is not None:
             return string_recurrence(p, p.n + 1)
+        if _laguerre(p) is not None:
+            return laguerre_recurrence(p, p.n + 1)
         return default_fit(p)[0]
 
     def reference_law(self, em, cp):

@@ -374,11 +374,19 @@ def test_converge_validation_failure_exits_two(outdir, capsys, argv):
 
 
 def test_converge_numerical_failure_exits_three(outdir, capsys):
-    # the clip guard refuses the MP hard edge at n = 400
-    assert run(outdir, "converge", "mp-hard-edge", "--n-list", "300,400") == 3
+    # the clip guard refuses the two-charge hard edge at n = 400
+    assert run(outdir, "converge", "mp-two-charge", "--n-list", "300,400") == 3
     err = capsys.readouterr().err
     assert "convergence scan failed at stage n=400" in err
     assert "clips degree-401 polynomials" in err
+
+
+def test_converge_mp_hard_edge_past_the_quadrature_ceiling(outdir):
+    # fitted from the Laguerre closed forms, the one-charge hard edge runs
+    # at n = 400, where the quadrature route's clip guard refused it
+    assert run(outdir, "converge", "mp-hard-edge", "--n-list", "300,400") == 0
+    errs = [row["sup_error"] for row in read_json(outdir / "scan_mp-hard-edge.json")["rows"]]
+    assert errs[1] < errs[0]
 
 
 def test_converge_gue_edge_past_the_quadrature_ceiling(outdir, capsys):

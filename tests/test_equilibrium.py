@@ -344,16 +344,24 @@ def test_solver_refusals_keep_their_messages():
     with pytest.raises(NumericalError, match=r"^symmetric_two_cut endpoint equations "
                        r"did not converge \(near a merge point, one_cut may be the right "
                        r"structure\)$"):
-        solve_support(gaussian(200), "symmetric_two_cut")
+        solve_support(quartic(1.0, 200), "symmetric_two_cut")
 
 
 @pytest.mark.parametrize("p, structure, error, message", [
     (gaussian(), "two_cut", ValidationError, "unknown structure 'two_cut'; pick from "),
     (mp_charge(), "symmetric_two_cut", NumericalError,
      "symmetric_two_cut needs degree >= 4 in V_reg"),
+    # below degree 4 the refusal names the degree, not a failed solve
+    (gaussian(200), "symmetric_two_cut", NumericalError,
+     "symmetric_two_cut needs degree >= 4 in V_reg"),
+    (Potential(n=40, reg=(-1.0,), singularities=(), support=NEG), "symmetric_two_cut",
+     NumericalError, "symmetric_two_cut needs degree >= 4 in V_reg"),
+    (Potential(n=40, reg=(0.0, 1.0, 0.0, 0.0), singularities=(), support=LINE),
+     "symmetric_two_cut", NumericalError, "symmetric_two_cut needs degree >= 4 in V_reg"),
     (Potential(n=40, reg=(), singularities=(), support=IntervalSet(((-1.0, 1.0),))),
      "one_cut", NumericalError, "one_cut needs a nonconstant V_reg"),
-], ids=["unknown", "linear-two-cut", "constant"])
+], ids=["unknown", "linear-two-cut", "quadratic-two-cut", "bare-linear-two-cut",
+        "zero-padded-two-cut", "constant"])
 def test_solve_support_refusals(p, structure, error, message):
     with pytest.raises(error, match=re.escape(message)):
         solve_support(p, structure)

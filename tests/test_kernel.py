@@ -540,6 +540,18 @@ def test_scaled_grid_refuses_subnormal_psi0(monkeypatch):
     assert _edge_grid_error(760) > 0.3
 
 
+@pytest.mark.parametrize("alpha, decay", [(0.0, -2.0), (0.5, -1.0)])
+def test_hard_edge_scan_past_the_quadrature_ceiling(alpha, decay):
+    # fitted from the Laguerre closed forms, the Bessel scan runs at
+    # n = 1 600, where the quadrature route's clip guard refused from
+    # n ~ 310 on; measured decay -2.00003 (alpha = 0) and -0.99938
+    sc = get_scenario("mp-hard-edge", alpha=alpha)
+    out = convergence_scan(sc, [200, 400, 800, 1600], np.asarray(sc.default_grid))
+    errs = [row["sup_error"] for row in out["rows"]]
+    assert errs[0] > errs[1] > errs[2] > errs[3]
+    assert out["fitted_decay"] == pytest.approx(decay, abs=0.05)
+
+
 def test_convergence_scan_stage_failure_keeps_its_type():
     grid = np.linspace(-1.0, 1.0, 3)
     with pytest.raises(NumericalError, match="stage n=20: lost orthogonality"):

@@ -21,6 +21,7 @@ from rmtlab.orthopoly import (
     Recurrence,
     build_quadrature,
     gram_check,
+    laguerre_recurrence,
     orthonormal_rows,
     stieltjes_recurrence,
     string_recurrence,
@@ -615,11 +616,120 @@ def test_string_recurrence_is_exact_for_the_gaussian():
 def test_h0_of_two_fits_compares_with_its_shift():
     p = even_quartic(400, -3.0)
     r, ref = string_recurrence(p, 401), default_fit(p)[0]
-    assert r.log_shift == pytest.approx(209.99342, abs=1e-5)
+    assert r.log_shift == pytest.approx(209.99991, abs=1e-5)
     assert ref.log_shift == pytest.approx(209.99998, abs=1e-5)
-    assert abs(math.log(r.h0) - math.log(ref.h0)) > 1e-4
+    assert abs(math.log(r.h0) - math.log(ref.h0)) > 5e-5
     assert math.log(r.h0) + r.log_shift == pytest.approx(
         math.log(ref.h0) + ref.log_shift, abs=1e-13)
+
+
+TRAPEZOID_CASES = [(t, g, n) for t, g in ((-3.0, 1.0), (-2.0, 1.0), (-1.0, 1.0),
+                                           (1.0, 1.0), (1.0, 0.0))
+                   for n in (30, 400, 3000, 20000)]
+
+
+@pytest.mark.parametrize("t, g, n", TRAPEZOID_CASES)
+def test_trapezoid_h0_matches_the_quadrature_rule(t, g, n):
+    # the rule string_recurrence took h_0 from before: measured at most
+    # 2.8e-16 relative over these cases
+    p = even_quartic(n, t, g)
+    h0, s = orthopoly._trapezoid_mass(p, t, g)
+    *_, h0_ref, s_ref = orthopoly._rule_mass(build_quadrature(p, 64, degree_hint=8))
+    ref = math.log(h0_ref) + s_ref
+    assert abs(math.log(h0) + s - ref) <= 1e-15 * abs(ref)
+
+
+@pytest.mark.parametrize("t, g, n", [c for c in TRAPEZOID_CASES if c[2] >= 400])
+def test_trapezoid_h0_refuses_a_coarse_step(monkeypatch, t, g, n):
+    # 8x the step: the rule on every other node then differs by 4.6e-6
+    # (t = 1, g = 1, n = 400) or more, against at most 9.1e-13 at the real
+    # step (rounding of log w ~ 4.5e4 at t = -3, n = 20 000); at n = 30
+    # the weight is wide enough that t = 1, g = 1 still agrees to 1.4e-14
+    p = even_quartic(n, t, g)
+    monkeypatch.setattr(orthopoly, "_TRAPEZOID_STEP", 8 * orthopoly._TRAPEZOID_STEP)
+    with pytest.raises(NumericalError, match="rule on every other node differs"):
+        orthopoly._trapezoid_mass(p, t, g)
+
+
+def laguerre_potential(n, alpha, side):
+    sings = (Singularity(b=0.0, alpha=alpha),) if alpha else ()
+    return Potential(n=n, reg=(side,), singularities=sings,
+                     support=NEG if side < 0 else HALF)
+
+
+def laguerre_defects(r, ref):
+    """Worst relative gaps of a_j and b_j, and the gap of log h0 + log_shift."""
+    a, a_ref = np.array(r.a), np.array(ref.a)
+    b, b_ref = np.array(r.b), np.array(ref.b)
+    return (float(np.max(np.abs(a - a_ref) / np.abs(a_ref))),
+            float(np.max(np.abs(b - b_ref) / b_ref)),
+            abs(math.log(r.h0) + r.log_shift - math.log(ref.h0) - ref.log_shift))
+
+
+@pytest.mark.parametrize("side", [-1.0, 1.0], ids=["neg", "pos"])
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.3])
+@pytest.mark.parametrize("n", [50, 150, 300])
+def test_laguerre_closed_form_certifies_stieltjes_fits(n, alpha, side):
+    # measured worst gaps: 9.0e-15 (a_j), 6.9e-15 (b_j), 3.6e-15 (log h_0);
+    # alpha moved by 1e-3 gives at least 5.6e-4, a shifted b index 1.6
+    p = laguerre_potential(n, alpha, side)
+    r, ref = laguerre_recurrence(p, n + 1), default_fit(p)[0]
+    da, db, dh = laguerre_defects(r, ref)
+    assert da <= 2e-14 and db <= 2e-14 and dh <= 1e-13
+    assert r.omega_max == 0.0
+    moved = laguerre_recurrence(laguerre_potential(n, alpha + 1e-3, side), n + 1)
+    assert max(laguerre_defects(moved, ref)[:2]) > 2e-14
+    shifted = replace(r, b=r.b[1:] + (r.b[-1],))
+    assert laguerre_defects(shifted, ref)[1] > 2e-14
+
+
+def test_laguerre_closed_form_off_the_origin():
+    # V = 2x on [1, inf), charge 1/2 at 1: a_j = 1 + (2j + 2)/2n
+    p = Potential(n=40, reg=(2.0,), singularities=(Singularity(b=1.0, alpha=0.5),),
+                  support=IntervalSet(((1.0, math.inf),)))
+    r = laguerre_recurrence(p, 41)
+    assert r.a[:2] == (1.0 + 2.0 / 80.0, 1.0 + 4.0 / 80.0)
+    assert r.b[:2] == (2.0 / 6400.0, 6.0 / 6400.0)
+    da, db, dh = laguerre_defects(r, default_fit(p)[0])
+    assert da <= 2e-14 and db <= 2e-14 and dh <= 1e-13
+
+
+def test_laguerre_h0_is_shifted_past_the_overflow():
+    # V = -x on (-inf, 1000], n = 10: log w peaks at n e = 10 000
+    p = Potential(n=10, reg=(-1.0,), singularities=(),
+                  support=IntervalSet(((-math.inf, 1000.0),)))
+    r = laguerre_recurrence(p, 11)
+    assert r.log_shift == 10000.0 - 690.0
+    assert math.log(r.h0) + r.log_shift == pytest.approx(10000.0 - math.log(10.0),
+                                                         rel=1e-15)
+    with pytest.raises(NumericalError, match="no representable mass"):
+        laguerre_recurrence(replace(p, support=IntervalSet(((-math.inf, -1000.0),))), 11)
+
+
+@pytest.mark.parametrize("p", [
+    even_quartic(40, 1.0),
+    Potential(n=40, reg=(-1.0, 0.5), singularities=(), support=NEG),
+    Potential(n=40, reg=(-1.0,), singularities=(), support=IntervalSet(((-3.0, 0.0),))),
+    Potential(n=40, reg=(-1.0,), singularities=(Singularity(b=-1.0, alpha=0.5),),
+              support=NEG),
+    Potential(n=40, reg=(-1.0,), singularities=(Singularity(b=0.0, alpha=0.5),
+                                                Singularity(b=-1.0, alpha=0.5)),
+              support=NEG),
+    Potential(n=40, reg=(-1.0,), singularities=(
+        Singularity(b=0.0, alpha=0.5, t=(0.0, -1.0)),), support=NEG),
+], ids=["line", "quadratic", "interval", "charge-inside", "two-charges", "pole"])
+def test_laguerre_route_is_refused_outside_its_family(p):
+    with pytest.raises(ValidationError, match="V' = c on a half-line"):
+        laguerre_recurrence(p, 3)
+
+
+def test_laguerre_family_ignores_zero_padding():
+    p = laguerre_potential(40, 0.5, -1.0)
+    padded = replace(p, reg=(-1.0, 0.0), singularities=(
+        Singularity(b=0.0, alpha=0.5, t=(0.0, 0.0)),))
+    assert laguerre_recurrence(padded, 41) == laguerre_recurrence(p, 41)
+    with pytest.raises(ValidationError, match="m_max"):
+        laguerre_recurrence(p, 0)
 
 
 # measured worst residuals of default_fit: 3.5e-15 (GUE, n = 500),

@@ -2,12 +2,15 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from rmtlab.classify import extract_model_data
 from rmtlab.equilibrium import example_curve, xi_eval
 from rmtlab.errors import ValidationError
-from rmtlab.orthopoly import Recurrence
+from rmtlab import orthopoly
+from rmtlab.kernel import convergence_scan
+from rmtlab.orthopoly import Recurrence, laguerre_recurrence
 from rmtlab.scenarios import default_fit, get_scenario, scenario_names
 
 
@@ -121,15 +124,38 @@ def test_default_grids_stay_in_domain():
     ("mp-hard-edge", False), ("mp-two-charge", False)])
 def test_recurrence_is_a_recurrence_from_its_route(name, string_route):
     # the scan reads no nodes: even quartics are fitted from the string
-    # equation (no Lanczos vectors, omega_max 0.0), the rest by default_fit
+    # equation, the MP hard edge from the Laguerre closed forms (neither
+    # has Lanczos vectors, so omega_max is 0.0), the rest by default_fit
     sc = get_scenario(name)
     p = sc.make_potential(40)
     r = sc.recurrence(p)
     assert isinstance(r, Recurrence) and r.m_max == 41
     if string_route:
         assert r.omega_max == 0.0 and not any(r.a)
+    elif name == "mp-hard-edge":
+        assert r == laguerre_recurrence(p, 41) and r.omega_max == 0.0
+        charged = get_scenario(name, alpha=0.5)
+        p = charged.make_potential(40)
+        assert charged.recurrence(p) == laguerre_recurrence(p, 41)
     else:
         assert r == default_fit(p)[0]
+
+
+@pytest.mark.parametrize("name, params", [
+    ("gue-bulk", {}), ("gue-edge", {}), ("quartic-merge", {"tau": 0.0}),
+    ("quartic-merge", {"tau": 2.0}), ("mp-hard-edge", {"alpha": 0.0}),
+    ("mp-hard-edge", {"alpha": 0.5})])
+def test_closed_form_scans_build_no_rule(monkeypatch, name, params):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a closed-form scan built a quadrature fit")
+
+    monkeypatch.setattr(orthopoly, "build_quadrature", refuse)
+    monkeypatch.setattr(orthopoly, "stieltjes_recurrence", refuse)
+    sc = get_scenario(name, **params)
+    out = convergence_scan(sc, [40, 80], np.asarray(sc.default_grid))
+    assert len(out["rows"]) in (1, 2)
+    with pytest.raises(AssertionError, match="built a quadrature fit"):
+        default_fit(sc.make_potential(40))
 
 
 @pytest.mark.parametrize("tau", [0.0, 2.0, -1.5])
