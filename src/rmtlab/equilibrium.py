@@ -417,7 +417,11 @@ def check_variational(em: EquilibriumMeasure):
 
     Returns a dict with the on-support equality residuals (should vanish)
     and the off-support values of 2 int log|x-y| dmu - V_reg - ell (should
-    be strictly negative away from equality points).
+    be strictly negative away from equality points).  Off the support the
+    samples fill the gaps and an end segment on each side out to
+    _BOX_PAD model scales past the support or the outermost exterior
+    point there, clipped to the domain; samples within
+    _EXCLUSION_RADIUS of an exterior point are skipped.
     """
     spans = [hi - lo for lo, hi in em.support.intervals]
     total_span = sum(spans)
@@ -432,8 +436,8 @@ def check_variational(em: EquilibriumMeasure):
     for glo, ghi in em.support.gaps():
         off_segments.append((glo, ghi))
     dom = em.potential.support
-    left_end = max(dom.lo, em.support.lo - _BOX_PAD * scale)
-    right_end = min(dom.hi, em.support.hi + _BOX_PAD * scale)
+    left_end = max(dom.lo, min((em.support.lo, *em.exterior_points)) - _BOX_PAD * scale)
+    right_end = min(dom.hi, max((em.support.hi, *em.exterior_points)) + _BOX_PAD * scale)
     if left_end < em.support.lo:
         off_segments.append((left_end, em.support.lo))
     if right_end > em.support.hi:
@@ -643,7 +647,7 @@ def _layouts(p: Potential, structure: str, vc: np.ndarray) -> list[_Layout]:
     sc = p.scale()
     if structure == "symmetric_two_cut":
         # unknowns (log a, log(b - a)); c_2 vanishes by symmetry, so it is free
-        if len(np.trim_zeros(vc, "b")) < 4:
+        if p.reg_degree() < 4:
             raise NumericalError("symmetric_two_cut needs degree >= 4 in V_reg")
         even = vc[0::2]
         if np.max(np.abs(even)) > 1e-12 * max(1.0, np.max(np.abs(vc))):
@@ -654,7 +658,7 @@ def _layouts(p: Potential, structure: str, vc: np.ndarray) -> list[_Layout]:
              (0.0, 0.5)),
             "symmetric_two_cut endpoint equations did not converge "
             "(near a merge point, one_cut may be the right structure)")]
-    if not len(vc) or not np.any(vc):
+    if p.reg_degree() == 0:
         raise NumericalError(f"{structure} needs a nonconstant V_reg")
     if structure == "one_cut":
         # unknowns (centre, log half-width)

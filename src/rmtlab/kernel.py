@@ -22,36 +22,33 @@ import math
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .orthopoly import _TINY, QuadratureRule, Recurrence, _is_even_model, orthonormal_rows
+from .orthopoly import QuadratureRule, Recurrence, orthonormal_rows
 from .potential import Potential, log_weight
 from .specfun import airy_ai, bessel_j
 
 _CONFLUENT_REL = 1e-8
+_TINY = np.finfo(float).tiny  # the smallest normal double
 
 
 # ---------------------------------------------------------------------------
 # finite-n kernel
 
 
-def _parity_fit(r: Recurrence, p: Potential) -> bool:
-    """a_0 = ... = a_{n-1} = 0 and an even model: psi_j(-x) = (-1)^j psi_j(x)."""
-    return not any(r.a[:p.n]) and _is_even_model(p)
-
-
 def _psi_rows(r: Recurrence, p: Potential, x: np.ndarray):
     """psi_n, psi_{n-1} and the diagonal K_n(x, x) at the points of x.
 
     The one place that runs the recurrence at points: one pass over the
-    distinct points of x, or on a parity fit (_parity_fit) over their
-    distinct |x|, gathered back to the shape of x with the odd-degree row
-    negated at x < 0, since psi_j(-x) = (-1)^j psi_j(x).  Where log w is
+    distinct points of x, or on a parity fit (a_0 = ... = a_{n-1} = 0 on
+    an even model, Potential.is_even) over their distinct |x|, gathered
+    back to the shape of x with the odd-degree row negated at x < 0,
+    since psi_j(-x) = (-1)^j psi_j(x).  Where log w is
     itself exactly even (no charges off 0) that is the direct evaluation
     bit for bit, apart from the sign of zeros where sqrt(w) underflows.
     The diagonal is the Christoffel-Darboux sum of squares
     sum_{j<n} psi_j^2: positive terms, so nothing cancels.  log w is
     -inf off the domain, so every row and the diagonal vanish there.
     """
-    parity = _parity_fit(r, p)
+    parity = not any(r.a[:p.n]) and p.is_even()
     pts, inv = np.unique(np.abs(x) if parity else x, return_inverse=True)
     inv = inv.reshape(x.shape)
     rows = orthonormal_rows(r, pts, log_weight(p, pts), p.n)

@@ -15,6 +15,8 @@ string_recurrence solves the string equation they satisfy exactly (and
 string_residual is that equation's certificate for any fit), and for
 V' = c on a half-line with at most one charge, at its end,
 laguerre_recurrence writes down the scaled Laguerre closed forms.
+Both families, and the even models whose rules are mirrored, are
+recognized from the potential's own reg_degree and is_even.
 orthonormal_rows evaluates the weighted orthonormal functions
 sqrt(w) p_j / sqrt(h_j) from the coefficients at any points.
 """
@@ -210,24 +212,6 @@ def _plain_panels(width, x0: float, x1: float, anchors):
     return out
 
 
-def _is_even_model(p: Potential) -> bool:
-    if any(p.reg[i] != 0.0 for i in range(0, len(p.reg), 2)):
-        return False
-    ivs = p.support.intervals
-    mirror = tuple(sorted((-hi, -lo) for lo, hi in ivs))
-    if mirror != tuple(sorted(ivs)):
-        return False
-    # complex numbers do not order, so the keys hold (real, imag) pairs
-    def key(b, alpha, t):
-        return (b.real, b.imag, float(alpha), tuple((c.real, c.imag) for c in t))
-    pool = sorted(key(complex(s.b), s.alpha, map(complex, s.t))
-                  for s in p.singularities)
-    refl = sorted(key(-complex(s.b), s.alpha,
-                      ((-1.0) ** (j + 1) * complex(c) for j, c in enumerate(s.t)))
-                  for s in p.singularities)
-    return pool == refl
-
-
 def _is_mirrored(q: QuadratureRule) -> bool:
     """N is even and nodes, base and log_w equal their mirror images bit for bit.
 
@@ -307,11 +291,12 @@ def build_quadrature(p: Potential, resolution: int, *,
     at 12.  A doubled-order rule on the same panels must reproduce the
     total mass to 1e-9 relative (both carry the factor e^{-s}).
 
-    An even model (_is_even_model: even V_reg, mirror-image domain and
-    charges) gets panels built on x >= 0 and mirrored, and log w
+    An even model (Potential.is_even: even V_reg, mirror-image domain
+    and charges) gets panels built on x >= 0 and mirrored, and log w
     evaluated at the x > 0 nodes and mirrored, so its rule is mirrored
     bit for bit (_is_mirrored) and stieltjes_recurrence and gram_check
-    take their half paths on it.  Any other model's rule is unchanged.
+    take their half paths on it.  Any other model's panels cover each
+    domain component as it stands.
     """
     if resolution < 8:
         raise ValidationError("resolution must be at least 8")
@@ -321,7 +306,7 @@ def build_quadrature(p: Potential, resolution: int, *,
 
     panels = []
     cut_lo = cut_hi = None
-    even = _is_even_model(p)
+    even = p.is_even()
     for lo, hi in p.support.intervals:
         if even:
             # build the x >= 0 half and mirror it so the discrete
@@ -464,7 +449,7 @@ def stieltjes_recurrence(q: QuadratureRule, m_max: int) -> Recurrence:
     and its reduction skipped.  The rounding seed of the omega monitor
     stays that of all N nodes, and the clip guard reads the top vector
     mirrored back onto the whole rule.  Any other rule takes the full
-    path, bit for bit as before.
+    path.
     """
     npts = q.nodes.size
     if not m_max >= 1:
@@ -597,7 +582,7 @@ def gram_check(r: Recurrence, q: QuadratureRule, m: int) -> float:
     entries of mixed parity are summation noise and the others are twice
     their x > 0 sums: rows on that half are scaled by sqrt(2 base) and
     summed into an even-degree and an odd-degree block.  Any other rule
-    or fit takes the full path as before.
+    or fit takes the full path.
     """
     _check_degree(r, m)
     x, log_w, base = q.nodes, q.log_w, q.base
@@ -628,21 +613,12 @@ def gram_check(r: Recurrence, q: QuadratureRule, m: int) -> float:
 # string equation
 
 
-def _trimmed_reg(p: Potential) -> list[float]:
-    """The coefficients of V_reg' without trailing zeros."""
-    reg = list(p.reg)
-    while reg and reg[-1] == 0.0:
-        reg.pop()
-    return reg
-
-
 def _even_quartic(p: Potential):
     """(t, g) when V' = t x + g x^3 on the whole line with no singularities, else None."""
-    reg = _trimmed_reg(p)
     if (p.singularities or p.support.intervals != ((-math.inf, math.inf),)
-            or len(reg) > 4 or any(reg[0::2])):
+            or p.reg_degree() > 4 or not p.is_even()):
         return None
-    t, g = (reg + [0.0, 0.0])[1:4:2]
+    t, g = (p.reg[:p.reg_degree()] + (0.0, 0.0))[1:4:2]
     return float(t), float(g)
 
 
@@ -782,8 +758,9 @@ def string_recurrence(p: Potential, m_max: int) -> Recurrence:
     repeated with twice the margin and b_1..b_{m_max} must not move by
     more than _MARGIN_TOL relative.  NumericalError is raised when
     Newton does not converge, a b_j turns nonpositive, the margin check
-    fails or string_residual exceeds _STRING_TOL times the size of its
-    terms.
+    fails or the string residual of b_1..b_{m_max} (string_residual's
+    measure, taken from the closing defect) exceeds _STRING_TOL times
+    the size of its terms.
 
     No quadrature carries the coefficients, so omega_max is 0.0.  h0
     and log_shift come from the trapezoid rule of _trapezoid_mass.
@@ -811,14 +788,13 @@ def string_recurrence(p: Potential, m_max: int) -> Recurrence:
             f"string equation closure at margin {margin} moves b_1..b_{m_max} "
             f"by {drift:.2e} relative when the margin doubles")
     h0, s = _trapezoid_mass(p, t, g)
-    r = Recurrence(a=(0.0,) * m_max, b=tuple(b.tolist()), h0=h0, log_shift=s,
-                   omega_max=0.0)
-    _, total, sj = _string_defect(t, g, b[:-1], float(b[-1]), p.n)
+    f, total, sj = _string_defect(t, g, b[:-1], float(b[-1]), p.n)
     bound = _STRING_TOL * float(np.max(b[:-1] * (abs(t) + g * total) / sj, initial=1.0))
-    res = string_residual(p, r)
+    res = float(np.max(np.abs(f) / sj, initial=0.0))  # string_residual of the fit
     if not res <= bound:
         raise NumericalError(f"string residual {res:.2e} exceeds {bound:.2e}")
-    return r
+    return Recurrence(a=(0.0,) * m_max, b=tuple(b.tolist()), h0=h0, log_shift=s,
+                      omega_max=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -832,10 +808,9 @@ def _laguerre(p: Potential):
     sigma = +1 for [e, inf) and -1 for (-inf, e]; the Potential's own
     check makes the weight decay along the half-line, so sigma c > 0.
     """
-    reg = _trimmed_reg(p)
     ivs = p.support.intervals
     sings = p.singularities
-    if len(reg) != 1 or len(ivs) != 1 or len(sings) > 1 or any(any(s.t) for s in sings):
+    if p.reg_degree() != 1 or len(ivs) != 1 or len(sings) > 1 or any(any(s.t) for s in sings):
         return None
     lo, hi = ivs[0]
     if math.isinf(lo) == math.isinf(hi):
@@ -843,7 +818,7 @@ def _laguerre(p: Potential):
     e, sigma = (lo, 1.0) if math.isinf(hi) else (hi, -1.0)
     if sings and sings[0].b != e:
         return None
-    return e, sigma, float(reg[0]), 2.0 * sings[0].alpha if sings else 0.0
+    return e, sigma, float(p.reg[0]), 2.0 * sings[0].alpha if sings else 0.0
 
 
 def laguerre_recurrence(p: Potential, m_max: int) -> Recurrence:

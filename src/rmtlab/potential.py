@@ -15,6 +15,9 @@ so the weight factors as
 on the domain and vanishes off it.  Singular points b come in
 conjugate-closed sets so that V is real on the real axis.  Every
 Potential checks such constraints on construction (ValidationError).
+It is also the one home of two facts the other layers read off the
+model: V_reg's degree (Potential.reg_degree) and mirror symmetry
+(Potential.is_even).
 """
 
 from __future__ import annotations
@@ -115,6 +118,35 @@ class Potential:
         ends += [abs(s.b) for s in self.singularities]
         ends += [1.0]
         return max(ends)
+
+    def reg_degree(self) -> int:
+        """Degree of V_reg, the last j with t_j != 0 (0 for V_reg = 0).
+
+        V_reg' = sum_j t_j z^(j-1) has coefficients reg[:reg_degree()].
+        """
+        return _trimmed_top(self.reg)
+
+    def is_even(self) -> bool:
+        """The model is its own mirror image under x -> -x.
+
+        V_reg is even (t_j = 0 for odd j), the domain is symmetric about
+        0, and the singularities map onto themselves: b to -b with the
+        same alpha and t_{b,j} to (-1)^j t_{b,j}.  Comparisons are exact.
+        """
+        if any(self.reg[i] != 0.0 for i in range(0, len(self.reg), 2)):
+            return False
+        ivs = self.support.intervals
+        if tuple(sorted((-hi, -lo) for lo, hi in ivs)) != tuple(sorted(ivs)):
+            return False
+        # complex numbers do not order, so the keys hold (real, imag) pairs
+        def key(b, alpha, t):
+            return (b.real, b.imag, float(alpha), tuple((c.real, c.imag) for c in t))
+        pool = sorted(key(complex(s.b), s.alpha, map(complex, s.t))
+                      for s in self.singularities)
+        refl = sorted(key(-complex(s.b), s.alpha,
+                          ((-1.0) ** (j + 1) * complex(c) for j, c in enumerate(s.t)))
+                      for s in self.singularities)
+        return pool == refl
 
     def __post_init__(self):
         _validate(self)
@@ -275,7 +307,7 @@ def _validate(p: Potential) -> None:
             raise ValidationError(f"{what} must be finite, got {v}")
 
     # growth: the weight must decay along every unbounded end (V_reg = 0 has lead 0)
-    deg = _trimmed_top(p.reg)
+    deg = p.reg_degree()
     lead = p.reg[deg - 1] if deg else 0.0
     if p.support.hi == math.inf and lead <= 0:
         raise ValidationError(

@@ -3,17 +3,15 @@
 convergence_scan reads seven members of a scenario, duck-typed: name,
 compare_abs (compare |kernel|, for charges on the scaled axis),
 make_potential(n), equilibrium(p), critical_point(em), recurrence(p)
-and reference_law(em, cp).  recurrence(p) returns the Recurrence the
-scan's kernels run on.  A scan reads no quadrature nodes, so where
-V' = t x + g x^3 on the whole line with no singularities (gue-bulk,
-gue-edge and quartic-merge) the coefficients come from the string
-equation (orthopoly.string_recurrence), where V' = c on a half-line
-with at most one charge, at its end (mp-hard-edge), from the Laguerre
-closed forms (orthopoly.laguerre_recurrence), and only mp-two-charge
-takes default_fit's.  The law is (kernel, meta), the closed form with its
-affine map from the extracted E-coefficients, or None for scaling
-collapse, where successive n are compared directly.  The registry ships
-five presets:
+and reference_law(em, cp).  recurrence(p) returns the Recurrence to
+degree n + 1 the scan's kernels run on, from the fit its preset names.
+A scan reads no quadrature nodes, so the even quartics gue-bulk,
+gue-edge and quartic-merge take orthopoly.string_recurrence, the
+Laguerre weight of mp-hard-edge orthopoly.laguerre_recurrence, and
+mp-two-charge the base class's default_fit.  The law is (kernel, meta),
+the closed form with its affine map from the extracted E-coefficients,
+or None for scaling collapse, where successive n are compared directly.
+The registry ships five presets:
 
     gue-bulk       Gaussian, interior point 0, sine law
     gue-edge       Gaussian, soft edge at 2, Airy law
@@ -37,13 +35,7 @@ from .classify import (
 from .equilibrium import quartic_measure, quartic_merge_coupling, solve_support
 from .errors import ValidationError
 from .kernel import airy_kernel, bessel_kernel, sine_kernel
-from .orthopoly import (
-    _even_quartic,
-    _laguerre,
-    cached_recurrence,
-    laguerre_recurrence,
-    string_recurrence,
-)
+from .orthopoly import cached_recurrence, laguerre_recurrence, string_recurrence
 from .potential import IntervalSet, Potential, Singularity
 
 _LINE = IntervalSet(((-math.inf, math.inf),))
@@ -67,13 +59,7 @@ class _Scenario:
         return nearest_critical_point(em, self.x_star)
 
     def recurrence(self, p):
-        """Recurrence to degree n + 1: the string equation's where it
-        applies (orthopoly._even_quartic), the Laguerre closed forms'
-        where they do (orthopoly._laguerre), default_fit's otherwise."""
-        if _even_quartic(p) is not None:
-            return string_recurrence(p, p.n + 1)
-        if _laguerre(p) is not None:
-            return laguerre_recurrence(p, p.n + 1)
+        """Recurrence to degree n + 1 from default_fit."""
         return default_fit(p)[0]
 
     def reference_law(self, em, cp):
@@ -94,6 +80,9 @@ class GueBulk(_Scenario):
     def critical_point(self, em):
         return bulk_point(em, 0.0)
 
+    def recurrence(self, p):
+        return string_recurrence(p, p.n + 1)
+
     def reference_law(self, em, cp):
         md = extract_model_data(em, cp)
         s = md.e_series[1] / math.pi   # = local density rho(x_*)
@@ -112,6 +101,9 @@ class GueEdge(_Scenario):
 
     def make_potential(self, n):
         return Potential(n=n, reg=(0.0, 1.0), singularities=(), support=_LINE)
+
+    def recurrence(self, p):
+        return string_recurrence(p, p.n + 1)
 
     def reference_law(self, em, cp):
         md = extract_model_data(em, cp)
@@ -150,6 +142,9 @@ class QuarticMerge(_Scenario):
         return CriticalPoint(x_star=0.0, kind="interior", order_k=1,
                              m_h=2, radius=0.5)
 
+    def recurrence(self, p):
+        return string_recurrence(p, p.n + 1)
+
 
 class MpHardEdge(_Scenario):
     """Linear V on R- with one charge alpha at 0; Bessel-kernel law."""
@@ -168,6 +163,9 @@ class MpHardEdge(_Scenario):
         sings = () if self.alpha == 0.0 else (
             Singularity(b=0.0, alpha=self.alpha),)
         return Potential(n=n, reg=(-1.0,), singularities=sings, support=_NEG)
+
+    def recurrence(self, p):
+        return laguerre_recurrence(p, p.n + 1)
 
     def reference_law(self, em, cp):
         md = extract_model_data(em, cp)

@@ -131,13 +131,17 @@ def _bessel_series(alpha: float, x: float) -> tuple[float, float]:
     if x == 0.0:
         if alpha == 0.0:
             return 1.0, 0.0
-        if alpha == 1.0:
-            return 0.0, 0.5
+        if abs(alpha) == 1.0:
+            # J_{-1} = -J_1
+            return math.copysign(0.0, alpha), math.copysign(0.5, alpha)
         if alpha > 1.0:
             return 0.0, 0.0
         if alpha > 0.0:
             return 0.0, math.inf
-        return math.inf, -math.inf  # alpha in (-2, 0) diverges at the origin
+        # alpha in (-2, 0) diverges at the origin like the leading term
+        # (x/2)^alpha / Gamma(alpha + 1), whose sign flips at alpha = -1
+        big = math.copysign(math.inf, _rgamma(alpha + 1.0))
+        return big, -big
     half = 0.5 * x
     q = half * half
     # t_k = (-1)^k half^{alpha+2k} / (k! Gamma(alpha+k+1)),

@@ -22,6 +22,7 @@ from rmtlab import (
     curve_eval,
     density,
     example_curve,
+    extract_model_data,
     find_critical_points,
     g_eval,
     get_scenario,
@@ -165,10 +166,10 @@ def test_symmetric_two_cut_closed_form():
     assert mass_right_of(em, 0.0) == pytest.approx(0.5, abs=1e-10)
 
 
-def cubic_tilt(t3):
+def cubic_tilt(t3, n=100):
     # V' = -3x + t3 x^2 + x^3; at t3c the one-cut measure is tight at a
     # real zero of h right of the cut, where a new cut is born
-    return Potential(n=100, reg=(0.0, -3.0, t3, 1.0), singularities=(), support=LINE)
+    return Potential(n=n, reg=(0.0, -3.0, t3, 1.0), singularities=(), support=LINE)
 
 
 def test_birth_of_a_cut_keeps_its_exterior_point():
@@ -177,6 +178,42 @@ def test_birth_of_a_cut_keeps_its_exterior_point():
     ext = [cp for cp in find_critical_points(em) if cp.kind == "exterior"]
     assert [(round(cp.x_star, 6), cp.order_k) for cp in ext] == [(1.294458, 1)]
     assert solve_support(cubic_tilt(1.5)).exterior_points == ()
+    # the model data there: y = h sqrt(R) has a simple zero at x_*, so
+    # E_0 = E_1 = c_hat = 0 and E_2 = y'(x_*)/2 = h'(x_*) sqrt(R(x_*))/2
+    # (x_* lies right of the cut, where sqrt(R) > 0)
+    (cp,) = ext
+    x = cp.x_star
+    md = extract_model_data(em, cp)
+    e0, e1, e2 = md.e_series
+    assert abs(e0) < 1e-12 and e1 == 0.0 and md.c_hat == 0.0
+    dh = np.polynomial.polynomial.polyval(
+        x, np.polynomial.polynomial.polyder(np.real(em.curve.h)))
+    assert em.curve.poles == ()
+    slope = dh * math.sqrt(np.prod([x - z for z in em.curve.zeros]))
+    assert e2 == pytest.approx(slope / 2.0, rel=1e-12)
+    # delta = 1/2 cancels the zoom: E is the same at every n
+    for n in (50, 400):
+        em_n = solve_support(cubic_tilt(1.3449373838204057, n))
+        (cp_n,) = [c for c in find_critical_points(em_n) if c.kind == "exterior"]
+        assert extract_model_data(em_n, cp_n).e_series == pytest.approx(md.e_series,
+                                                                         abs=1e-12)
+
+
+def test_variational_check_samples_around_an_exterior_point(monkeypatch):
+    # the right end segment reaches 2 model scales past x_* = 1.294458,
+    # not past the support [-3.0741, -1.6279] alone, which ends at 0.372
+    em = solve_support(cubic_tilt(1.3449373838204057))
+    (x,) = em.exterior_points
+    out = check_variational(em)
+    d = out["off_x"] - x
+    assert np.any((d > -0.5) & (d < 0.0)) and np.any((d > 0.0) & (d < 0.5))
+    assert np.all(np.abs(d) >= equilibrium._EXCLUSION_RADIUS)
+    assert out["ineq_max"] < 0.0
+    # the samples 0.055 left and 0.148 right of x_* fall in a wider radius
+    monkeypatch.setattr(equilibrium, "_EXCLUSION_RADIUS", 0.2)
+    wide = check_variational(em)["off_x"]
+    assert wide.size == out["off_x"].size - 2
+    assert np.all(np.abs(wide - x) >= 0.2)
 
 
 def test_variational_inequality_violation_is_refused():

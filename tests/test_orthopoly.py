@@ -386,7 +386,7 @@ def test_fit_layers_match_reference_exactly(monkeypatch, p):
     assert r.a == a and r.b == b
     assert r.h0 == h0 and r.omega_max == omega_max
     # the even models' rules are mirrored by construction
-    assert orthopoly._is_mirrored(q) == orthopoly._is_even_model(p)
+    assert orthopoly._is_mirrored(q) == p.is_even()
 
 
 def odd_symmetric_rule():
@@ -550,7 +550,7 @@ def test_even_model_with_two_charges_is_mirrored():
     p = Potential(n=40, reg=(0.0, 1.0),
                   singularities=(Singularity(b=1.0, alpha=0.5),
                                  Singularity(b=-1.0, alpha=0.5)), support=LINE)
-    assert orthopoly._is_even_model(p)
+    assert p.is_even()
     q = build_quadrature(p, 900)
     assert np.array_equal(q.nodes, -q.nodes[::-1])
     assert np.array_equal(q.base, q.base[::-1])
@@ -560,11 +560,33 @@ def test_even_model_with_two_charges_is_mirrored():
     assert orthopoly._is_mirrored(q)
 
 
+@pytest.mark.parametrize("support", [((-3.0, -0.5), (0.5, 3.0)),
+                                     ((-math.inf, -1.0), (1.0, math.inf))],
+                         ids=["bounded", "unbounded"])
+def test_even_model_on_two_mirrored_intervals(support):
+    # the x >= 0 half of the domain is its right component alone: the
+    # left one (hi <= 0) is skipped and comes back as the mirror image
+    p = Potential(n=40, reg=(0.0, 1.0), singularities=(),
+                  support=IntervalSet(support))
+    assert p.is_even()
+    r, q = default_fit(p)
+    assert orthopoly._is_mirrored(q) and reference_is_mirrored(q)
+    assert not any(r.a)
+    if math.isinf(support[0][0]):
+        assert q.cut_lo == -q.cut_hi
+    else:
+        assert q.cut_lo is None and q.cut_hi is None
+    assert gram_check(r, q, p.n) < 1e-12
+    assert trace_check(r, p, q) == pytest.approx(p.n, rel=1e-12)
+    a, b, h0, omega_max = reference_recurrence(q, r.m_max)
+    assert (r.a, r.b, r.h0, r.omega_max) == (a, b, h0, omega_max)
+
+
 def test_conjugate_pair_fits_as_non_even_model():
     p = Potential(n=40, reg=(0.0, 1.0),
                   singularities=(Singularity(b=1 + 1j, alpha=0.5),
                                  Singularity(b=1 - 1j, alpha=0.5)), support=LINE)
-    assert not orthopoly._is_even_model(p)
+    assert not p.is_even()
     r, q = default_fit(p)
     assert gram_check(r, q, p.n) < 1e-12
     # |x - 1 - i| |x - 1 + i| = (x - 1)^2 + 1 weights mass away from x = 1
@@ -826,8 +848,16 @@ def test_string_solver_refusals(monkeypatch):
         m.setattr(orthopoly, "_STRING_ITER", 2)
         with pytest.raises(NumericalError, match="did not converge in 2"):
             string_recurrence(p, 201)
-    # the acceptance reads the certificate of the fit it returns
-    monkeypatch.setattr(orthopoly, "string_residual", lambda p, r: 1.0)
+    # the acceptance reads the defect of the b_1..b_201 it returns: offset
+    # by s_j there (and not in the Newton solves, which run past 201),
+    # every relative residual is 1
+    defect = orthopoly._string_defect
+
+    def offset(t, g, b, b_next, n):
+        f, total, s = defect(t, g, b, b_next, n)
+        return (f + s if b.size == 200 else f), total, s
+
+    monkeypatch.setattr(orthopoly, "_string_defect", offset)
     with pytest.raises(NumericalError, match="string residual 1.00e\\+00 exceeds"):
         string_recurrence(p, 201)
 

@@ -1,12 +1,14 @@
 """Airy and Bessel implementations against scipy and their ODEs."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 import scipy.special as sps
 
 from rmtlab.errors import ValidationError
+from rmtlab.kernel import bessel_kernel
 from rmtlab.specfun import _airy_asym_neg, _airy_asym_pos, _airy_series, airy_ai, bessel_j
 
 
@@ -63,6 +65,28 @@ def test_bessel_negative_order_reflection():
         j1, j1p = bessel_j(1.0, x)
         assert jm == pytest.approx(-j1, abs=1e-12)
         assert jmp == pytest.approx(-j1p, abs=1e-12)
+
+
+def test_bessel_at_zero_matches_scipy():
+    # J_alpha(0) and J_alpha'(0) from the x = 0 branch of the series.  An
+    # infinite entry must carry the sign of scipy's value at x = 1e-8:
+    # for -2 < alpha < -1, 1/Gamma(alpha + 1) < 0, so J -> -inf and
+    # J' -> +inf (scipy's jvp is nan at 0 there)
+    for alpha in (0.0, 0.5, 1.0, 1.5, 2.0, -0.5, -1.0, -1.25, -1.5):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            ref = (sps.jv(alpha, 0.0), sps.jvp(alpha, 0.0))
+        near = (sps.jv(alpha, 1e-8), sps.jvp(alpha, 1e-8))
+        for got, want, sign in zip(bessel_j(alpha, 0.0), ref, near):
+            if math.isinf(got):
+                assert math.copysign(1.0, got) == math.copysign(1.0, sign), alpha
+                assert math.isnan(want) or got == want, alpha
+            else:
+                assert got == want, alpha
+    # at u = 0 the hard-edge kernel is J_1(sqrt v) / (2 sqrt v) for alpha = 0
+    for v in (0.01, 0.5, 2.0, 9.0):
+        assert bessel_kernel(0.0, 0.0, v) == pytest.approx(
+            sps.j1(math.sqrt(v)) / (2.0 * math.sqrt(v)), rel=1e-12)
 
 
 def test_bessel_rejects_negative_argument():
