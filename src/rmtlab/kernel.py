@@ -194,13 +194,15 @@ def bessel_kernel(alpha: float, u: float, v: float) -> float:
 
     Normalized as (J_a(su) sv J_a'(sv) - J_a(sv) su J_a'(su))/(2(u-v))
     with s* = sqrt(*); the alpha = +-1/2 cases reduce to sine-type
-    closed forms in sqrt(u) +- sqrt(v).
+    closed forms in sqrt(u) +- sqrt(v).  Pairs closer than
+    1e-9 max(1, u, v) take the confluent form, so K(u, v) and K(v, u)
+    are the same double.
     """
     if alpha <= -1.0:
         raise ValidationError("bessel_kernel requires alpha > -1")
     if u < 0.0 or v < 0.0:
         raise ValidationError("bessel_kernel requires u, v >= 0")
-    if abs(u - v) < 1e-9 * max(1.0, abs(u)):
+    if abs(u - v) < 1e-9 * max(1.0, abs(u), abs(v)):
         m = 0.5 * (u + v)
         if m == 0.0:
             if alpha == 0.0:
@@ -235,14 +237,30 @@ def _fit_decay(ns, errs):
     return float((x * y).sum() / (x * x).sum())
 
 
+def _law_table(ref_fn, grid: np.ndarray) -> np.ndarray:
+    """ref_fn(u, v) on the grid u x u, evaluated on the upper triangle.
+
+    The sine, Airy and Bessel laws give the same double at (u, v) and
+    (v, u), so mirroring the triangle is the full table bit for bit.
+    """
+    g = grid.tolist()
+    out = np.empty((len(g), len(g)))
+    for i, u in enumerate(g):
+        for j in range(i, len(g)):
+            out[i, j] = out[j, i] = ref_fn(u, g[j])
+    return out
+
+
 def convergence_scan(sc, n_list, grid, progress=None) -> dict:
     """Sup-norm error of the scaled kernel against the scenario reference.
 
     sc is a scenario (see rmtlab.scenarios): per n it builds the
-    potential, solves the equilibrium problem, marks the critical point
-    and fits the recurrence; the last stage alone names the law, and
+    potential and its equilibrium measure, marks the critical point and
+    fits the recurrence; the last stage alone names the law, and
     None compares successive n instead (scaling collapse), which a
-    single n cannot do (ValidationError).  Errors
+    single n cannot do (ValidationError).  The law's kernel is read on
+    the upper triangle of the grid (_law_table), so it must give the
+    same double at (u, v) and (v, u).  Errors
     are on |kernel| when sc.compare_abs is set.  A failing stage
     re-raises its ValidationError or NumericalError with the n named.
     """
@@ -275,7 +293,7 @@ def convergence_scan(sc, n_list, grid, progress=None) -> dict:
         ref_meta = {"kind": "self"}
     else:
         ref_fn, ref_meta = law
-        ref_vals = np.array([[ref_fn(float(a), float(b)) for b in grid] for a in grid])
+        ref_vals = _law_table(ref_fn, grid)
         if sc.compare_abs:
             ref_vals = np.abs(ref_vals)
         rows = [{"n": n, "sup_error": float(np.max(np.abs(vals - ref_vals)))}

@@ -201,10 +201,14 @@ def _plain_panels(width, x0: float, x1: float, anchors):
     out = []
     x = x0
     span = x1 - x0
+    ahead = ahead_w = None  # the last look-ahead point and its width
     while x < x1 - 1e-13 * max(1.0, abs(x1)):
-        w = width(x, anchors)
+        # a panel that ends at the look-ahead point starts the next one there
+        w = ahead_w if x == ahead else width(x, anchors)
         # look ahead once so a growing tail cannot outrun the budget
-        w = min(w, width(min(x1, x + w), anchors))
+        ahead = min(x1, x + w)
+        ahead_w = width(ahead, anchors)
+        w = min(w, ahead_w)
         w = max(w, 1e-8 * span)
         nxt = min(x1, x + w)
         out.append((x, nxt))
@@ -446,7 +450,8 @@ def stieltjes_recurrence(q: QuadratureRule, m_max: int) -> Recurrence:
     A mirrored rule (_is_mirrored) has a_j = 0 exactly (Chihara, An
     Introduction to Orthogonal Polynomials, 1978, ch. I): the vectors
     are run on its x > 0 half with doubled weights, a_j = 0.0 is stored
-    and its reduction skipped.  The rounding seed of the omega monitor
+    and its reduction skipped, and so is the monitor's (a_k - a_j) term,
+    which is +-0 there.  The rounding seed of the omega monitor
     stays that of all N nodes, and the clip guard reads the top vector
     mirrored back onto the whole rule.  Any other rule takes the full
     path.
@@ -506,10 +511,17 @@ def stieltjes_recurrence(q: QuadratureRule, m_max: int) -> Recurrence:
         # beta_{j+1} w_{j+1,k} = beta_{k+1} w_{j,k+1} + (a_k - a_j) w_{j,k}
         #     + beta_k w_{j,k-1} - beta_j w_{j-1,k}, plus a rounding term
         if j >= 1:
-            t = (beta[1:j + 1] * omega[1:j + 1] + (a[:j] - aj) * omega[:j]
-                 - beta[j] * omega_prev[:j])
+            t = beta[1:j + 1] * omega[1:j + 1]
+            # on a mirrored rule (a_k - a_j) w_{j,k} is +-0, and adding
+            # it leaves the nonzero beta_{k+1} w_{j,k+1} as it is
+            if not mirrored:
+                t += (a[:j] - aj) * omega[:j]
+            t -= beta[j] * omega_prev[:j]
             t[1:] += beta[1:j] * omega[:j - 1]
-            nxt[:j] = (t + np.copysign(rounding, t)) / beta[j + 1]
+            row = nxt[:j]
+            np.copysign(rounding, t, out=row)
+            np.add(t, row, out=row)
+            row /= beta[j + 1]
         nxt[j] = rounding / beta[j + 1]
         nxt[j + 1] = 1.0
         worst = float(np.maximum.reduce(np.abs(nxt[:j + 1])))

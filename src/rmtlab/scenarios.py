@@ -3,14 +3,22 @@
 convergence_scan reads seven members of a scenario, duck-typed: name,
 compare_abs (compare |kernel|, for charges on the scaled axis),
 make_potential(n), equilibrium(p), critical_point(em), recurrence(p)
-and reference_law(em, cp).  recurrence(p) returns the Recurrence to
-degree n + 1 the scan's kernels run on, from the fit its preset names.
-A scan reads no quadrature nodes, so the even quartics gue-bulk,
-gue-edge and quartic-merge take orthopoly.string_recurrence, the
-Laguerre weight of mp-hard-edge orthopoly.laguerre_recurrence, and
+and reference_law(em, cp).  Each preset names its measure and its fit.
+equilibrium(p) is a closed form with no endpoint solve: the semicircle
+(equilibrium.semicircle_measure) for gue-bulk and gue-edge, the
+Marchenko-Pastur law (equilibrium.marchenko_pastur_measure) for
+mp-hard-edge and mp-two-charge, whose charges do not enter the
+measure, and equilibrium.quartic_measure for quartic-merge.
+recurrence(p) returns the Recurrence to degree n + 1 the scan's kernels
+run on.  A scan reads no quadrature nodes, so the even quartics
+gue-bulk, gue-edge and quartic-merge take orthopoly.string_recurrence,
+the Laguerre weight of mp-hard-edge orthopoly.laguerre_recurrence, and
 mp-two-charge the base class's default_fit.  The law is (kernel, meta),
 the closed form with its affine map from the extracted E-coefficients,
 or None for scaling collapse, where successive n are compared directly.
+The scan evaluates the kernel on the upper triangle of its grid and
+mirrors it, so kernel(u, v) must be the same double as kernel(v, u);
+the sine, Airy and Bessel laws here are.
 The registry ships five presets:
 
     gue-bulk       Gaussian, interior point 0, sine law
@@ -32,7 +40,12 @@ from .classify import (
     extract_model_data,
     nearest_critical_point,
 )
-from .equilibrium import quartic_measure, quartic_merge_coupling, solve_support
+from .equilibrium import (
+    marchenko_pastur_measure,
+    quartic_measure,
+    quartic_merge_coupling,
+    semicircle_measure,
+)
 from .errors import ValidationError
 from .kernel import airy_kernel, bessel_kernel, sine_kernel
 from .orthopoly import cached_recurrence, laguerre_recurrence, string_recurrence
@@ -48,12 +61,9 @@ def default_fit(p: Potential):
 
 
 class _Scenario:
-    """Base: shared solve and fit, critical point nearest x_star, collapse."""
+    """Base: shared fit, critical point nearest x_star, collapse."""
 
     compare_abs = False
-
-    def equilibrium(self, p):
-        return solve_support(p, self.structure)
 
     def critical_point(self, em):
         return nearest_critical_point(em, self.x_star)
@@ -70,12 +80,14 @@ class GueBulk(_Scenario):
     """Gaussian ensemble, interior point x_* = 0, sine-kernel law."""
 
     name = "gue-bulk"
-    structure = "one_cut"
     default_n_list = (40, 80, 160)
     default_grid = tuple(np.linspace(-2.0, 2.0, 9))
 
     def make_potential(self, n):
         return Potential(n=n, reg=(0.0, 1.0), singularities=(), support=_LINE)
+
+    def equilibrium(self, p):
+        return semicircle_measure(p)
 
     def critical_point(self, em):
         return bulk_point(em, 0.0)
@@ -94,13 +106,15 @@ class GueEdge(_Scenario):
     """Gaussian ensemble, right soft edge x_* = 2, Airy-kernel law."""
 
     name = "gue-edge"
-    structure = "one_cut"
     x_star = 2.0
     default_n_list = (50, 100, 200)
     default_grid = tuple(np.linspace(-4.0, 1.0, 9))
 
     def make_potential(self, n):
         return Potential(n=n, reg=(0.0, 1.0), singularities=(), support=_LINE)
+
+    def equilibrium(self, p):
+        return semicircle_measure(p)
 
     def recurrence(self, p):
         return string_recurrence(p, p.n + 1)
@@ -150,7 +164,6 @@ class MpHardEdge(_Scenario):
     """Linear V on R- with one charge alpha at 0; Bessel-kernel law."""
 
     name = "mp-hard-edge"
-    structure = "hard_edge_one_cut"
     x_star = 0.0
     default_n_list = (50, 100, 200)
     default_grid = tuple(np.linspace(-3.0, -0.05, 9))
@@ -163,6 +176,9 @@ class MpHardEdge(_Scenario):
         sings = () if self.alpha == 0.0 else (
             Singularity(b=0.0, alpha=self.alpha),)
         return Potential(n=n, reg=(-1.0,), singularities=sings, support=_NEG)
+
+    def equilibrium(self, p):
+        return marchenko_pastur_measure(p)
 
     def recurrence(self, p):
         return laguerre_recurrence(p, p.n + 1)
@@ -186,7 +202,6 @@ class MpTwoCharge(_Scenario):
     """
 
     name = "mp-two-charge"
-    structure = "hard_edge_one_cut"
     compare_abs = True
     x_star = 0.0
     default_n_list = (20, 40, 80)
@@ -202,6 +217,9 @@ class MpTwoCharge(_Scenario):
         sings = (Singularity(b=0.0, alpha=self.alpha1),
                  Singularity(b=self.tau / float(n) ** 2, alpha=self.alpha2))
         return Potential(n=n, reg=(-1.0,), singularities=sings, support=_NEG)
+
+    def equilibrium(self, p):
+        return marchenko_pastur_measure(p)
 
 
 _REGISTRY = {

@@ -404,6 +404,35 @@ def test_solve_support_refusals(p, structure, error, message):
         solve_support(p, structure)
 
 
+@pytest.mark.parametrize("reg, structure", [
+    ((0.0, 1.0), "one_cut"),
+    ((0.0, -3.0, 0.0, 1.0), "symmetric_two_cut"),
+], ids=["gue", "two-cut-quartic"])
+def test_trailing_zeros_give_the_same_curve(reg, structure):
+    # V_reg' written with two trailing zero coefficients is the same model
+    plain = Potential(n=40, reg=reg, singularities=(), support=LINE)
+    padded = Potential(n=40, reg=reg + (0.0, 0.0), singularities=(), support=LINE)
+    curve = solve_support(plain, structure).curve
+    assert solve_support(padded, structure).curve == curve
+    assert len(curve.h) == len(reg) - len(curve.zeros) // 2
+
+
+def test_closed_forms_need_their_model():
+    padded = Potential(n=40, reg=(0.0, 1.0, 0.0), singularities=(), support=LINE)
+    assert equilibrium.semicircle_measure(padded).curve == solve_support(
+        gaussian(), "one_cut").curve
+    with pytest.raises(ValidationError,
+                       match=r"^the semicircle measure needs V_reg' coefficients \(0.0, 1.0\)"):
+        equilibrium.semicircle_measure(quartic(-2.0))
+    with pytest.raises(ValidationError, match="^the Marchenko-Pastur measure needs"):
+        equilibrium.marchenko_pastur_measure(
+            Potential(n=40, reg=(-1.0,), singularities=(),
+                      support=IntervalSet(((-5.0, 0.0),))))
+    with pytest.raises(ValidationError, match=r"^singularities\[0\] has pole coefficient"):
+        equilibrium.marchenko_pastur_measure(Potential(n=40, reg=(-1.0,), singularities=(
+            Singularity(b=0.0, alpha=0.5, t=(0.0, -1.0)),), support=NEG))
+
+
 @pytest.mark.parametrize("structure", equilibrium.STRUCTURES)
 def test_pole_terms_refused(structure):
     # V = -x - 1/x^2 on (-inf, 0]: the solvers would balance -x alone

@@ -562,3 +562,27 @@ def test_convergence_scan_stage_failure_keeps_its_type():
         convergence_scan(_BulkScenario(), [], grid)
     with pytest.raises(ValidationError, match=r"needs two, got \[20\]"):
         convergence_scan(_Collapse(), [20], grid)
+
+
+@pytest.mark.parametrize("name, params", [
+    ("gue-bulk", {}), ("gue-edge", {}),
+    ("mp-hard-edge", {"alpha": 0.0}), ("mp-hard-edge", {"alpha": 0.5}),
+], ids=["sine", "airy", "bessel-a0", "bessel-a05"])
+def test_law_table_is_the_full_double_loop(name, params):
+    sc = get_scenario(name, **params)
+    em = sc.equilibrium(sc.make_potential(200))
+    law, _ = sc.reference_law(em, sc.critical_point(em))
+    grid = np.asarray(sc.default_grid)
+    # with a partner 5e-10 away from each point, every confluent branch runs
+    for g in (grid, np.sort(np.concatenate((grid, grid + 5e-10)))):
+        full = np.array([[law(float(u), float(v)) for v in g] for u in g])
+        assert kernel._law_table(law, g).tobytes() == full.tobytes()
+
+
+def test_bessel_kernel_is_symmetric_at_the_confluence_threshold():
+    # |u - v| is below 1e-9 max(1, v) but not below 1e-9 max(1, u): a
+    # test relative to the first argument alone is not symmetric here
+    u, v = 3.3297813385383903, 3.3297813418681717
+    assert 1e-9 * max(1.0, u) <= abs(u - v) < 1e-9 * max(1.0, v)
+    for alpha in (0.0, 1.0):
+        assert bessel_kernel(alpha, u, v) == bessel_kernel(alpha, v, u)

@@ -270,6 +270,25 @@ def test_lost_orthogonality_is_rejected():
         stieltjes_recurrence(q, 40)
 
 
+def test_monitor_refusal_on_a_mirrored_rule_is_unchanged():
+    # the heavy-node rule made mirror-symmetric: the mirrored path, which
+    # drops the (a_k - a_j) w_{j,k} term, refuses at the degree and with
+    # the message of the full omega-recurrence
+    t, w = gauss_legendre(240)
+    h = t.size // 2
+    x = np.concatenate(([-3.0], -t[h:][::-1], t[h:], [3.0]))
+    base = np.concatenate(([0.05], w[h:][::-1], w[h:], [0.05]))
+    q = QuadratureRule(nodes=x, base=base, log_w=np.zeros(x.size), provenance="hand-built")
+    assert orthopoly._is_mirrored(q)
+    with pytest.raises(NumericalError) as got:
+        stieltjes_recurrence(q, 40)
+    with pytest.raises(NumericalError) as ref:
+        reference_recurrence(q, 40)
+    assert str(got.value) == str(ref.value) == (
+        "Lanczos vectors lost orthogonality at degree 12 "
+        "(estimated |<phi_i, phi_j>| = 4.81e-08 > 1.5e-08)")
+
+
 def test_omega_max_recorded():
     r, _ = default_fit(gaussian(60))
     assert 0.0 < r.omega_max <= _OMEGA_TOL
@@ -309,6 +328,19 @@ def reference_is_mirrored(q):
     return (q.nodes.size % 2 == 0 and np.array_equal(q.nodes, -q.nodes[::-1])
             and np.array_equal(q.base, q.base[::-1])
             and np.array_equal(q.log_w, q.log_w[::-1]))
+
+
+def reference_plain_panels(width, x0, x1, anchors):
+    """_plain_panels with both width calls made at every panel."""
+    out, x, span = [], x0, x1 - x0
+    while x < x1 - 1e-13 * max(1.0, abs(x1)):
+        w = width(x, anchors)
+        w = min(w, width(min(x1, x + w), anchors))
+        w = max(w, 1e-8 * span)
+        nxt = min(x1, x + w)
+        out.append((x, nxt))
+        x = nxt
+    return out
 
 
 def reference_recurrence(q, m_max):
@@ -378,6 +410,7 @@ def test_fit_layers_match_reference_exactly(monkeypatch, p):
     with monkeypatch.context() as mp:
         mp.setattr(orthopoly, "_width_rule", reference_width_rule)
         mp.setattr(orthopoly, "_panel_rules", reference_panel_rules)
+        mp.setattr(orthopoly, "_plain_panels", reference_plain_panels)
         ref = build_quadrature(p, res, degree_hint=hint)
     for field in ("nodes", "base", "log_w"):
         assert np.array_equal(getattr(q, field), getattr(ref, field)), field

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from rmtlab.classify import extract_model_data
-from rmtlab.equilibrium import example_curve, xi_eval
+from rmtlab.equilibrium import example_curve, solve_support, xi_eval
 from rmtlab.errors import ValidationError
 from rmtlab import orthopoly
 from rmtlab.kernel import convergence_scan
@@ -25,6 +25,27 @@ def test_xi_vanishes_at_path_start(name):
     sc = get_scenario(name)
     em = sc.equilibrium(sc.make_potential(100))
     assert xi_eval(em, em.p_sup) == 0
+
+
+@pytest.mark.parametrize("name, params, structure", [
+    ("gue-bulk", {}, "one_cut"),
+    ("gue-edge", {}, "one_cut"),
+    ("mp-hard-edge", {"alpha": 0.0}, "hard_edge_one_cut"),
+    ("mp-hard-edge", {"alpha": 0.5}, "hard_edge_one_cut"),
+    ("mp-two-charge", {}, "hard_edge_one_cut"),
+], ids=["gue-bulk", "gue-edge", "mp-hard-edge-a0", "mp-hard-edge-a05", "mp-two-charge"])
+@pytest.mark.parametrize("n", [20, 100, 1600])
+def test_closed_form_measures_equal_the_endpoint_solve(name, params, structure, n):
+    # the preset's closed form is the curve the endpoint solve converges to
+    sc = get_scenario(name, **params)
+    p = sc.make_potential(n)
+    em, ref = sc.equilibrium(p), solve_support(p, structure)
+    assert em.curve.h == ref.curve.h
+    assert em.curve.zeros == ref.curve.zeros
+    assert em.curve.poles == ref.curve.poles
+    assert em.ell == ref.ell
+    assert em.support == ref.support
+    assert em.exterior_points == ref.exterior_points
 
 
 def test_unknown_scenario_rejected():
