@@ -32,9 +32,9 @@ the first curve that stays in the domain with a nonnegative density
 wins and alone fixes the frozen EquilibriumMeasure(potential, curve).
 It runs on numpy and the standard library alone.
 
-Closed forms.  semicircle_measure (V = x^2/2), marchenko_pastur_measure
-(V = -x on (-inf, 0]) and quartic_measure (V = t x^2/2 + x^4/4) write
-the curve of their family down and only check it, with no solve.
+Closed forms.  quartic_measure (V = t x^2/2 + x^4/4) writes its curve
+down with no solve, accurate near the merge point t = -2, where the
+endpoint solve cancels.
 """
 
 from __future__ import annotations
@@ -734,18 +734,6 @@ def _solve_layout(p: Potential, vc: np.ndarray, layout: _Layout) -> SpectralCurv
     raise err or NumericalError(layout.failure)
 
 
-def _refuse_pole_terms(p: Potential) -> None:
-    """ValidationError for a nonzero pole coefficient: the measures built
-    here balance V_reg and log charges only."""
-    poles = [(i, j) for i, s in enumerate(p.singularities)
-             for j, c in enumerate(s.t, 1) if c != 0]
-    if poles:
-        i, j = poles[0]
-        raise ValidationError(
-            f"singularities[{i}] has pole coefficient t_{j} != 0: the equilibrium "
-            f"solve covers V_reg and log charges only, not pole terms")
-
-
 def solve_support(p: Potential, structure: str = "one_cut") -> EquilibriumMeasure:
     """Solve the equilibrium problem under the requested support structure.
 
@@ -762,7 +750,13 @@ def solve_support(p: Potential, structure: str = "one_cut") -> EquilibriumMeasur
     """
     if structure not in STRUCTURES:
         raise ValidationError(f"unknown structure {structure!r}; pick from {STRUCTURES}")
-    _refuse_pole_terms(p)
+    poles = [(i, j) for i, s in enumerate(p.singularities)
+             for j, c in enumerate(s.t, 1) if c != 0]
+    if poles:
+        i, j = poles[0]
+        raise ValidationError(
+            f"singularities[{i}] has pole coefficient t_{j} != 0: the equilibrium "
+            f"solve covers V_reg and log charges only, not pole terms")
     # V'_reg = sum t_j z^(j-1), without trailing zeros: one curve per model
     vc = np.asarray(p.reg[:p.reg_degree()], dtype=float)
     for layout in _layouts(p, structure, vc):
@@ -804,44 +798,6 @@ def quartic_measure(p: Potential, eps: float) -> EquilibriumMeasure:
     if eps >= 0.0:
         _check_curve(p, curve, "requested structure infeasible")
     return EquilibriumMeasure(p, curve)
-
-
-def _closed_form(p: Potential, reg: tuple[float, ...], domain, family: str,
-                 curve: SpectralCurve) -> EquilibriumMeasure:
-    """EquilibriumMeasure(p, curve) for a family whose V_reg' has the
-    coefficients reg on the domain intervals; any other p is refused."""
-    if p.reg[:p.reg_degree()] != reg or p.support.intervals != domain:
-        raise ValidationError(
-            f"the {family} measure needs V_reg' coefficients {reg} on {domain}, "
-            f"got {p.reg} on {p.support.intervals}")
-    _refuse_pole_terms(p)
-    _check_curve(p, curve, "requested structure infeasible")
-    return EquilibriumMeasure(p, curve)
-
-
-def semicircle_measure(p: Potential) -> EquilibriumMeasure:
-    """The semicircle law of V = x^2/2 on the line: y = sqrt(z^2 - 4).
-
-    p has V_reg' = x (trailing zero coefficients aside) on the whole
-    line, and log charges, which do not enter the measure (Saff and
-    Totik, Logarithmic Potentials with External Fields, 1997, ch. IV).
-    The curve is the one solve_support(p, "one_cut") converges to, with
-    h = (1,) and the support [-2, 2].
-    """
-    return _closed_form(p, (0.0, 1.0), ((-math.inf, math.inf),), "semicircle",
-                        SpectralCurve(h=(1.0,), zeros=(-2.0, 2.0), poles=()))
-
-
-def marchenko_pastur_measure(p: Potential) -> EquilibriumMeasure:
-    """The Marchenko-Pastur law of V = -x on (-inf, 0]: y = -sqrt((z + 4)/z).
-
-    p has V_reg' = -1 (trailing zero coefficients aside) on (-inf, 0],
-    and log charges, which do not enter the measure.  The curve is the
-    one solve_support(p, "hard_edge_one_cut") converges to, with
-    h = (-1,), the soft edge at -4 and the hard edge at 0.
-    """
-    return _closed_form(p, (-1.0,), ((-math.inf, 0.0),), "Marchenko-Pastur",
-                        SpectralCurve(h=(-1.0,), zeros=(-4.0,), poles=(0.0,)))
 
 
 def example_curve(
@@ -898,7 +854,7 @@ def example_curve(
             singularities=tuple(sings),
             support=IntervalSet(((-math.inf, 0.0),)),
         )
-        return marchenko_pastur_measure(p)
+        return EquilibriumMeasure(p, SpectralCurve(h=(-1.0,), zeros=(-4.0,), poles=(0.0,)))
     raise ValidationError(f"unknown example family {name!r}")
 
 

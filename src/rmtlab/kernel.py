@@ -114,6 +114,9 @@ def scaled_kernel_grid(r: Recurrence, p: Potential, cp, u_grid) -> np.ndarray:
     """n^{-delta} K_n(x_* + n^{-delta} u, x_* + n^{-delta} v) on the grid u x u.
 
     cp gives x_star and delta; every grid point must stay in the domain.
+    Two distinct points closer in x than kernel_matrix's confluence
+    length, whose pair would take the mean of two diagonals, raise
+    NumericalError.
     A point where w > 0 but psi_0 = sqrt(w e^{-s} / h0) is below the
     smallest normal double raises NumericalError: every psi_j there
     starts from a subnormal or zero, so the kernel would be silently
@@ -125,6 +128,12 @@ def scaled_kernel_grid(r: Recurrence, p: Potential, cp, u_grid) -> np.ndarray:
     bad = 2 * int(np.count_nonzero(~p.support.contains(xs)))  # once per axis
     if bad:
         raise ValidationError(f"{bad} scaled grid points leave the domain at n={p.n}")
+    steps = np.diff(np.sort(xs))  # 0 between repeats of one point
+    gap = np.min(steps[steps > 0], initial=math.inf)
+    confluent = _CONFLUENT_REL * p.scale()
+    if gap < confluent:
+        raise NumericalError(f"scaled grid points {gap:.6g} apart in x fall under the kernel's "
+                             f"confluence length {confluent:.6g} at n={p.n}")
     lw = log_weight(p, xs)
     psi_0 = next(orthonormal_rows(r, xs, lw, 0))
     faint = np.isfinite(lw) & (psi_0 < _TINY)
@@ -254,35 +263,35 @@ def _law_table(ref_fn, grid: np.ndarray) -> np.ndarray:
 def convergence_scan(sc, n_list, grid, progress=None) -> dict:
     """Sup-norm error of the scaled kernel against the scenario reference.
 
-    sc is a scenario (see rmtlab.scenarios): per n it builds the
-    potential and its equilibrium measure, marks the critical point and
-    fits the recurrence; the last stage alone names the law, and
-    None compares successive n instead (scaling collapse), which a
-    single n cannot do (ValidationError).  The law's kernel is read on
+    sc is a scenario (see rmtlab.scenarios).  Its equilibrium measure,
+    critical point and law are read once, at the last n, so its critical
+    point must not depend on n; each stage builds its potential, fits
+    the recurrence and reads the scaled kernel at that one point.  A
+    law of None compares successive n instead (scaling collapse), which
+    a single n cannot do (ValidationError).  The law's kernel is read on
     the upper triangle of the grid (_law_table), so it must give the
-    same double at (u, v) and (v, u).  Errors
-    are on |kernel| when sc.compare_abs is set.  A failing stage
+    same double at (u, v) and (v, u).  Errors are on |kernel| when
+    sc.compare_abs is set.  A failing stage, or the read at the last n,
     re-raises its ValidationError or NumericalError with the n named.
     """
     grid = np.asarray(grid, dtype=float)
     ns = list(n_list)
     if not ns:
         raise ValidationError("convergence scan needs at least one n")
-    stages = []
-    for i, n in enumerate(ns, start=1):
-        try:
+    n = ns[-1]
+    try:
+        em = sc.equilibrium(sc.make_potential(n))
+        cp = sc.critical_point(em)
+        law = sc.reference_law(em, cp)
+        stages = []
+        for n in ns:
             p = sc.make_potential(n)
-            em = sc.equilibrium(p)
-            cp = sc.critical_point(em)
-            r = sc.recurrence(p)
-            g = scaled_kernel_grid(r, p, cp, grid)
-            if i == len(ns):
-                law = sc.reference_law(em, cp)
-        except (ValidationError, NumericalError) as e:
-            raise type(e)(f"convergence scan failed at stage n={n}: {e}") from e
-        stages.append((n, np.abs(g) if sc.compare_abs else g))
-        if progress is not None:
-            progress(n)
+            g = scaled_kernel_grid(sc.recurrence(p), p, cp, grid)
+            stages.append((n, np.abs(g) if sc.compare_abs else g))
+            if progress is not None:
+                progress(n)
+    except (ValidationError, NumericalError) as e:
+        raise type(e)(f"convergence scan failed at stage n={n}: {e}") from e
 
     if law is None:
         if len(stages) < 2:

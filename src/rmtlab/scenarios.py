@@ -4,11 +4,12 @@ convergence_scan reads seven members of a scenario, duck-typed: name,
 compare_abs (compare |kernel|, for charges on the scaled axis),
 make_potential(n), equilibrium(p), critical_point(em), recurrence(p)
 and reference_law(em, cp).  Each preset names its measure and its fit.
-equilibrium(p) is a closed form with no endpoint solve: the semicircle
-(equilibrium.semicircle_measure) for gue-bulk and gue-edge, the
-Marchenko-Pastur law (equilibrium.marchenko_pastur_measure) for
-mp-hard-edge and mp-two-charge, whose charges do not enter the
-measure, and equilibrium.quartic_measure for quartic-merge.
+A scan reads equilibrium, critical_point and reference_law once, at its
+last n, so a preset's critical point must be the same at every n of the
+family.  equilibrium(p) is the base class's solve_support(p,
+self.structure) for gue-bulk, gue-edge, mp-hard-edge and mp-two-charge,
+whose charges do not enter the measure, and equilibrium.quartic_measure
+for quartic-merge, which stays accurate near the merge point.
 recurrence(p) returns the Recurrence to degree n + 1 the scan's kernels
 run on.  A scan reads no quadrature nodes, so the even quartics
 gue-bulk, gue-edge and quartic-merge take orthopoly.string_recurrence,
@@ -40,12 +41,7 @@ from .classify import (
     extract_model_data,
     nearest_critical_point,
 )
-from .equilibrium import (
-    marchenko_pastur_measure,
-    quartic_measure,
-    quartic_merge_coupling,
-    semicircle_measure,
-)
+from .equilibrium import quartic_measure, quartic_merge_coupling, solve_support
 from .errors import ValidationError
 from .kernel import airy_kernel, bessel_kernel, sine_kernel
 from .orthopoly import cached_recurrence, laguerre_recurrence, string_recurrence
@@ -61,9 +57,12 @@ def default_fit(p: Potential):
 
 
 class _Scenario:
-    """Base: shared fit, critical point nearest x_star, collapse."""
+    """Base: shared solve and fit, critical point nearest x_star, collapse."""
 
     compare_abs = False
+
+    def equilibrium(self, p):
+        return solve_support(p, self.structure)
 
     def critical_point(self, em):
         return nearest_critical_point(em, self.x_star)
@@ -80,14 +79,12 @@ class GueBulk(_Scenario):
     """Gaussian ensemble, interior point x_* = 0, sine-kernel law."""
 
     name = "gue-bulk"
+    structure = "one_cut"
     default_n_list = (40, 80, 160)
     default_grid = tuple(np.linspace(-2.0, 2.0, 9))
 
     def make_potential(self, n):
         return Potential(n=n, reg=(0.0, 1.0), singularities=(), support=_LINE)
-
-    def equilibrium(self, p):
-        return semicircle_measure(p)
 
     def critical_point(self, em):
         return bulk_point(em, 0.0)
@@ -106,15 +103,13 @@ class GueEdge(_Scenario):
     """Gaussian ensemble, right soft edge x_* = 2, Airy-kernel law."""
 
     name = "gue-edge"
+    structure = "one_cut"
     x_star = 2.0
     default_n_list = (50, 100, 200)
     default_grid = tuple(np.linspace(-4.0, 1.0, 9))
 
     def make_potential(self, n):
         return Potential(n=n, reg=(0.0, 1.0), singularities=(), support=_LINE)
-
-    def equilibrium(self, p):
-        return semicircle_measure(p)
 
     def recurrence(self, p):
         return string_recurrence(p, p.n + 1)
@@ -164,6 +159,7 @@ class MpHardEdge(_Scenario):
     """Linear V on R- with one charge alpha at 0; Bessel-kernel law."""
 
     name = "mp-hard-edge"
+    structure = "hard_edge_one_cut"
     x_star = 0.0
     default_n_list = (50, 100, 200)
     default_grid = tuple(np.linspace(-3.0, -0.05, 9))
@@ -176,9 +172,6 @@ class MpHardEdge(_Scenario):
         sings = () if self.alpha == 0.0 else (
             Singularity(b=0.0, alpha=self.alpha),)
         return Potential(n=n, reg=(-1.0,), singularities=sings, support=_NEG)
-
-    def equilibrium(self, p):
-        return marchenko_pastur_measure(p)
 
     def recurrence(self, p):
         return laguerre_recurrence(p, p.n + 1)
@@ -202,6 +195,7 @@ class MpTwoCharge(_Scenario):
     """
 
     name = "mp-two-charge"
+    structure = "hard_edge_one_cut"
     compare_abs = True
     x_star = 0.0
     default_n_list = (20, 40, 80)
@@ -217,9 +211,6 @@ class MpTwoCharge(_Scenario):
         sings = (Singularity(b=0.0, alpha=self.alpha1),
                  Singularity(b=self.tau / float(n) ** 2, alpha=self.alpha2))
         return Potential(n=n, reg=(-1.0,), singularities=sings, support=_NEG)
-
-    def equilibrium(self, p):
-        return marchenko_pastur_measure(p)
 
 
 _REGISTRY = {

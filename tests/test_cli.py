@@ -381,6 +381,19 @@ def test_converge_numerical_failure_exits_three(outdir, capsys):
     assert "clips degree-401 polynomials" in err
 
 
+def test_converge_hard_edge_refuses_the_confluence_length(outdir, capsys):
+    # at n = 6 400 the grid's x spacing is under kernel_matrix's confluence
+    # length; this once exited 0 with sup errors [1.07e-8, 0.019]
+    assert run(outdir, "converge", "mp-hard-edge", "--n-list", "3200,6400") == 3
+    err = capsys.readouterr().err
+    assert "convergence scan failed at stage n=6400" in err
+    assert "confluence length 1e-08" in err
+    assert run(outdir, "converge", "mp-hard-edge", "--n-list", "3200,6072") == 0
+    assert read_json(outdir / "scan_mp-hard-edge.json")["rows"] == [
+        {"n": 3200, "sup_error": 1.070994437579742e-08},
+        {"n": 6072, "sup_error": 3.170958273734925e-09}]
+
+
 def test_converge_mp_hard_edge_past_the_quadrature_ceiling(outdir):
     # fitted from the Laguerre closed forms, the one-charge hard edge runs
     # at n = 400, where the quadrature route's clip guard refused it

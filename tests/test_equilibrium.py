@@ -417,22 +417,6 @@ def test_trailing_zeros_give_the_same_curve(reg, structure):
     assert len(curve.h) == len(reg) - len(curve.zeros) // 2
 
 
-def test_closed_forms_need_their_model():
-    padded = Potential(n=40, reg=(0.0, 1.0, 0.0), singularities=(), support=LINE)
-    assert equilibrium.semicircle_measure(padded).curve == solve_support(
-        gaussian(), "one_cut").curve
-    with pytest.raises(ValidationError,
-                       match=r"^the semicircle measure needs V_reg' coefficients \(0.0, 1.0\)"):
-        equilibrium.semicircle_measure(quartic(-2.0))
-    with pytest.raises(ValidationError, match="^the Marchenko-Pastur measure needs"):
-        equilibrium.marchenko_pastur_measure(
-            Potential(n=40, reg=(-1.0,), singularities=(),
-                      support=IntervalSet(((-5.0, 0.0),))))
-    with pytest.raises(ValidationError, match=r"^singularities\[0\] has pole coefficient"):
-        equilibrium.marchenko_pastur_measure(Potential(n=40, reg=(-1.0,), singularities=(
-            Singularity(b=0.0, alpha=0.5, t=(0.0, -1.0)),), support=NEG))
-
-
 @pytest.mark.parametrize("structure", equilibrium.STRUCTURES)
 def test_pole_terms_refused(structure):
     # V = -x - 1/x^2 on (-inf, 0]: the solvers would balance -x alone

@@ -540,6 +540,25 @@ def test_scaled_grid_refuses_subnormal_psi0(monkeypatch):
     assert _edge_grid_error(760) > 0.3
 
 
+def test_scaled_grid_refuses_points_under_the_confluence_length():
+    # the hard-edge grid's x spacing 0.36875/n^2 falls under kernel_matrix's
+    # confluence length 1e-8 from n = 6 073, where each adjacent pair took
+    # the mean of its two diagonals and the scan read 0.019, not 3.2e-9
+    sc = get_scenario("mp-hard-edge")
+    grid = np.asarray(sc.default_grid)
+    assert convergence_scan(sc, [6072], grid)["rows"] == [
+        {"n": 6072, "sup_error": 3.170958273734925e-09}]
+    with pytest.raises(NumericalError, match=r"stage n=6073: scaled grid points "
+                       r"9\.99828e-09 apart in x fall under the kernel's "
+                       r"confluence length 1e-08 at n=6073$"):
+        convergence_scan(sc, [6073], grid)
+    # a repeated grid point is one point, not a pair under the length
+    p = sc.make_potential(40)
+    em = sc.equilibrium(p)
+    g = scaled_kernel_grid(sc.recurrence(p), p, sc.critical_point(em), [-1.0, -1.0, -0.5])
+    assert g[0, 1] == g[0, 0] == g[1, 1]
+
+
 @pytest.mark.parametrize("alpha, decay", [(0.0, -2.0), (0.5, -1.0)])
 def test_hard_edge_scan_past_the_quadrature_ceiling(alpha, decay):
     # fitted from the Laguerre closed forms, the Bessel scan runs at

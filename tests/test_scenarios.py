@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from rmtlab.classify import extract_model_data
-from rmtlab.equilibrium import example_curve, solve_support, xi_eval
+from rmtlab.equilibrium import example_curve, xi_eval
 from rmtlab.errors import ValidationError
 from rmtlab import orthopoly
 from rmtlab.kernel import convergence_scan
@@ -27,25 +27,48 @@ def test_xi_vanishes_at_path_start(name):
     assert xi_eval(em, em.p_sup) == 0
 
 
-@pytest.mark.parametrize("name, params, structure", [
-    ("gue-bulk", {}, "one_cut"),
-    ("gue-edge", {}, "one_cut"),
-    ("mp-hard-edge", {"alpha": 0.0}, "hard_edge_one_cut"),
-    ("mp-hard-edge", {"alpha": 0.5}, "hard_edge_one_cut"),
-    ("mp-two-charge", {}, "hard_edge_one_cut"),
-], ids=["gue-bulk", "gue-edge", "mp-hard-edge-a0", "mp-hard-edge-a05", "mp-two-charge"])
-@pytest.mark.parametrize("n", [20, 100, 1600])
-def test_closed_form_measures_equal_the_endpoint_solve(name, params, structure, n):
-    # the preset's closed form is the curve the endpoint solve converges to
+# the benchmark's scan ladders (benchmark/workloads.py, Scan.RUNS)
+LADDERS = [
+    ("gue-bulk", {}, (40, 80, 160, 320)),
+    ("gue-edge", {}, (50, 100, 200, 400)),
+    ("mp-hard-edge", {"alpha": 0.0}, (50, 100, 200, 280)),
+    ("mp-hard-edge", {"alpha": 0.5}, (50, 100, 200, 280)),
+    ("quartic-merge", {"tau": 0.0}, (30, 60, 120, 240)),
+    ("quartic-merge", {"tau": 2.0}, (30, 60, 120, 240)),
+    ("mp-two-charge", {}, (20, 40, 80, 160)),
+]
+LADDER_IDS = ["gue-bulk", "gue-edge", "mp-hard-edge-a0", "mp-hard-edge-a05",
+              "quartic-merge-t0", "quartic-merge-t2", "mp-two-charge"]
+
+
+@pytest.mark.parametrize("name, params, ns", LADDERS, ids=LADDER_IDS)
+def test_critical_point_is_the_same_at_every_n(name, params, ns):
+    # a scan reads the point once, at its last n: exact only because the
+    # point each n would give is the same double
     sc = get_scenario(name, **params)
-    p = sc.make_potential(n)
-    em, ref = sc.equilibrium(p), solve_support(p, structure)
-    assert em.curve.h == ref.curve.h
-    assert em.curve.zeros == ref.curve.zeros
-    assert em.curve.poles == ref.curve.poles
-    assert em.ell == ref.ell
-    assert em.support == ref.support
-    assert em.exterior_points == ref.exterior_points
+    points = [sc.critical_point(sc.equilibrium(sc.make_potential(n))) for n in ns]
+    assert all(cp == points[-1] for cp in points)
+
+
+@pytest.mark.parametrize("name, params, ns", LADDERS, ids=LADDER_IDS)
+def test_scan_reads_its_family_once(name, params, ns):
+    sc = get_scenario(name, **params)
+    calls = {"equilibrium": 0, "critical_point": 0, "reference_law": 0,
+             "recurrence": 0}
+
+    def counted(method):
+        bound = getattr(sc, method)
+
+        def wrapper(*args):
+            calls[method] += 1
+            return bound(*args)
+        return wrapper
+
+    for method in calls:
+        setattr(sc, method, counted(method))
+    convergence_scan(sc, ns, np.asarray(sc.default_grid))
+    assert calls == {"equilibrium": 1, "critical_point": 1, "reference_law": 1,
+                     "recurrence": len(ns)}
 
 
 def test_unknown_scenario_rejected():

@@ -23,13 +23,14 @@ def load(name):
 
 
 def test_run_scenarios_writes_the_scans_it_can_run(tmp_path):
-    # at n <= 60 only the quartic-merge pair and mp-two-charge have two stages
-    assert load("run_scenarios").main(["--outdir", str(tmp_path), "--n-max", "60"]) == 0
+    # every run scans its preset's default ladder
+    assert load("run_scenarios").main(["--outdir", str(tmp_path)]) == 0
     assert sorted(p.name for p in tmp_path.iterdir()) == [
-        "scan_mp-two-charge.json", "scan_quartic-merge-t0.json",
-        "scan_quartic-merge-t2.json"]
+        "scan_gue-bulk.json", "scan_gue-edge.json", "scan_mp-hard-edge-a0.json",
+        "scan_mp-hard-edge-a05.json", "scan_mp-two-charge.json",
+        "scan_quartic-merge-t0.json", "scan_quartic-merge-t2.json"]
     scan = read_json(tmp_path / "scan_mp-two-charge.json")
-    assert [row["n"] for row in scan["rows"]] == [40]
+    assert [row["n"] for row in scan["rows"]] == [40, 80]
 
 
 def test_mcmc_crosscheck_writes_samples_and_reports(tmp_path):
