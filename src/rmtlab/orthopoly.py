@@ -13,8 +13,14 @@ h_j = h_0 b_1 ... b_j.  Two families get the same coefficients with no
 quadrature rule: for V' = t x + g x^3 on the whole line,
 string_recurrence solves the string equation they satisfy exactly (and
 string_residual is that equation's certificate for any fit), and for
-V' = c on a half-line with at most one charge, at its end,
-laguerre_recurrence writes down the scaled Laguerre closed forms.
+V' = c on a half-line with at most one charge at its end,
+laguerre_recurrence writes down the scaled Laguerre closed forms.  A
+further real charge beyond the end whose 2 alpha is a positive integer
+multiplies w by a polynomial with no zero on the half-line, and by
+Christoffel's theorem each of its linear factors sigma (x - z) is one
+exact LU step of J - z I on the coefficients (Gautschi, Orthogonal
+Polynomials: Computation and Approximation, OUP 2004, sec. 2.4; Galant,
+Math. Comp. 25, 1971), so laguerre_recurrence covers those charges too.
 Both families, and the even models whose rules are mirrored, are
 recognized from the potential's own reg_degree and is_even.
 orthonormal_rows evaluates the weighted orthonormal functions
@@ -115,7 +121,11 @@ class Recurrence:
 
 
 def _truncation_point(p: Potential, x0: float, direction: float) -> float:
-    """First x beyond x0 (in the given direction) with n V_reg >= 1380."""
+    """First x beyond x0 (in the given direction) with n V_reg >= 1380.
+
+    Bisection stops once lo and hi are adjacent doubles, where halving
+    can no longer shrink the bracket, and after 80 halvings at most.
+    """
 
     def f(x):
         return p.n * v_reg(p, x) + _LOG_FLOOR
@@ -132,6 +142,8 @@ def _truncation_point(p: Potential, x0: float, direction: float) -> float:
     lo = x0 if step == 1.0 else x0 + direction * step / 2.0
     for _ in range(80):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
         if f(mid) < 0.0:
             lo = mid
         else:
@@ -814,23 +826,61 @@ def string_recurrence(p: Potential, m_max: int) -> Recurrence:
 
 
 def _laguerre(p: Potential):
-    """(e, sigma, c, A) when V_reg' = c on one half-line with end e, no
-    pole terms and at most one charge A/2, sitting at e, else None.
+    """(e, sigma, c, A, steps) when V_reg' = c on one half-line with end
+    e, with no pole terms, at most one charge A/2 sitting at e, and every
+    other charge real, beyond e and with 2 alpha a positive integer;
+    else None.
 
     sigma = +1 for [e, inf) and -1 for (-inf, e]; the Potential's own
     check makes the weight decay along the half-line, so sigma c > 0.
+    steps lists each charge z beyond e 2 alpha times: on the half-line
+    |x - z|^{2 alpha} is (sigma (x - z))^{2 alpha}, one Christoffel step
+    (_christoffel) per factor.
     """
     ivs = p.support.intervals
-    sings = p.singularities
-    if p.reg_degree() != 1 or len(ivs) != 1 or len(sings) > 1 or any(any(s.t) for s in sings):
+    if p.reg_degree() != 1 or len(ivs) != 1 or any(any(s.t) for s in p.singularities):
         return None
     lo, hi = ivs[0]
     if math.isinf(lo) == math.isinf(hi):
         return None
     e, sigma = (lo, 1.0) if math.isinf(hi) else (hi, -1.0)
-    if sings and sings[0].b != e:
-        return None
-    return e, sigma, float(p.reg[0]), 2.0 * sings[0].alpha if sings else 0.0
+    big_a, steps = 0.0, []
+    for s in p.singularities:
+        power = 2.0 * s.alpha
+        if s.b == e and not big_a:
+            big_a = power
+        elif s.b.imag == 0.0 and sigma * (e - s.b.real) > 0.0 and power.is_integer():
+            steps += [float(s.b.real)] * int(power)
+        else:
+            return None
+    return e, sigma, float(p.reg[0]), big_a, tuple(steps)
+
+
+def _christoffel(a: list[float], b: list[float], z: float, sigma: float):
+    """(a, b, sigma q_0): one Christoffel step, from the monic coefficients
+    of mu to those of sigma (x - z) dmu, one degree shorter.
+
+    It is one LU step of J - z I without pivoting, in Python floats:
+    q_0 = a_0 - z, e_k = b_k / q_{k-1}, q_k = a_k - z - e_k, and the new
+    coefficients are a_k = z + q_k + e_{k+1} and b_k = q_k e_k, with
+    h_0 multiplied by sigma q_0.  sigma (x - z) > 0 on the support makes
+    sigma (J - z I) positive definite, so every pivot has sigma q_k > 0;
+    NumericalError is raised at the first pivot that does not, or is
+    not finite.  len(b) >= len(a), and b's entries past len(a) - 1 are
+    not read.
+    """
+    qs, es = [], [0.0]
+    for k, ak in enumerate(a):
+        q = ak - z - es[k]
+        if not (sigma * q > 0.0 and math.isfinite(q)):
+            raise NumericalError(
+                f"Christoffel step at z = {z:.17g}: pivot q_{k} = {q:.3g} "
+                f"does not have the sign {sigma:+g}")
+        qs.append(q)
+        es.append(b[k] / q)
+    return ([z + q + e for q, e in zip(qs, es[1:-1])],
+            [q * e for q, e in zip(qs[1:], es[1:-1])],
+            sigma * qs[0])
 
 
 def laguerre_recurrence(p: Potential, m_max: int) -> Recurrence:
@@ -843,30 +893,53 @@ def laguerre_recurrence(p: Potential, m_max: int) -> Recurrence:
     (Chihara, An Introduction to Orthogonal Polynomials, 1978, ch. V).
     So a_j = e + sigma (2j + A + 1)/k, b_j = j (j + A)/k^2 and
     log h_0 = -n c e + lgamma(A + 1) - (A + 1) log k, carried as
-    h0 = h_0 e^{-s}, s = max(0, max log w - 690) as elsewhere.  No
-    quadrature carries the coefficients, so omega_max is 0.0.
-    ValidationError is raised outside the family, NumericalError when
-    h0 is not a positive finite double.
+    h0 = h_0 e^{-s}, s = max(0, max log w - 690) as elsewhere.
+    Each further charge z beyond e with 2 alpha a positive integer
+    multiplies w by (sigma (x - z))^{2 alpha}, a polynomial with no zero
+    on the half-line.  By Christoffel's theorem each of its 2 alpha
+    linear factors is one exact LU step of J - z I on the coefficients
+    (_christoffel; Gautschi, Orthogonal Polynomials: Computation and
+    Approximation, OUP 2004, sec. 2.4; Galant, Math. Comp. 25, 1971), so
+    the closed forms are written to m_max plus the number of steps, and
+    each step gives up one degree and multiplies h_0 by its sigma q_0.
+    s then comes from a bound on log w: with d_i = sigma (e - z_i) > 0,
+    log w <= -n c e + M log(y + D) - k y for M = A + the number of
+    steps and D the largest d_i, whose peak over y >= 0 is exact when
+    there are no steps.  No quadrature carries the coefficients, so
+    omega_max is 0.0.  ValidationError is raised outside the family,
+    NumericalError at a pivot of the wrong sign and when h0 is not a
+    positive finite double.
     """
     fam = _laguerre(p)
     if fam is None:
         raise ValidationError(
             "laguerre_recurrence needs V' = c on a half-line with no pole "
-            "terms and at most one charge, at its end")
+            "terms, at most one charge at its end, and charges beyond it "
+            "only with 2 alpha a positive integer")
     if not m_max >= 1:
         raise ValidationError("m_max must be at least 1")
-    e, sigma, c, big_a = fam
+    e, sigma, c, big_a, steps = fam
     k = p.n * abs(c)
-    # log w peaks at y = A/k, or at the end itself when A = 0
-    peak = -p.n * c * e + (big_a * (math.log(big_a / k) - 1.0) if big_a else 0.0)
-    s = max(0.0, peak - _LOG_TOP)
-    h0 = math.exp(-p.n * c * e + math.lgamma(big_a + 1.0) - (big_a + 1.0) * math.log(k) - s)
+    size = m_max + len(steps)
+    a = [e + sigma * (2 * j + big_a + 1.0) / k for j in range(size)]
+    b = [j * (j + big_a) / (k * k) for j in range(1, size + 1)]
+    log_h0 = -p.n * c * e + math.lgamma(big_a + 1.0) - (big_a + 1.0) * math.log(k)
+    for z in steps:
+        a, b, mass = _christoffel(a, b, z, sigma)
+        log_h0 += math.log(mass)
+    # M log(y + D) - k y peaks at y = M/k - D when that is positive, else
+    # at the end itself
+    top = big_a + len(steps)
+    far = max((sigma * (e - z) for z in steps), default=0.0)
+    if top > k * far:
+        peak = top * (math.log(top / k) - 1.0) + k * far
+    else:
+        peak = top * math.log(far) if far else 0.0
+    s = max(0.0, -p.n * c * e + peak - _LOG_TOP)
+    h0 = math.exp(log_h0 - s)
     if not (h0 > 0.0 and math.isfinite(h0)):
         raise NumericalError("Laguerre weight has no representable mass")
-    return Recurrence(
-        a=tuple(e + sigma * (2 * j + big_a + 1.0) / k for j in range(m_max)),
-        b=tuple(j * (j + big_a) / (k * k) for j in range(1, m_max + 1)),
-        h0=h0, log_shift=s, omega_max=0.0)
+    return Recurrence(a=tuple(a), b=tuple(b), h0=h0, log_shift=s, omega_max=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,10 @@ recurrence(p) returns the Recurrence to degree n + 1 the scan's kernels
 run on.  A scan reads no quadrature nodes, so the even quartics
 gue-bulk, gue-edge and quartic-merge take orthopoly.string_recurrence,
 the Laguerre weight of mp-hard-edge orthopoly.laguerre_recurrence, and
-mp-two-charge the base class's default_fit.  The law is (kernel, meta),
+mp-two-charge the same closed forms with 2 alpha2 Christoffel steps
+when its second charge lies beyond the hard edge (tau > 0) with
+2 alpha2 an integer, as the defaults do; any other mp-two-charge keeps
+the base class's default_fit.  The law is (kernel, meta),
 the closed form with its affine map from the extracted E-coefficients,
 or None for scaling collapse, where successive n are compared directly.
 The scan evaluates the kernel on the upper triangle of its grid and
@@ -211,6 +214,14 @@ class MpTwoCharge(_Scenario):
         sings = (Singularity(b=0.0, alpha=self.alpha1),
                  Singularity(b=self.tau / float(n) ** 2, alpha=self.alpha2))
         return Potential(n=n, reg=(-1.0,), singularities=sings, support=_NEG)
+
+    def recurrence(self, p):
+        """Christoffel steps on the Laguerre closed forms when the second
+        charge lies beyond the hard edge (tau > 0) with 2 alpha2 an
+        integer, else default_fit."""
+        if self.tau > 0.0 and (2.0 * self.alpha2).is_integer():
+            return laguerre_recurrence(p, p.n + 1)
+        return default_fit(p)[0]
 
 
 _REGISTRY = {

@@ -374,11 +374,20 @@ def test_converge_validation_failure_exits_two(outdir, capsys, argv):
 
 
 def test_converge_numerical_failure_exits_three(outdir, capsys):
-    # the clip guard refuses the two-charge hard edge at n = 400
-    assert run(outdir, "converge", "mp-two-charge", "--n-list", "300,400") == 3
+    # with 2 alpha2 not an integer the two-charge hard edge keeps
+    # default_fit, whose clip guard refuses it at n = 400
+    assert run(outdir, "converge", "mp-two-charge", "--param", "alpha2=0.75",
+               "--n-list", "300,400") == 3
     err = capsys.readouterr().err
     assert "convergence scan failed at stage n=400" in err
     assert "clips degree-401 polynomials" in err
+
+
+def test_converge_two_charge_runs_past_the_clip_guard(outdir):
+    # the defaults fit by a Christoffel step on the Laguerre closed forms
+    assert run(outdir, "converge", "mp-two-charge", "--n-list", "320,640") == 0
+    rows = read_json(outdir / "scan_mp-two-charge.json")["rows"]
+    assert [row["n"] for row in rows] == [640]
 
 
 def test_converge_hard_edge_refuses_the_confluence_length(outdir, capsys):

@@ -13,7 +13,7 @@ from scipy.integrate import quad as scipy_quad
 
 from rmtlab import orthopoly
 from rmtlab.errors import NumericalError, ValidationError
-from rmtlab.potential import IntervalSet, Potential, Singularity, log_weight
+from rmtlab.potential import IntervalSet, Potential, Singularity, log_weight, v_reg
 from rmtlab.quad import gauss_legendre
 from rmtlab.orthopoly import (
     _OMEGA_TOL,
@@ -761,6 +761,14 @@ def test_laguerre_h0_is_shifted_past_the_overflow():
         laguerre_recurrence(replace(p, support=IntervalSet(((-math.inf, -1000.0),))), 11)
 
 
+def two_at_the_end():
+    # the Potential refuses a duplicate point itself; the family test
+    # takes one charge at the end and must not take a second
+    p = laguerre_potential(40, 0.5, -1.0)
+    object.__setattr__(p, "singularities", p.singularities * 2)
+    return p
+
+
 @pytest.mark.parametrize("p", [
     even_quartic(40, 1.0),
     Potential(n=40, reg=(-1.0, 0.5), singularities=(), support=NEG),
@@ -772,7 +780,20 @@ def test_laguerre_h0_is_shifted_past_the_overflow():
               support=NEG),
     Potential(n=40, reg=(-1.0,), singularities=(
         Singularity(b=0.0, alpha=0.5, t=(0.0, -1.0)),), support=NEG),
-], ids=["line", "quadratic", "interval", "charge-inside", "two-charges", "pole"])
+    Potential(n=40, reg=(-1.0,), singularities=(Singularity(b=0.01, alpha=0.75),),
+              support=NEG),
+    Potential(n=40, reg=(-1.0,), singularities=(Singularity(b=0.0, alpha=0.5),
+                                                Singularity(b=0.01, alpha=0.25)),
+              support=NEG),
+    Potential(n=40, reg=(-1.0,), singularities=(
+        Singularity(b=0.01, alpha=0.5, t=(0.0, -1.0)),), support=NEG),
+    Potential(n=40, reg=(-1.0,), singularities=(Singularity(b=1 + 1j, alpha=0.5),
+                                                Singularity(b=1 - 1j, alpha=0.5)),
+              support=NEG),
+    two_at_the_end(),
+], ids=["line", "quadratic", "interval", "charge-inside", "two-charges", "pole",
+        "beyond-non-integer", "beyond-quarter", "beyond-pole", "complex-pair",
+        "two-at-the-end"])
 def test_laguerre_route_is_refused_outside_its_family(p):
     with pytest.raises(ValidationError, match="V' = c on a half-line"):
         laguerre_recurrence(p, 3)
@@ -785,6 +806,137 @@ def test_laguerre_family_ignores_zero_padding():
     assert laguerre_recurrence(padded, 41) == laguerre_recurrence(p, 41)
     with pytest.raises(ValidationError, match="m_max"):
         laguerre_recurrence(p, 0)
+
+
+def reference_truncation_point(p, x0, direction):
+    """_truncation_point with the fixed 80 halvings it once took."""
+    def f(x):
+        return p.n * orthopoly.v_reg(p, x) + orthopoly._LOG_FLOOR
+
+    step = 1.0
+    hi = x0 + direction * step
+    while f(hi) < 0.0:
+        step *= 2.0
+        hi = x0 + direction * step
+    lo = x0 if step == 1.0 else x0 + direction * step / 2.0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if f(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+TRUNCATION_MODELS = [
+    *(get_scenario(name, **params).make_potential(n)
+      for name, params, ns in [
+          ("gue-bulk", {}, (40, 80, 160, 320)),
+          ("gue-edge", {}, (50, 100, 200, 400)),
+          ("mp-hard-edge", {"alpha": 0.5}, (50, 100, 200, 280)),
+          ("quartic-merge", {"tau": 0.0}, (30, 60, 120, 240)),
+          ("quartic-merge", {"tau": 2.0}, (30, 60, 120, 240)),
+          ("mp-two-charge", {}, (20, 40, 80, 160))]
+      for n in ns),
+    gaussian(1000),
+    *(critical_quartic(n) for n in (40, 100, 200, 400, 1000)),
+    *(laguerre_potential(n, 0.5, -1.0) for n in (40, 400, 1000)),
+]
+
+
+@pytest.mark.parametrize("p", TRUNCATION_MODELS,
+                         ids=lambda p: f"{p.reg}-{len(p.singularities)}-{p.n}")
+def test_truncation_point_stops_where_bisection_stalls(monkeypatch, p):
+    calls = []
+    monkeypatch.setattr(orthopoly, "v_reg", lambda p, x: calls.append(x) or v_reg(p, x))
+    for direction in (-1.0, 1.0):
+        if math.isinf(p.support.lo if direction < 0 else p.support.hi):
+            x = orthopoly._truncation_point(p, 0.0, direction)
+            fast = len(calls)
+            assert x == reference_truncation_point(p, 0.0, direction)
+            # only 51-52 of the 80 halvings move lo or hi
+            assert len(calls) - 2 * fast in (28, 29)
+            calls.clear()
+
+
+def test_laguerre_without_steps_is_the_closed_form_bit_for_bit():
+    # the mp-hard-edge fits: no Christoffel step touches a, b, h0 or s
+    for alpha in (0.0, 0.5):
+        p = mp_hard_edge(200, alpha)
+        big_a, k = 2.0 * alpha, 200.0
+        r = laguerre_recurrence(p, 201)
+        assert r.a == tuple(0.0 + -1.0 * (2 * j + big_a + 1.0) / k for j in range(201))
+        assert r.b == tuple(j * (j + big_a) / (k * k) for j in range(1, 202))
+        assert r.h0 == math.exp(
+            -200 * -1.0 * 0.0 + math.lgamma(big_a + 1.0) - (big_a + 1.0) * math.log(k) - 0.0)
+        assert r.log_shift == 0.0
+
+
+def two_charge(n, alpha1, alpha2, tau):
+    """V = -x on (-inf, 0], charge alpha1 at 0 (none for 0) and alpha2 at tau/n^2."""
+    sings = (Singularity(b=0.0, alpha=alpha1),) if alpha1 else ()
+    return Potential(n=n, reg=(-1.0,), support=NEG,
+                     singularities=sings + (Singularity(b=tau / n ** 2, alpha=alpha2),))
+
+
+# measured worst gaps over this grid: 2.4e-14 (a_j), 3.2e-14 (b_j) and
+# 1.9e-14 (log h_0); the charge moved by 1e-3 relative gives at least
+# 3.8e-7, a shifted b index at least 1
+@pytest.mark.parametrize("n", [20, 80, 160])
+@pytest.mark.parametrize("tau", [1.0, 5.0])
+@pytest.mark.parametrize("alpha2", [0.5, 1.0, 1.5])
+@pytest.mark.parametrize("alpha1", [0.0, 0.25, 0.5, 1.3])
+def test_christoffel_steps_certify_stieltjes_fits(alpha1, alpha2, tau, n):
+    p = two_charge(n, alpha1, alpha2, tau)
+    r, ref = laguerre_recurrence(p, n + 1), default_fit(p)[0]
+    da, db, dh = laguerre_defects(r, ref)
+    assert da <= 1e-13 and db <= 1e-13 and dh <= 1e-13
+    assert r.omega_max == 0.0 and r.m_max == n + 1
+    moved = laguerre_recurrence(two_charge(n, alpha1, alpha2, tau * (1.0 + 1e-3)), n + 1)
+    assert max(laguerre_defects(moved, ref)[:2]) > 1e-13
+    shifted = replace(r, b=r.b[1:] + (r.b[-1],))
+    assert laguerre_defects(shifted, ref)[1] > 1e-13
+
+
+def test_christoffel_steps_on_both_half_lines():
+    # V = 2x on [1, inf) with a charge 1/2 at 1 and a charge 1 at 0.75:
+    # two steps from the left, against the quadrature fit
+    p = Potential(n=40, reg=(2.0,), support=IntervalSet(((1.0, math.inf),)),
+                  singularities=(Singularity(b=1.0, alpha=0.5),
+                                 Singularity(b=0.75, alpha=1.0)))
+    da, db, dh = laguerre_defects(laguerre_recurrence(p, 41), default_fit(p)[0])
+    assert da <= 1e-13 and db <= 1e-13 and dh <= 1e-13
+
+
+def test_christoffel_step_past_the_overflow():
+    # V = -x on (-inf, 1000], n = 10, charge 1 at 1000.5: w = (y + 1/2)^2
+    # e^{10 000 - 10 y} with y = 1000 - x, so h_0 = e^{10 000} (2/10^3 +
+    # 1/10^2 + 1/40) and log w peaks at the end, 10 000 + 2 log(1/2)
+    end = IntervalSet(((-math.inf, 1000.0),))
+    p = Potential(n=10, reg=(-1.0,), support=end,
+                  singularities=(Singularity(b=1000.5, alpha=1.0),))
+    r = laguerre_recurrence(p, 11)
+    assert r.log_shift == pytest.approx(10000.0 + 2.0 * math.log(0.5) - 690.0, rel=1e-15)
+    assert math.log(r.h0) + r.log_shift == pytest.approx(10000.0 + math.log(0.037),
+                                                         rel=1e-15)
+    # the same weight moved to the origin: a_j move by the shift, b_j not
+    near = laguerre_recurrence(Potential(n=10, reg=(-1.0,), support=NEG,
+                                         singularities=(Singularity(b=0.5, alpha=1.0),)), 11)
+    assert np.allclose(np.array(r.a) - 1000.0, near.a, rtol=0.0, atol=1e-12)
+    assert np.allclose(r.b, near.b, rtol=1e-11, atol=0.0)
+
+
+@pytest.mark.parametrize("z", [-0.5, -0.01, math.nan], ids=["first", "later", "nan"])
+def test_christoffel_pivot_of_the_wrong_sign_is_refused(monkeypatch, z):
+    # a step at a point inside the support is no positive factor: some
+    # pivot q_k leaves the sign of sigma, the first one at z = -0.5
+    p = laguerre_potential(40, 0.5, -1.0)
+    e, sigma, c, big_a, steps = orthopoly._laguerre(p)
+    assert steps == ()
+    monkeypatch.setattr(orthopoly, "_laguerre", lambda p: (e, sigma, c, big_a, (z,)))
+    with pytest.raises(NumericalError, match="Christoffel step") as err:
+        laguerre_recurrence(p, 41)
+    assert ("pivot q_0 " in str(err.value)) == (z != -0.01)
 
 
 # measured worst residuals of default_fit: 3.5e-15 (GUE, n = 500),

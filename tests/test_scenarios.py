@@ -182,13 +182,45 @@ def test_recurrence_is_a_recurrence_from_its_route(name, string_route):
         p = charged.make_potential(40)
         assert charged.recurrence(p) == laguerre_recurrence(p, 41)
     else:
-        assert r == default_fit(p)[0]
+        # the defaults' second charge lies beyond the hard edge with
+        # 2 alpha2 = 1: one Christoffel step on the Laguerre closed forms;
+        # a non-integer 2 alpha2, or a charge inside the support, keeps
+        # default_fit
+        assert r == laguerre_recurrence(p, 41) and r.omega_max == 0.0
+        for params in ({"alpha2": 0.75}, {"tau": -1.0}):
+            other = get_scenario(name, **params)
+            p = other.make_potential(40)
+            assert other.recurrence(p) == default_fit(p)[0]
+
+
+@pytest.mark.parametrize("params", [
+    {}, {"alpha2": 1.5}, {"alpha1": 1.3, "alpha2": 2.0, "tau": 5.0}, {"alpha2": 0.75},
+    {"alpha2": 0.25, "tau": 5.0}, {"tau": -1.0}, {"alpha2": 1.0, "tau": -1.0}])
+def test_two_charge_falls_back_exactly_where_the_closed_forms_refuse(params):
+    sc = get_scenario("mp-two-charge", **params)
+    p = sc.make_potential(40)
+    try:
+        expected = laguerre_recurrence(p, 41)
+    except ValidationError:
+        expected = default_fit(p)[0]
+    assert sc.recurrence(p) == expected
+
+
+def test_two_charge_scans_past_the_quadrature_ceiling():
+    # default_fit's clip guard refuses the defaults from n = 320 on; on
+    # Christoffel steps the collapse errors are 3.77e-4 and 1.89e-4
+    sc = get_scenario("mp-two-charge")
+    out = convergence_scan(sc, [320, 640, 1280], np.asarray(sc.default_grid))
+    errs = [row["sup_error"] for row in out["rows"]]
+    assert [row["n"] for row in out["rows"]] == [640, 1280]
+    assert errs[1] < errs[0]
+    assert -1.05 <= out["fitted_decay"] <= -0.95
 
 
 @pytest.mark.parametrize("name, params", [
     ("gue-bulk", {}), ("gue-edge", {}), ("quartic-merge", {"tau": 0.0}),
     ("quartic-merge", {"tau": 2.0}), ("mp-hard-edge", {"alpha": 0.0}),
-    ("mp-hard-edge", {"alpha": 0.5})])
+    ("mp-hard-edge", {"alpha": 0.5}), ("mp-two-charge", {})])
 def test_closed_form_scans_build_no_rule(monkeypatch, name, params):
     def refuse(*args, **kwargs):
         raise AssertionError("a closed-form scan built a quadrature fit")
