@@ -13,6 +13,12 @@ all its floats, as little-endian doubles.  The objects come in groups:
                       200, the critical quartic at 120 and 600, MP with
                       a charge 1/2 at 200, mp-two-charge at 40, the
                       sextic and the two-cut quartic at 120
+    kernel:<model>-<n>  on each of those fits, kernel_diag at one point,
+                      kernel_matrix on 24 and on 61 points across the
+                      support and kernel_diag on the rule's nodes, so
+                      both loops of orthopoly.cd_rows are read: at most
+                      32 distinct points (the even models' 61-point
+                      grids fold to 31) run in floats, more in numpy
     scan:<run>        every sc.recurrence(p) and the convergence_scan of
                       one scan ladder of benchmark/workloads.py
     model:<preset>    measure, extract_model_data and check_variational
@@ -46,13 +52,16 @@ CLI_SEED = 1
 _LINE = ((-math.inf, math.inf),)
 _NEG = ((-math.inf, 0.0),)
 
-# (label, V_reg' coefficients, (charge location, alpha), domain, the n of each fit)
+_MP_SPAN = (-3.9, -0.05)
+
+# (label, V_reg' coefficients, (charge location, alpha), domain, the n of
+# each fit, the span of the kernel grids: just inside the support's hull)
 FITS = (
-    ("gue", (0.0, 1.0), (), _LINE, (40, 200)),
-    ("quartic-critical", (0.0, -2.0, 0.0, 1.0), (), _LINE, (120, 600)),
-    ("mp-charge", (-1.0,), ((0.0, 0.5),), _NEG, (200,)),
-    ("sextic", (0.3, 0.5, 0.0, 0.2, 0.0, 0.3), (), _LINE, (120,)),
-    ("quartic-two-cut", (0.0, -3.0, 0.0, 1.0), (), _LINE, (120,)),
+    ("gue", (0.0, 1.0), (), _LINE, (40, 200), (-1.9, 1.9)),
+    ("quartic-critical", (0.0, -2.0, 0.0, 1.0), (), _LINE, (120, 600), (-1.9, 1.9)),
+    ("mp-charge", (-1.0,), ((0.0, 0.5),), _NEG, (200,), _MP_SPAN),
+    ("sextic", (0.3, 0.5, 0.0, 0.2, 0.0, 0.3), (), _LINE, (120,), (-1.5, 1.35)),
+    ("quartic-two-cut", (0.0, -3.0, 0.0, 1.0), (), _LINE, (120,), (-2.2, 2.2)),
 )
 
 
@@ -114,13 +123,24 @@ def groups():
     """(group name, thunk -> {part: object}) in a fixed order."""
     from rmtlab.classify import extract_model_data
     from rmtlab.equilibrium import check_variational
-    from rmtlab.kernel import convergence_scan
+    from rmtlab.kernel import convergence_scan, kernel_diag, kernel_matrix
     from rmtlab.potential import IntervalSet, Potential, Singularity
     from rmtlab.scenarios import default_fit, get_scenario, scenario_names
 
+    fits = {}  # the kernel objects of a fit reuse it
+
     def fit(p):
-        r, q = default_fit(p)
+        r, q = fits[p] = default_fit(p)
         return {"recurrence": r, "rule": q}
+
+    def kernel(p, span):
+        r, q = fits.pop(p)
+        lo, hi = span
+        g24, g61 = np.linspace(lo, hi, 24), np.linspace(lo, hi, 61)
+        return {"diag-1": kernel_diag(r, p, np.array([0.5 * (lo + hi) + 0.1])),
+                "matrix-24": kernel_matrix(r, p, g24, g24),
+                "matrix-61": kernel_matrix(r, p, g61, g61),
+                "diag-nodes": kernel_diag(r, p, q.nodes)}
 
     def scan(sc, ns):
         out = {f"recurrence-{n}": sc.recurrence(sc.make_potential(n)) for n in ns}
@@ -135,13 +155,14 @@ def groups():
 
     workloads = _workloads()
     out = []
-    for label, reg, charges, domain, ns in FITS:
-        sings = tuple(Singularity(b=b, alpha=alpha) for b, alpha in charges)
-        for n in ns:
-            p = Potential(n=n, reg=reg, singularities=sings, support=IntervalSet(domain))
-            out.append((f"fit:{label}-{n}", lambda p=p: fit(p)))
     two = get_scenario("mp-two-charge").make_potential(40)
-    out.append(("fit:mp-two-charge-40", lambda: fit(two)))
+    models = [(label, span, Potential(n=n, reg=reg, support=IntervalSet(domain),
+                                      singularities=tuple(Singularity(b=b, alpha=alpha)
+                                                          for b, alpha in charges)))
+              for label, reg, charges, domain, ns, span in FITS for n in ns]
+    for label, span, p in models + [("mp-two-charge", _MP_SPAN, two)]:
+        out.append((f"fit:{label}-{p.n}", lambda p=p: fit(p)))
+        out.append((f"kernel:{label}-{p.n}", lambda p=p, span=span: kernel(p, span)))
     for name, params, ns, _, _ in workloads.Scan.RUNS:
         tag = name + "".join(f"[{k}={v}]" for k, v in params.items())
         sc = get_scenario(name, **params)

@@ -6,13 +6,15 @@ The projection kernel onto polynomials of degree < n under the weight,
                 (p_n(x) p_{n-1}(y) - p_n(y) p_{n-1}(x)) / (x - y),
 
 is evaluated through the weighted orthonormal functions
-psi_j = sqrt(w) p_j / sqrt(h_j) (orthopoly.orthonormal_rows), which stay
-of order one where p_j and w separately overflow and underflow; on the
-diagonal it is the sum of squares sum_{j<n} psi_j(x)^2.  Only
-kernel_matrix (any x * y grid) and kernel_diag evaluate it at points,
-both through _psi_rows, one recurrence pass per point set, and nothing
-here imports the equilibrium side.  Sine, Airy and Bessel
-kernels are the double-scaling references; grids are bare matrices.
+psi_j = sqrt(w) p_j / sqrt(h_j), which stay of order one where p_j and
+w separately overflow and underflow; on the diagonal it is the sum of
+squares sum_{j<n} psi_j(x)^2.  Only kernel_matrix (any x * y grid) and
+kernel_diag evaluate it at points, both through _psi_rows, one
+orthopoly.cd_rows pass per point set: point by point in Python floats
+for a handful of distinct points (a scan stage's grid, one diagonal
+point), the numpy sweep for more, the same bits either way.  Nothing
+here imports the equilibrium side.  Sine, Airy and Bessel kernels are
+the double-scaling references; grids are bare matrices.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import math
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .orthopoly import QuadratureRule, Recurrence, orthonormal_rows
+from .orthopoly import QuadratureRule, Recurrence, cd_rows, orthonormal_rows
 from .potential import Potential, log_weight
 from .specfun import airy_ai, bessel_j
 
@@ -37,26 +39,25 @@ _TINY = np.finfo(float).tiny  # the smallest normal double
 def _psi_rows(r: Recurrence, p: Potential, x: np.ndarray):
     """psi_n, psi_{n-1} and the diagonal K_n(x, x) at the points of x.
 
-    The one place that runs the recurrence at points: one pass over the
-    distinct points of x, or on a parity fit (a_0 = ... = a_{n-1} = 0 on
-    an even model, Potential.is_even) over their distinct |x|, gathered
-    back to the shape of x with the odd-degree row negated at x < 0,
-    since psi_j(-x) = (-1)^j psi_j(x).  Where log w is
-    itself exactly even (no charges off 0) that is the direct evaluation
-    bit for bit, apart from the sign of zeros where sqrt(w) underflows.
-    The diagonal is the Christoffel-Darboux sum of squares
-    sum_{j<n} psi_j^2: positive terms, so nothing cancels.  log w is
-    -inf off the domain, so every row and the diagonal vanish there.
+    The one place a kernel runs the recurrence at points: one cd_rows
+    pass over the distinct points of x, or on a parity fit
+    (a_0 = ... = a_{n-1} = 0 on an even model, Potential.is_even) over
+    their distinct |x|, gathered back to the shape of x with the
+    odd-degree row negated at x < 0, since psi_j(-x) = (-1)^j psi_j(x).
+    The fold decides which loop cd_rows takes: it counts distinct
+    points, so a 61-point grid of an even model is 31 float-loop points.
+    Where log w is itself exactly even (no charges off 0) that is the
+    direct evaluation bit for bit, apart from the sign of zeros where
+    sqrt(w) underflows.  The diagonal is the Christoffel-Darboux sum of
+    squares sum_{j<n} psi_j^2: positive terms, so nothing cancels.
+    log w is -inf off the domain, so every row and the diagonal vanish
+    there.
     """
     parity = not any(r.a[:p.n]) and p.is_even()
     pts, inv = np.unique(np.abs(x) if parity else x, return_inverse=True)
     inv = inv.reshape(x.shape)
-    rows = orthonormal_rows(r, pts, log_weight(p, pts), p.n)
-    diag = np.zeros(pts.shape)
-    for _ in range(p.n):
-        psi_m = next(rows)
-        diag += psi_m * psi_m
-    psi_n, psi_m, diag = next(rows)[inv], psi_m[inv], diag[inv]
+    psi_n, psi_m, diag = cd_rows(r, pts, log_weight(p, pts), p.n)
+    psi_n, psi_m, diag = psi_n[inv], psi_m[inv], diag[inv]
     if parity:
         odd = psi_n if p.n % 2 else psi_m  # of the two, the odd-degree row
         np.negative(odd, out=odd, where=x < 0.0)

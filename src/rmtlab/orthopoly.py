@@ -24,7 +24,13 @@ Math. Comp. 25, 1971), so laguerre_recurrence covers those charges too.
 Both families, and the even models whose rules are mirrored, are
 recognized from the potential's own reg_degree and is_even.
 orthonormal_rows evaluates the weighted orthonormal functions
-sqrt(w) p_j / sqrt(h_j) from the coefficients at any points.
+sqrt(w) p_j / sqrt(h_j) from the coefficients at any points, and
+cd_rows the three numbers at a point that every kernel is built from:
+psi_n, psi_{n-1} and the Christoffel-Darboux sum of squares.  A numpy
+sweep costs per numpy call and a Python-float loop per point and
+degree, so cd_rows runs a handful of points (at most _FEW_POINTS) in
+floats and more in numpy; both do the same binary64 operations in the
+same order, so the choice never moves a bit.
 """
 
 from __future__ import annotations
@@ -60,6 +66,7 @@ _STRING_ITER = 30       # Newton steps allowed per string-equation solve
 _STRING_TOL = 4e-15     # Newton stop: |F_j| relative to the terms F_j sums
 _MARGIN_TOL = 1e-14     # max relative move of b_j when the margin doubles
 _TRAPEZOID_STEP = 0.25  # h_0 rule step, in units of 1/sqrt(n max|V''|)
+_FEW_POINTS = 32        # most points cd_rows runs one by one in Python floats
 
 
 @dataclass(frozen=True, eq=False)
@@ -558,9 +565,11 @@ def orthonormal_rows(r: Recurrence, x, log_w, m: int):
 
     log_w is log w at x (-inf where w vanishes).  The scaled recurrence
     keeps every entry of order one even where p_j is astronomically
-    large and w astronomically small; this is the only evaluation of the
-    recurrence at points.  The degree range is checked before the first
-    row is computed.
+    large and w astronomically small.  This numpy sweep (_scaled_rows)
+    is the public row generator; cd_rows, for when only the last two
+    rows and the sum of squares are wanted, runs the same steps, point
+    by point at a handful of points.  The degree range is checked
+    before the first row is computed.
     """
     _check_degree(r, m)
     return _scaled_rows(r, x, log_w, m)
@@ -571,15 +580,58 @@ def _check_degree(r: Recurrence, m: int) -> None:
         raise ValidationError(f"degree {m} outside recurrence range 0..{r.m_max}")
 
 
+def _psi_0(r: Recurrence, log_w) -> np.ndarray:
+    """psi_0 = sqrt(w e^{-s} / h0), the start of both loops."""
+    return np.exp(0.5 * (log_w - r.log_shift)) / math.sqrt(r.h0)
+
+
 def _scaled_rows(r: Recurrence, x, log_w, m: int):
-    sw = np.exp(0.5 * (log_w - r.log_shift))
-    prev, cur, beta = 0.0, sw / math.sqrt(r.h0), 0.0
+    prev, cur, beta = 0.0, _psi_0(r, log_w), 0.0
     yield cur
     for j in range(m):
         beta_next = math.sqrt(r.b[j])
         prev, cur = cur, ((x - r.a[j]) * cur - beta * prev) / beta_next
         beta = beta_next
         yield cur
+
+
+def cd_rows(r: Recurrence, x, log_w, n: int):
+    """psi_n, psi_{n-1} and sum_{j<n} psi_j^2 at the points of a 1-D x.
+
+    log_w is log w at x.  These are all a Christoffel-Darboux kernel
+    reads at a point: psi_n and psi_{n-1} off the diagonal, the sum of
+    squares on it (psi_{-1} = 0 at n = 0).  The degree is checked before
+    any row is formed.  At most _FEW_POINTS points run one at a time in
+    Python floats, at a cost per point and degree; more run the numpy
+    sweep _scaled_rows, whose cost per degree hardly depends on the
+    point count.  Both costs grow as n, so the two cross near the same
+    point count (about 35) at any n.  Both loops start from the same
+    numpy psi_0, take each step as
+    ((x - a_j) psi_j - beta_j psi_{j-1}) / beta_{j+1} with
+    beta_j = sqrt(b_j) and sum the squares from 0.0 upward, all in
+    binary64 with one rounding per operation, so they give the same
+    bits, signed zeros included.
+    """
+    _check_degree(r, n)
+    if x.size > _FEW_POINTS:
+        rows = _scaled_rows(r, x, log_w, n)
+        psi_m, diag = np.zeros(x.size), np.zeros(x.size)
+        for _ in range(n):
+            psi_m = next(rows)
+            diag += psi_m * psi_m
+        return next(rows), psi_m, diag
+    beta = [math.sqrt(bj) for bj in r.b[:n]]
+    steps = tuple(zip(r.a, [0.0] + beta, beta))  # (a_j, beta_j, beta_{j+1}), j < n
+    last, before, sums = [], [], []
+    for xi, cur in zip(x.tolist(), _psi_0(r, log_w).tolist()):
+        prev = diag = 0.0
+        for aj, bj, bn in steps:
+            diag += cur * cur
+            prev, cur = cur, ((xi - aj) * cur - bj * prev) / bn
+        last.append(cur)
+        before.append(prev)
+        sums.append(diag)
+    return np.array(last), np.array(before), np.array(sums)
 
 
 def gram_check(r: Recurrence, q: QuadratureRule, m: int) -> float:

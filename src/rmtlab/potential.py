@@ -419,25 +419,28 @@ def log_weight(p: Potential, x):
     domain.  Points where a power of 1/(x-b) overflows (within 1e-154 of
     a real pole with two coefficients, 1e-77 with four) are -inf as
     well: w underflows to 0 there.  The exponential part stays factored
-    so nothing overflows before the final exp."""
+    so nothing overflows before the final exp.  Each np.errstate is
+    entered only by a model with a term that can warn under it, since
+    entering one is a sizeable share of a call on a few dozen points."""
     xa = np.asarray(x, dtype=float)
     keep = p.support.contains(xa)
     v_sing = 0.0
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for s in p.singularities:
-            if not s.t:
-                continue
-            inv = 1.0 / (xa - complex(s.b))
-            for j, c in enumerate(s.t, start=1):
-                pw = inv if j == 1 else pw * inv
-                v_sing = v_sing - ((c / j) * pw).real
-            # pw is non-finite at b itself and once a power has overflowed
-            # (later powers stay inf or nan)
-            keep = keep & np.isfinite(pw)
+    poles = [s for s in p.singularities if s.t]
+    if poles:
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for s in poles:
+                inv = 1.0 / (xa - complex(s.b))
+                for j, c in enumerate(s.t, start=1):
+                    pw = inv if j == 1 else pw * inv
+                    v_sing = v_sing - ((c / j) * pw).real
+                # pw is non-finite at b itself and once a power has overflowed
+                # (later powers stay inf or nan)
+                keep = keep & np.isfinite(pw)
     lw = -p.n * (v_reg(p, xa) + v_sing)
-    with np.errstate(divide="ignore"):
-        for s in p.singularities:
-            b = s.b if s.b.imag else s.b.real
-            lw = lw + 2.0 * s.alpha * np.log(np.abs(xa - b))
+    if p.singularities:
+        with np.errstate(divide="ignore"):
+            for s in p.singularities:
+                b = s.b if s.b.imag else s.b.real
+                lw = lw + 2.0 * s.alpha * np.log(np.abs(xa - b))
     lw = np.where(keep, lw, -np.inf)
     return float(lw) if lw.ndim == 0 else lw

@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 import scipy.special as sps
 
-from rmtlab import kernel
+from rmtlab import kernel, orthopoly
 from rmtlab.errors import NumericalError, ValidationError
 from rmtlab.potential import IntervalSet, Potential, Singularity, log_weight
 from rmtlab.equilibrium import solve_support, density
 from rmtlab.classify import CriticalPoint, bulk_point, extract_model_data, find_critical_points
-from rmtlab.orthopoly import build_quadrature, stieltjes_recurrence
+from rmtlab.orthopoly import build_quadrature, stieltjes_recurrence, string_recurrence
 from rmtlab.scenarios import default_fit, get_scenario
 from rmtlab.kernel import (
     _psi_rows,
@@ -228,6 +228,76 @@ def test_kernel_diag_and_matrix_share_one_pass(p):
     assert same_bits(kernel_diag(r, p, pts), each)
 
 
+def _switch_fit(label):
+    """(fit, potential, point sets) for the loop-switch test.
+
+    Each fit gets 1 point, 31, 32 and 33 distinct points inside its
+    support and a mixed set.  GUE's mixed set has repeats and x < 0 for
+    the parity gather, and tail points where psi_0 is subnormal
+    (|x| = 3.8) and where it underflows to 0 (x = 4); the MP sets hold
+    points off the domain (x > 0), the charge at 0, where w = 0, and
+    x = -30, where psi_0 underflows and the rows are zeros of
+    alternating sign.
+    """
+    if label == "gue-string-200":
+        p = gaussian(200)
+        r, lo, hi = string_recurrence(p, 201), -2.0, 2.0
+        mixed = [0.7, -0.7, 0.0, -1.3, 0.7, 1.3, 3.8, -3.8, 4.0, -4.0, 2.2, -2.2]
+    elif label == "mp-charge-120":
+        p = mp_potential(120, 0.5)
+        r, lo, hi = default_fit(p)[0], -4.0, -0.01
+        mixed = [-2.0, -2.0, 0.0, 0.5, -0.3, 3.0, -0.3, -5.5, -1e-9, -30.0]
+    else:
+        sc = get_scenario("mp-two-charge")
+        p = sc.make_potential(80)
+        r, lo, hi = sc.recurrence(p), -4.0, -0.01
+        mixed = [-1.0, 0.0, p.singularities[1].b.real, -0.05, 0.2, -1.0, -3.3, -30.0]
+    sets = [np.array([0.5 * (lo + hi)])]
+    sets += [np.linspace(lo, hi, k) for k in (31, 32, 33)]
+    sets.append(np.array(mixed))
+    return r, p, sets
+
+
+@pytest.mark.parametrize("label", ["gue-string-200", "mp-charge-120", "mp-two-charge-80"])
+def test_float_loop_and_numpy_sweep_give_the_same_bits(monkeypatch, label):
+    # orthopoly.cd_rows runs up to _FEW_POINTS distinct points in Python
+    # floats and more in numpy; forcing either loop moves no bit of any
+    # kernel value, signed zeros included.  Its rows are compared too, at
+    # three successive degrees: the zero rows at x = -30 repeat their
+    # signs with period 3 in the degree
+    r, p, sets = _switch_fit(label)
+
+    def evaluate(few):
+        monkeypatch.setattr(orthopoly, "_FEW_POINTS", few)
+        return [(kernel_matrix(r, p, x, x), kernel_diag(r, p, x), kernel_diag(r, p, x[:1]),
+                 *(row for m in (p.n - 1, p.n, p.n + 1)
+                   for row in orthopoly.cd_rows(r, x, log_weight(p, x), m)))
+                for x in sets]
+
+    for floats, sweep in zip(evaluate(1 << 30), evaluate(0)):
+        for a, b in zip(floats, sweep):
+            assert same_bits(a, b)
+    monkeypatch.undo()
+    # by default the switch sits between 32 and 33 distinct points
+    calls = []
+    sweep = orthopoly._scaled_rows
+    monkeypatch.setattr(orthopoly, "_scaled_rows", lambda *a: calls.append(1) or sweep(*a))
+    for k in (31, 32, 33):
+        calls.clear()
+        kernel_diag(r, p, np.linspace(-1.2, -0.8, k))
+        assert bool(calls) == (k > 32)
+
+
+def test_cd_rows_tail_points_reach_subnormal_and_zero():
+    # the GUE points of the switch test really probe the tail: psi_0 is
+    # subnormal at |x| = 3.8 and exactly 0 at x = 4 (n = 200)
+    p = gaussian(200)
+    r = string_recurrence(p, 201)
+    x = np.array([3.8, 4.0])
+    psi_0 = next(orthopoly.orthonormal_rows(r, x, log_weight(p, x), 0))
+    assert 0.0 < psi_0[0] < np.finfo(float).tiny and psi_0[1] == 0.0
+
+
 def test_projection_residual_detects_wrong_kernel():
     r, q = fit(gaussian(10))
     probes = [(-1.3, 0.7), (0.0, 0.0), (0.5, -0.5), (1.2, 1.1)]
@@ -311,11 +381,14 @@ def test_confluent_branch_continuous():
 
 
 def test_recurrence_must_reach_degree_n():
+    # both loops of orthopoly.cd_rows, the float loop at 1 point and the
+    # numpy sweep at 64, refuse the degree before any row
     p = gaussian(10)
     q = build_quadrature(p, 600, degree_hint=22)
     r = stieltjes_recurrence(q, 5)
-    with pytest.raises(ValidationError, match="degree"):
-        kernel_matrix(r, p, [0.0], [0.0])
+    for x in (np.array([0.0]), np.linspace(0.1, 3.0, 64)):
+        with pytest.raises(ValidationError, match="degree"):
+            kernel_matrix(r, p, x, x)
 
 
 def test_scaled_points_must_stay_in_domain():

@@ -347,6 +347,23 @@ def test_log_weight_next_to_real_pole(t):
         assert g == (e if e == -math.inf else pytest.approx(e, rel=1e-14))
 
 
+@pytest.mark.parametrize("t", [(), (-1.0,)], ids=["charge-only", "pole"])
+def test_log_weight_at_its_singular_point_in_an_array(t):
+    # log|x - b| at a charge, and 1/(x - b) at a real pole, divide by
+    # zero; each is suppressed inside the block for its kind of term,
+    # which a charge-only model enters without the pole block
+    p = Potential(n=4, reg=(0.0, 1.0), singularities=(Singularity(b=0.0, alpha=1.0, t=t),),
+                  support=IntervalSet(((0.0, math.inf),)))
+    x = np.array([0.0, 0.5, 2.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lw = log_weight(p, x)
+    v_sing = -np.array([t[0] / xi for xi in x[1:]]) if t else 0.0
+    assert lw[0] == -math.inf
+    np.testing.assert_allclose(lw[1:], 2.0 * np.log(x[1:]) - 4 * (x[1:] ** 2 / 2 + v_sing),
+                               rtol=1e-13)
+
+
 def test_gaussian_weight_integral():
     p = gaussian(n=20)
     val, _ = quad(lambda x: math.exp(log_weight(p, x)), -np.inf, np.inf)

@@ -54,6 +54,7 @@ def test_fingerprint_is_reproducible_and_reports_a_one_ulp_move(tmp_path, capsys
     assert first.read_bytes() == second.read_bytes()
     objects = json.loads(first.read_text())["objects"]
     assert "model:gue-bulk:measure" in objects and "scan:gue-edge:recurrence-400" in objects
+    assert "kernel:gue-40:matrix-61" in objects and "kernel:mp-two-charge-40:diag-nodes" in objects
     assert any(k.startswith("cli:") and k.endswith("scan_gue-edge.json") for k in objects)
     capsys.readouterr()
     assert fp.main(["compare", str(first), str(second)]) == 0
