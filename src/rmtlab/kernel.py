@@ -7,14 +7,15 @@ The projection kernel onto polynomials of degree < n under the weight,
 
 is evaluated through the weighted orthonormal functions
 psi_j = sqrt(w) p_j / sqrt(h_j), which stay of order one where p_j and
-w separately overflow and underflow; on the diagonal it is the sum of
-squares sum_{j<n} psi_j(x)^2.  Only kernel_matrix (any x * y grid) and
-kernel_diag evaluate it at points, both through _psi_rows, one
-orthopoly.cd_rows pass per point set: point by point in Python floats
-for a handful of distinct points (a scan stage's grid, one diagonal
-point), the numpy sweep for more, the same bits either way.  Nothing
-here imports the equilibrium side.  Sine, Airy and Bessel kernels are
-the double-scaling references; grids are bare matrices.
+w separately overflow and underflow; on the diagonal, and only where
+x == y exactly, it is the sum of squares sum_{j<n} psi_j(x)^2.  Only
+kernel_matrix (any x * y grid) and kernel_diag evaluate it at points,
+both through _psi_rows, one orthopoly.cd_rows pass per point set:
+point by point in Python floats for a handful of distinct points (a
+scan stage's grid, one diagonal point), the numpy sweep for more, the
+same bits either way.  Nothing here imports the equilibrium side.
+Sine, Airy and Bessel kernels are the double-scaling references; grids
+are bare matrices.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .orthopoly import QuadratureRule, Recurrence, cd_rows, orthonormal_rows
 from .potential import Potential, log_weight
 from .specfun import airy_ai, bessel_j
 
-_CONFLUENT_REL = 1e-8
 _TINY = np.finfo(float).tiny  # the smallest normal double
 
 
@@ -74,11 +74,12 @@ def kernel_diag(r: Recurrence, p: Potential, x) -> np.ndarray:
 def kernel_matrix(r: Recurrence, p: Potential, xs, ys) -> np.ndarray:
     """K_n on a grid of real points; off-domain points give 0.
 
-    One _psi_rows pass serves the points of xs and ys together.  Pairs
-    within 1e-8 * scale of the diagonal take the confluent value, the
-    mean of the two points' diagonals, so K(xs, xs) is exactly
-    symmetric.  A scalar (0-d) xs or ys is one point, and the result has
-    shape xs.shape + ys.shape: a float for two scalars.
+    One _psi_rows pass serves the points of xs and ys together.  A pair
+    with x == y exactly takes the diagonal, the Christoffel-Darboux sum
+    of squares at that point; every distinct pair, however close, takes
+    the difference quotient, so a grid is treated alike at every scale.
+    A scalar (0-d) xs or ys is one point, and the result has shape
+    xs.shape + ys.shape: a float for two scalars.
     """
     xa = np.asarray(xs, dtype=float)
     ya = np.asarray(ys, dtype=float)
@@ -87,7 +88,7 @@ def kernel_matrix(r: Recurrence, p: Potential, xs, ys) -> np.ndarray:
         return float(out) if out.ndim == 0 else out
     psi_n, psi_m, diag = _psi_rows(r, p, np.concatenate((xa, ya)))
     xn, xm, diag_x = psi_n[:xa.size], psi_m[:xa.size], diag[:xa.size]
-    yn, ym, diag_y = psi_n[xa.size:], psi_m[xa.size:], diag[xa.size:]
+    yn, ym = psi_n[xa.size:], psi_m[xa.size:]
     beta_n = math.sqrt(r.b[p.n - 1])
     # formed in place from dx, the numerator and one scratch array;
     # products commute exactly, so each entry is the same double as
@@ -97,17 +98,10 @@ def kernel_matrix(r: Recurrence, p: Potential, xs, ys) -> np.ndarray:
     scratch = np.multiply.outer(xm, yn)
     out -= scratch
     out *= beta_n
-    close = np.less(np.abs(dx, out=scratch), _CONFLUENT_REL * p.scale())
+    close = dx == 0.0
     np.copyto(dx, 1.0, where=close)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out /= dx
-    if np.any(close):
-        ii, jj = np.nonzero(close)
-        kx, ky = diag_x[ii], diag_y[jj]
-        # K(x, y) carries sqrt(w(x) w(y)) and diag is 0 exactly where w
-        # is (off the domain, at a charge), so a pair with one such point
-        # gives 0, not half the other diagonal; with two the mean is 0
-        out[ii, jj] = np.where((kx == 0.0) != (ky == 0.0), 0.0, 0.5 * (kx + ky))
+    out /= dx
+    np.copyto(out, diag_x[:, None], where=close)
     return out
 
 
@@ -115,9 +109,8 @@ def scaled_kernel_grid(r: Recurrence, p: Potential, cp, u_grid) -> np.ndarray:
     """n^{-delta} K_n(x_* + n^{-delta} u, x_* + n^{-delta} v) on the grid u x u.
 
     cp gives x_star and delta; every grid point must stay in the domain.
-    Two distinct points closer in x than kernel_matrix's confluence
-    length, whose pair would take the mean of two diagonals, raise
-    NumericalError.
+    Distinct grid points stay distinct pairs of kernel_matrix at every
+    n, however fast the zoom, and a repeated point is one point.
     A point where w > 0 but psi_0 = sqrt(w e^{-s} / h0) is below the
     smallest normal double raises NumericalError: every psi_j there
     starts from a subnormal or zero, so the kernel would be silently
@@ -129,12 +122,6 @@ def scaled_kernel_grid(r: Recurrence, p: Potential, cp, u_grid) -> np.ndarray:
     bad = 2 * int(np.count_nonzero(~p.support.contains(xs)))  # once per axis
     if bad:
         raise ValidationError(f"{bad} scaled grid points leave the domain at n={p.n}")
-    steps = np.diff(np.sort(xs))  # 0 between repeats of one point
-    gap = np.min(steps[steps > 0], initial=math.inf)
-    confluent = _CONFLUENT_REL * p.scale()
-    if gap < confluent:
-        raise NumericalError(f"scaled grid points {gap:.6g} apart in x fall under the kernel's "
-                             f"confluence length {confluent:.6g} at n={p.n}")
     lw = log_weight(p, xs)
     psi_0 = next(orthonormal_rows(r, xs, lw, 0))
     faint = np.isfinite(lw) & (psi_0 < _TINY)

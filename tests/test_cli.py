@@ -390,17 +390,20 @@ def test_converge_two_charge_runs_past_the_clip_guard(outdir):
     assert [row["n"] for row in rows] == [640]
 
 
-def test_converge_hard_edge_refuses_the_confluence_length(outdir, capsys):
-    # at n = 6 400 the grid's x spacing is under kernel_matrix's confluence
-    # length; this once exited 0 with sup errors [1.07e-8, 0.019]
-    assert run(outdir, "converge", "mp-hard-edge", "--n-list", "3200,6400") == 3
-    err = capsys.readouterr().err
-    assert "convergence scan failed at stage n=6400" in err
-    assert "confluence length 1e-08" in err
+def test_converge_hard_edge_runs_past_the_old_confluence_length(outdir):
+    # the grid's x spacing falls under 1e-8 from n = 6 073; only coincident
+    # points take the diagonal, so the scan reads on past it
     assert run(outdir, "converge", "mp-hard-edge", "--n-list", "3200,6072") == 0
     assert read_json(outdir / "scan_mp-hard-edge.json")["rows"] == [
         {"n": 3200, "sup_error": 1.070994437579742e-08},
         {"n": 6072, "sup_error": 3.170958273734925e-09}]
+    assert run(outdir, "converge", "mp-hard-edge", "--param", "alpha=0.5",
+               "--n-list", "3200,6400") == 0
+    errs = [row["sup_error"] for row in read_json(outdir / "scan_mp-hard-edge.json")["rows"]]
+    assert errs == pytest.approx([5.27e-5, 2.64e-5], rel=0.01)
+    assert run(outdir, "converge", "mp-two-charge", "--n-list", "2560,5120,10240") == 0
+    errs = [row["sup_error"] for row in read_json(outdir / "scan_mp-two-charge.json")["rows"]]
+    assert errs[0] > errs[1] > 0.0
 
 
 def test_converge_mp_hard_edge_past_the_quadrature_ceiling(outdir):

@@ -92,8 +92,8 @@ def test_kernel_matrix_symmetric_to_roundoff():
 
 
 def test_kernel_matrix_matches_pointwise():
-    # shared points, a duplicate, a pair 5e-9 apart (confluent branch)
-    # and an off-domain point, with len(xs) != len(ys)
+    # shared points, a duplicate, a pair 5e-9 apart (a difference
+    # quotient) and an off-domain point, with len(xs) != len(ys)
     p = mp_potential(12, 0.5)
     r, q = fit(p, 700)
     xs = np.array([-2.0, -1.0, -0.3, 0.5])
@@ -133,8 +133,14 @@ def test_projection_residual_matches_probe_loop():
     assert projection_residual(r, p, q, probes) == worst
 
 
-def reference_kernel_matrix(r, p, xs, ys):
-    """kernel_matrix as one expression over P x Q temporaries."""
+def reference_kernel_matrix(r, p, xs, ys, confluence=None):
+    """kernel_matrix as one expression over P x Q temporaries.
+
+    Pairs with x == y take the mean of the two diagonals, which is the
+    one diagonal.  A confluence length instead gives that mean to every
+    pair closer than it, 0 where exactly one diagonal is 0: the rule
+    kernel_matrix followed with the length 1e-8 * scale.
+    """
     xa = np.asarray(xs, dtype=float)
     ya = np.asarray(ys, dtype=float)
     pts, inv = np.unique(np.concatenate((xa, ya)), return_inverse=True)
@@ -144,8 +150,7 @@ def reference_kernel_matrix(r, p, xs, ys):
     pnx, pmx, pny, pmy = psi_n[ix], psi_m[ix], psi_n[iy], psi_m[iy]
     dx = xa[:, None] - ya[None, :]
     num = beta_n * (pnx[:, None] * pmy[None, :] - pny[None, :] * pmx[:, None])
-    tol = 1e-8 * p.scale()
-    close = np.abs(dx) < tol
+    close = dx == 0.0 if confluence is None else np.abs(dx) < confluence
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.where(close, 0.0, num) / np.where(close, 1.0, dx)
     if np.any(close):
@@ -172,12 +177,13 @@ def test_kernel_matrix_matches_reference_exactly():
     r_mp, q_mp = fit(mp, 700)
     quartic = quartic_critical(200)
     r_q, q_q = default_fit(quartic)
-    # xs != ys with a duplicate, a confluent pair and an off-domain point
+    # xs != ys with a duplicate, a pair 5e-9 apart and an off-domain point
     xs = np.array([-2.0, -1.0, -0.3, 0.5])
     ys = np.array([-1.0 + 5e-9, -2.0, -0.7, -0.3, -2.0])
     assert same_bits(kernel_matrix(r_mp, mp, xs, ys), reference_kernel_matrix(r_mp, mp, xs, ys))
-    # xs = ys with confluent pairs next to the diagonal, off-domain points
-    # (x > 0) and a point on the charge
+    # xs = ys with pairs 3e-9 and 1e-9 apart next to the diagonal, which
+    # take the quotient on both sides, off-domain points (x > 0) and a
+    # point on the charge
     grid = np.sort(np.concatenate((np.linspace(-4.5, 1.0, 31),
                                    [-2.0, -2.0 + 3e-9, 0.0, 0.3, 0.3 + 1e-9])))
     assert same_bits(kernel_matrix(r_mp, mp, grid, grid),
@@ -345,8 +351,9 @@ def test_off_domain_points_give_zero():
     r, q = fit(p, 700)
     assert kernel_matrix(r, p, [0.5], [-1.0])[0, 0] == 0.0
     assert kernel_matrix(r, p, [1.0], [2.0])[0, 0] == 0.0
-    # confluent pair across the edge
+    # a near pair across the edge, and a coincident pair off the domain
     assert kernel_matrix(r, p, [1e-12], [-1e-12])[0, 0] == 0.0
+    assert kernel_matrix(r, p, [0.5], [0.5])[0, 0] == 0.0
     g = kernel_matrix(r, p, [-1.0, 0.5], [-1.0, 0.5])
     assert np.all(g[1] == 0.0) and np.all(g[:, 1] == 0.0) and g[0, 0] > 0.0
 
@@ -371,13 +378,25 @@ def test_real_pole_point_gives_zero():
 
 
 def test_confluent_branch_continuous():
+    # only x == y takes the diagonal; every distinct pair is a difference
+    # quotient, and near the diagonal it meets K(x, x) to its rounding
     p = gaussian(15)
     r, q = fit(p)
     x = 0.3
-    near = kernel_matrix(r, p, [x], [x + 5e-9])[0, 0]   # confluent evaluation
-    far = kernel_matrix(r, p, [x], [x + 5e-7])[0, 0]    # difference quotient
+    near = kernel_matrix(r, p, [x], [x + 5e-9])[0, 0]
+    far = kernel_matrix(r, p, [x], [x + 5e-7])[0, 0]
     assert near == pytest.approx(kernel_matrix(r, p, [x], [x])[0, 0], rel=1e-7)
     assert far == pytest.approx(near, rel=1e-5)
+    # pairs 1e-8 and 1e-10 apart: measured 3.3e-9 and 4.6e-8 relative at
+    # n = 40, 4.4e-10 and 3.0e-8 at n = 200
+    for n in (40, 200):
+        p = gaussian(n)
+        r, _ = fit(p)
+        diag = kernel_matrix(r, p, [x], [x])[0, 0]
+        for h in (1e-8, 1e-10):
+            assert kernel_matrix(r, p, [x], [x + h])[0, 0] == pytest.approx(diag, rel=1e-7)
+        # -0.0 == +0.0, so the pair is coincident: the diagonal's bits
+        assert same_bits(kernel_matrix(r, p, [-0.0], [0.0]).ravel(), kernel_diag(r, p, [0.0]))
 
 
 def test_recurrence_must_reach_degree_n():
@@ -613,23 +632,47 @@ def test_scaled_grid_refuses_subnormal_psi0(monkeypatch):
     assert _edge_grid_error(760) > 0.3
 
 
-def test_scaled_grid_refuses_points_under_the_confluence_length():
-    # the hard-edge grid's x spacing 0.36875/n^2 falls under kernel_matrix's
-    # confluence length 1e-8 from n = 6 073, where each adjacent pair took
-    # the mean of its two diagonals and the scan read 0.019, not 3.2e-9
+def test_hard_edge_scans_past_the_old_confluence_length():
+    # the hard-edge grid's x spacing 0.36875/n^2 fell under the old
+    # confluence length 1e-8 from n = 6 073, whose pairs took the mean of
+    # two diagonals; with exact coincidence the scan reads on past it
     sc = get_scenario("mp-hard-edge")
     grid = np.asarray(sc.default_grid)
-    assert convergence_scan(sc, [6072], grid)["rows"] == [
+    assert convergence_scan(sc, [3200, 6072], grid)["rows"] == [
+        {"n": 3200, "sup_error": 1.070994437579742e-08},
         {"n": 6072, "sup_error": 3.170958273734925e-09}]
-    with pytest.raises(NumericalError, match=r"stage n=6073: scaled grid points "
-                       r"9\.99828e-09 apart in x fall under the kernel's "
-                       r"confluence length 1e-08 at n=6073$"):
-        convergence_scan(sc, [6073], grid)
-    # a repeated grid point is one point, not a pair under the length
-    p = sc.make_potential(40)
+    errs = [row["sup_error"] for row in convergence_scan(sc, [3200, 6400], grid)["rows"]]
+    assert errs[0] > errs[1] == pytest.approx(2.7e-9, rel=0.01)
+    # the old rule, mean of two diagonals under 1e-8, on the same stage
+    p = sc.make_potential(6400)
     em = sc.equilibrium(p)
-    g = scaled_kernel_grid(sc.recurrence(p), p, sc.critical_point(em), [-1.0, -1.0, -0.5])
-    assert g[0, 1] == g[0, 0] == g[1, 1]
+    cp = sc.critical_point(em)
+    s = 6400.0 ** (-cp.delta)
+    xs = cp.x_star + s * grid
+    old = s * reference_kernel_matrix(sc.recurrence(p), p, xs, xs, 1e-8 * p.scale())
+    law, _ = sc.reference_law(em, cp)
+    ref = kernel._law_table(law, grid)
+    assert np.max(np.abs(old - ref)) == pytest.approx(0.019, rel=0.05)
+    # the second charge's collapse falls on past n = 6 073 too
+    sc = get_scenario("mp-two-charge")
+    rows = convergence_scan(sc, [2560, 5120, 10240], np.asarray(sc.default_grid))["rows"]
+    assert rows[0]["sup_error"] > rows[1]["sup_error"] > 0.0
+    assert rows[0]["sup_error"] == pytest.approx(4.72e-5, rel=0.01)
+    assert rows[1]["sup_error"] == pytest.approx(2.36e-5, rel=0.01)
+    # a repeated grid point is one point at every n, and a distinct pair
+    # is a quotient at every n: at n = 51 200 the two points are 1.9e-10
+    # apart in x, where the old rule gave them the mean of two diagonals
+    sc = get_scenario("mp-hard-edge")
+    for n in (40, 51200):
+        p = sc.make_potential(n)
+        em = sc.equilibrium(p)
+        r = sc.recurrence(p)
+        cp = sc.critical_point(em)
+        g = scaled_kernel_grid(r, p, cp, [-1.0, -1.0, -0.5])
+        assert g[0, 1] == g[0, 0] == g[1, 1]
+        xs = cp.x_star + n ** (-cp.delta) * np.array([-1.0, -0.5])
+        assert g[0, 2] == n ** (-cp.delta) * kernel_matrix(r, p, xs[0], xs[1])
+        assert g[0, 2] != 0.5 * (g[0, 0] + g[2, 2])
 
 
 @pytest.mark.parametrize("alpha, decay", [(0.0, -2.0), (0.5, -1.0)])
